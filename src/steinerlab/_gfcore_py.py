@@ -1,4 +1,4 @@
-"""Pure numpy row-reduction over F_p, same contract as the compiled core.
+"""Blocked numpy row-reduction over F_p: the elimination core (see backend).
 
 Arithmetic runs in float64, which is exact for integers below 2**53.  The
 caller guarantees (min(n, m) + panel) * p**2 < 2**53, so sums of products of

@@ -1,55 +1,32 @@
-"""Backend selection for the F_p elimination core.
+"""The F_p elimination core behind every rank, reduced form and kernel.
 
-The compiled extension (steinerlab._gfcore) is preferred; the numpy fallback
-(_gfcore_py) is picked up automatically when the extension is missing.  Set
-STEINERLAB_BACKEND=py or =c to force a choice; forcing "c" raises if the
-extension was never built.
-
-Both cores share one contract: rref(a, p, full) reduces an int64 C-contiguous
-array in place and returns (rank, pivot columns), with first-nonzero pivoting
-so the reduced form is identical across backends.
+`_core` is the blocked numpy elimination in _gfcore_py.  Its contract:
+rref(a, p, full) reduces an int64 C-contiguous array in place and returns
+(rank, pivot columns), with first-nonzero pivoting so the reduced form is
+canonical.  Every elimination goes through the attribute call
+`_core.rref(...)`, so a profiler can wrap that one attribute.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("STEINERLAB_BACKEND", "").strip().lower()
+from . import _gfcore_py as _core
 
-if _choice in ("py", "python"):
-    from . import _gfcore_py as _core
-
-    _NAME = "python"
-elif _choice in ("c", "cython"):
-    from . import _gfcore as _core  # type: ignore[no-redef]
-
-    _NAME = "c"
-else:
-    try:
-        from . import _gfcore as _core  # type: ignore[no-redef]
-
-        _NAME = "c"
-    except ImportError:
-        from . import _gfcore_py as _core  # type: ignore[no-redef]
-
-        _NAME = "python"
-
-# Accumulated values during elimination stay below (#pivots + panel + 2) * p^2.
-# The compiled core works in int64, the fallback in float64.
-_LIMIT = 2**62 if _NAME == "c" else 2**53
+# Accumulated values during elimination stay below (#pivots + panel + 2) * p^2,
+# and the core works in float64.
+_LIMIT = 2**53
 
 
 def backend_name():
-    return _NAME
+    return "python"
 
 
 def _check_capacity(n, m, p):
     if (min(n, m) + 130) * p * p >= _LIMIT:
         raise ValueError(
             f"matrix of shape ({n}, {m}) too large for exact elimination "
-            f"mod {p} on the {_NAME} backend"
+            f"mod {p}"
         )
 
 

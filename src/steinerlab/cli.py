@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, exactalg, pwcurves, steiner, strata, subspace
-from .multilin import random_frame, untransform_presentation
+from .multilin import random_frame, transform_presentation
 from .seeding import derive_rng
 from .steiner import SteinerPresentation, assemble_md, chi3
 
@@ -56,10 +56,11 @@ def cmd_cohomology(args, cfg):
     if args.load:
         with open(args.load) as fh:
             m = steiner.read_presentation(fh)
-        for name, given, actual in (("a", args.a, m.a), ("b", args.b, m.b)):
+        for flag, given, actual in (("-a", args.a, m.a), ("-b", args.b, m.b),
+                                    ("--prime", p, m.prime)):
             if given is not None and given != actual:
                 raise ValueError(
-                    f"-{name} {given} contradicts the loaded file ({actual})"
+                    f"{flag} {given} contradicts the loaded file ({actual})"
                 )
         cert = steiner.surjectivity_certificate(m, cfg["dmax"])
         r1 = exactalg.rank(assemble_md(m, 1), m.prime)
@@ -153,12 +154,8 @@ def _transport_trial(variant, trial, seed, p):
     positive = trial % 3 == 0
     if variant == "full":
         if positive:
-            zs = subspace.zstar_basis(phi)
-            Z = np.column_stack(zs)
-            coeff = rng.integers(0, p, size=(len(zs), b), dtype=np.int64)
-            cols = exactalg.matmul_mod(Z, coeff, p)
-            m = SteinerPresentation.from_columns(
-                [cols[:, i] for i in range(b)], a, p)
+            m = steiner.presentation_in_span(subspace.zstar_basis(phi), b,
+                                             rng, p)
         else:
             m = SteinerPresentation.random(rng, a, b, p)
         lhs, rhs = subspace.transport_check(m, phi)
@@ -167,15 +164,10 @@ def _transport_trial(variant, trial, seed, p):
     if variant == "combined":
         extra = [rng.integers(0, p, size=9 * a, dtype=np.int64)]
     if positive:
-        stacked = subspace.fstar_ZT(hslice, extra)
-        kern = exactalg.kernel_basis(stacked, p)
-        K = np.column_stack(kern)
-        coeff = rng.integers(0, p, size=(len(kern), b), dtype=np.int64)
-        cols = exactalg.matmul_mod(K, coeff, p)
-        mf = SteinerPresentation.from_columns(
-            [cols[:, i] for i in range(b)], a, p)
+        kern = exactalg.kernel_basis(subspace.fstar_ZT(hslice, extra), p)
+        mf = steiner.presentation_in_span(kern, b, rng, p)
         m = SteinerPresentation(
-            a, b, tuple(untransform_presentation(mf.Ms, frame)), p)
+            a, b, transform_presentation(mf.Ms, frame.P, p), p)
     else:
         m = SteinerPresentation.random(rng, a, b, p)
     lhs, rhs = subspace.transport_check(m, phi, frame, extra)

@@ -2,7 +2,7 @@
 
 Matrices are numpy int64 arrays holding residues in [0, p); rows × cols shape,
 row-major.  Every rank, kernel and cokernel in the package reduces to the
-routines here, which in turn dispatch to the selected elimination backend.
+routines here, which in turn call the elimination core in backend.
 
 The field is a single configurable prime, default 32003.  Genericity
 statements checked by sampling hold over F_p up to failure probability
@@ -18,8 +18,8 @@ from . import backend
 
 DEFAULT_PRIME = 32003
 
-# elimination backends accumulate sums of products of residues; this cap keeps
-# them exact (see backend._check_capacity)
+# the elimination core accumulates sums of products of residues; this cap
+# keeps them exact (see backend._check_capacity)
 MAX_PRIME = 1 << 20
 
 
@@ -29,7 +29,7 @@ def validate_prime(p):
     Requires a prime with 3 < p < 2**20.  The lower bound avoids degenerate
     small characteristic (divisions by 2 and 3 occur in Euler characteristic
     bookkeeping and genericity needs room); the upper bound is the exactness
-    cap of the elimination backends.
+    cap of the elimination core.
     """
     p = int(p)
     if p <= 3:
@@ -65,7 +65,7 @@ def kernel_basis(M, p=DEFAULT_PRIME):
     """Basis of {v : M v = 0}, as a list of 1-D int64 vectors.
 
     The basis is canonical (read off the reduced echelon form), so repeated
-    calls and both backends give identical vectors.
+    calls give identical vectors.
     """
     M = np.asarray(M, dtype=np.int64)
     ns = backend.nullspace(M, p)
@@ -110,7 +110,25 @@ def random_matrix(rng, rows, cols, p=DEFAULT_PRIME):
 # ---------------------------------------------------------------------------
 # plain-text interchange
 #
-# First line "rows cols p", then one line of space-separated residues per row.
+# A matrix block is a line "rows cols p", then one line of space-separated
+# residues per row.  The tagged formats put a line "tag d1 d2 p" in front of
+# a fixed number of matrix blocks over the same prime.
+
+
+def _read_header(fh, tag=None):
+    """Parse "[tag] d1 d2 p"; returns (d1, d2, p) with p a valid prime."""
+    fields = fh.readline().split()
+    lead = [] if tag is None else [tag]
+    bad = ValueError(f"bad {tag or 'matrix'} header: {fields!r}")
+    if len(fields) != len(lead) + 3 or fields[:len(lead)] != lead:
+        raise bad
+    try:
+        d1, d2, p = (int(x) for x in fields[len(lead):])
+    except ValueError:
+        raise bad from None
+    if d1 < 0 or d2 < 0:
+        raise bad
+    return d1, d2, validate_prime(p)
 
 
 def write_matrix(fh, M, p=DEFAULT_PRIME):
@@ -122,10 +140,7 @@ def write_matrix(fh, M, p=DEFAULT_PRIME):
 
 def read_matrix(fh):
     """Read one matrix block; returns (matrix, p)."""
-    header = fh.readline().split()
-    if len(header) != 3:
-        raise ValueError(f"bad matrix header: {header!r}")
-    n, m, p = (int(x) for x in header)
+    n, m, p = _read_header(fh)
     rows = []
     for _ in range(n):
         vals = fh.readline().split()
@@ -134,3 +149,29 @@ def read_matrix(fh):
         rows.append([int(v) for v in vals])
     M = np.array(rows, dtype=np.int64).reshape(n, m)
     return np.mod(M, p), p
+
+
+def write_blocks(fh, tag, d1, d2, blocks, p=DEFAULT_PRIME):
+    """Write the header "tag d1 d2 p", then each block as a matrix block."""
+    fh.write(f"{tag} {d1} {d2} {p}\n")
+    for M in blocks:
+        write_matrix(fh, M, p)
+
+
+def read_blocks(fh, tag, count, shape=lambda d1, d2: (d1, d2)):
+    """Read a "tag d1 d2 p" header and `count` matrix blocks.
+
+    Every block must be over the header's prime and of shape
+    shape(d1, d2).  Returns (d1, d2, p, blocks)."""
+    d1, d2, p = _read_header(fh, tag)
+    want = shape(d1, d2)
+    blocks = []
+    for _ in range(count):
+        M, mp = read_matrix(fh)
+        if mp != p or M.shape != want:
+            raise ValueError(
+                f"{tag} block of shape {M.shape} mod {mp} does not match the "
+                f"header (shape {want} mod {p})"
+            )
+        blocks.append(M)
+    return d1, d2, p, blocks

@@ -109,29 +109,6 @@ class HyperplaneFrame:
         Pinv = exactalg.inv_matrix(P, p)
         return cls(tuple(int(x) for x in hvec), P, Pinv, p)
 
-    def hv_basis(self):
-        """9x10 matrix over F_p: rows express v_a v_b (all degree-2 pairs of
-        frame vectors except v4^2, in basis order) in standard degree-2
-        monomial coordinates."""
-        p = self.prime
-        P = self.P
-        out = np.zeros((9, 10), dtype=np.int64)
-        pairs = []
-        for i in range(10):
-            mono = mono_basis(2)[i]
-            if mono == (0, 0, 0, 2):
-                continue
-            nz = [k + 1 for k, e in enumerate(mono) for _ in range(e)]
-            pairs.append(tuple(nz))  # (a, b) with a <= b, frame indices
-        for row, (va, vb) in enumerate(pairs):
-            for k in range(1, 5):
-                for l in range(1, 5):
-                    c = int(P[k - 1, va - 1]) * int(P[l - 1, vb - 1])
-                    if c:
-                        idx = pair_index(k, l)
-                        out[row, idx] = (out[row, idx] + c) % p
-        return out
-
 
 def random_frame(rng, p=exactalg.DEFAULT_PRIME):
     while True:
@@ -145,37 +122,17 @@ def frame_x4():
     return HyperplaneFrame.from_covector((0, 0, 0, 1))
 
 
-def transform_presentation(Ms, frame):
-    """Rewrite the four coefficient matrices of m in frame coordinates.
+def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):
+    """Rewrite the four coefficient matrices of m under the change of
+    coordinates Q on V: M'_l = sum_k Q[l,k] M_k.
 
-    If m(e_i) = sum_k M_k[j,i] alpha_j (x) x_k then in the v-basis the
-    coefficient of v_l is M'_l = sum_k Pinv[l,k] M_k.
+    With Q = frame.Pinv this gives m in frame coordinates: if
+    m(e_i) = sum_k M_k[j,i] alpha_j (x) x_k, then M'_l is the coefficient of
+    v_l.  Q = frame.P goes back from frame to standard coordinates.
     """
-    p = frame.prime
-    out = []
-    for l in range(4):
-        acc = np.zeros_like(np.asarray(Ms[0], dtype=np.int64))
-        for k in range(4):
-            c = int(frame.Pinv[l, k])
-            if c:
-                acc = acc + c * np.asarray(Ms[k], dtype=np.int64)
-        out.append(np.mod(acc, p))
-    return out
-
-
-def untransform_presentation(Ms, frame):
-    """Inverse of transform_presentation: from frame coefficients back to
-    standard coordinates, M_k = sum_l P[k,l] M'_l."""
-    p = frame.prime
-    out = []
-    for k in range(4):
-        acc = np.zeros_like(np.asarray(Ms[0], dtype=np.int64))
-        for l in range(4):
-            c = int(frame.P[k, l])
-            if c:
-                acc = acc + c * np.asarray(Ms[l], dtype=np.int64)
-        out.append(np.mod(acc, p))
-    return out
+    out = np.einsum("lk,kab->lab", np.asarray(Q, dtype=np.int64),
+                    np.asarray(Ms, dtype=np.int64))
+    return tuple(np.mod(out, p))
 
 
 def transform_fform_tensor(t, frame):

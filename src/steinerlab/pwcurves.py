@@ -75,12 +75,7 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
         if len(zs) != 4 * a - 4 * f:
             last = f"zstar dimension {len(zs)} != {4 * a - 4 * f}"
             continue
-        Z = np.column_stack(zs)
-        coeff = rng.integers(0, p, size=(len(zs), b), dtype=np.int64)
-        cols = exactalg.matmul_mod(Z, coeff, p)
-        m = SteinerPresentation.from_columns(
-            [cols[:, i] for i in range(b)], a, p
-        )
+        m = steiner.presentation_in_span(zs, b, rng, p)
         r1 = exactalg.rank(assemble_md(m, 1), p)
         if r1 != want:
             last = f"rank m(1) = {r1}, expected {want}"
@@ -282,20 +277,9 @@ def h1_ic_vanishing(sample, direct=False):
 
 def write_linforms(fh, Ns, p=exactalg.DEFAULT_PRIME):
     c, b = np.asarray(Ns[0]).shape
-    fh.write(f"linforms {c} {b} {p}\n")
-    for N in Ns:
-        exactalg.write_matrix(fh, N, p)
+    exactalg.write_blocks(fh, "linforms", c, b, Ns, p)
 
 
 def read_linforms(fh):
-    header = fh.readline().split()
-    if len(header) != 4 or header[0] != "linforms":
-        raise ValueError(f"bad linforms header: {header!r}")
-    c, b, p = (int(x) for x in header[1:])
-    Ns = []
-    for _ in range(4):
-        N, mp = exactalg.read_matrix(fh)
-        if mp != p or N.shape != (c, b):
-            raise ValueError("linforms block does not match header")
-        Ns.append(N)
+    _, _, p, Ns = exactalg.read_blocks(fh, "linforms", 4)
     return tuple(Ns), p

@@ -10,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def rng_from_seed(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def derive_rng(seed, *key):
     """Generator for subsystem `key` under `seed`.
 

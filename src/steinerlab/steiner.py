@@ -89,6 +89,18 @@ class SteinerPresentation:
         return SteinerPresentation(self.b, self.a, Ms, self.prime)
 
 
+def presentation_in_span(basis, b, rng, p=exactalg.DEFAULT_PRIME):
+    """Presentation whose b columns are random combinations of `basis`, a
+    nonempty list of vectors in A(x)V coordinates.
+
+    Draws one len(basis) x b coefficient matrix from rng."""
+    K = np.column_stack(basis)
+    coeff = rng.integers(0, p, size=(len(basis), b), dtype=np.int64)
+    return SteinerPresentation.from_columns(
+        exactalg.matmul_mod(K, coeff, p), K.shape[0] // 4, p
+    )
+
+
 def assemble_md(m, d):
     """Matrix of m(d), shape a*C(d+4,3) x b*C(d+3,3).
 
@@ -236,20 +248,9 @@ def dual_h0(m, j):
 
 
 def write_presentation(fh, m):
-    fh.write(f"steiner {m.a} {m.b} {m.prime}\n")
-    for M in m.Ms:
-        exactalg.write_matrix(fh, M, m.prime)
+    exactalg.write_blocks(fh, "steiner", m.a, m.b, m.Ms, m.prime)
 
 
 def read_presentation(fh):
-    header = fh.readline().split()
-    if len(header) != 4 or header[0] != "steiner":
-        raise ValueError(f"bad presentation header: {header!r}")
-    a, b, p = (int(x) for x in header[1:])
-    Ms = []
-    for _ in range(4):
-        M, mp = exactalg.read_matrix(fh)
-        if mp != p or M.shape != (a, b):
-            raise ValueError("presentation block does not match header")
-        Ms.append(M)
+    a, b, p, Ms = exactalg.read_blocks(fh, "steiner", 4)
     return SteinerPresentation(a, b, tuple(Ms), p)

@@ -153,33 +153,28 @@ def stratum_dim(t):
 # solution dimensions
 
 
-_SYM4 = [(i, j) for i in range(4) for j in range(i, 4)]  # 10 coordinates
-_SYM3 = [(i, j) for i in range(3) for j in range(i, 3)]  # 6 coordinates
+def _antisym_rows(T):
+    """Rows T[u, v] - T[v, u] for u < v of a tensor T[u, v, coordinate]."""
+    u, v = np.triu_indices(T.shape[0], 1)
+    return T[u, v] - T[v, u]
+
+
+def _cx_rows(C, p):
+    """Coefficient rows of CX - (CX)^T = 0 in the upper-triangle
+    coordinates x_ij (i <= j, row-major) of a symmetric n x n matrix X."""
+    n = C.shape[0]
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    E = np.zeros((n, n, len(coords)), dtype=np.int64)  # X[k, v] = x_c
+    for c, (i, j) in enumerate(coords):
+        E[i, j, c] = E[j, i, c] = 1
+    return np.mod(_antisym_rows(np.einsum("uk,kvc->uvc", C, E)), p)
 
 
 def solution_dim_4x4(C, p=exactalg.DEFAULT_PRIME):
     """dim {X symmetric 4x4 : CX symmetric} = 10 - rank of the 6-equation
     system in X's upper-triangle coordinates."""
     C = np.mod(np.asarray(C, dtype=np.int64), p)
-    rows = []
-    for u in range(4):
-        for v in range(u + 1, 4):
-            row = np.zeros(10, dtype=np.int64)
-            for ci, (i, j) in enumerate(_SYM4):
-                # coefficient of x_{ij} in (CX)_{uv} - (CX)_{vu}
-                coef = 0
-                if j == v:
-                    coef += C[u, i]
-                if i == v and i != j:
-                    coef += C[u, j]
-                if j == u:
-                    coef -= C[v, i]
-                if i == u and i != j:
-                    coef -= C[v, j]
-                row[ci] = coef % p
-            rows.append(row)
-    r = exactalg.rank(np.array(rows, dtype=np.int64), p)
-    return 10 - r
+    return 10 - exactalg.rank(_cx_rows(C, p), p)
 
 
 def solution_dim_3x4(C0, c, p=exactalg.DEFAULT_PRIME):
@@ -190,31 +185,11 @@ def solution_dim_3x4(C0, c, p=exactalg.DEFAULT_PRIME):
     equation touches)."""
     C0 = np.mod(np.asarray(C0, dtype=np.int64), p)
     c = np.mod(np.asarray(c, dtype=np.int64).reshape(3), p)
-    rows = []
-    for u in range(3):
-        for v in range(u + 1, 3):
-            row = np.zeros(10, dtype=np.int64)
-            for ci, (i, j) in enumerate(_SYM3):
-                coef = 0
-                if j == v:
-                    coef += C0[u, i]
-                if i == v and i != j:
-                    coef += C0[u, j]
-                if j == u:
-                    coef -= C0[v, i]
-                if i == u and i != j:
-                    coef -= C0[v, j]
-                row[ci] = coef % p
-            for xi in range(3):
-                # (c x^t)_{uv} = c_u x_v
-                coef = 0
-                if xi == v:
-                    coef += c[u]
-                if xi == u:
-                    coef -= c[v]
-                row[6 + xi] = coef % p
-            rows.append(row)
-    r = exactalg.rank(np.array(rows, dtype=np.int64), p)
+    # (c x^t)_{uv} = c_u x_v
+    cx = np.einsum("u,vk->uvk", c, np.eye(3, dtype=np.int64))
+    rows = np.hstack([_cx_rows(C0, p), np.mod(_antisym_rows(cx), p),
+                      np.zeros((3, 1), dtype=np.int64)])
+    r = exactalg.rank(rows, p)
     return r, 10 - r
 
 
@@ -365,6 +340,15 @@ def _row_span_contains(rows_matrix, vec, p):
     return exactalg.rank(aug, p) == base
 
 
+# positions of the target coordinates inside the (p, q) block of the induced
+# covector, p in 1..4 (full) or 1..3 (hyperplane), q in 1..4: the ten
+# degree-2 monomials of A(x)S^2V, or the nine of A(x)H.V
+_BLOCK_POS = {pair_index(pp, qq): (pp - 1) * 4 + qq - 1
+              for pp in range(1, 5) for qq in range(pp, 5)}
+_FULL_COLS = tuple(_BLOCK_POS[i] for i in range(10))
+_HYPER_COLS = tuple(_BLOCK_POS[i] for i in HV_MONO_INDICES)
+
+
 def find_rank0(phi, frame=None):
     """Search for a covector g cutting a hyperplane of Z (or of Z' when a
     frame is given) with Z-rank (resp. (Z,H)-rank) zero.
@@ -374,98 +358,37 @@ def find_rank0(phi, frame=None):
     independent of the quotient's rows.  If every basis vector induces a
     dependent covector the span does too, and None is honest.
     """
+    a, f, p = phi.a, phi.f, phi.prime
+    if f == 0:
+        return None
     if frame is None:
-        return _find_rank0_full(phi)
-    return _find_rank0_hyper(phi, frame)
-
-
-def _find_rank0_full(phi):
-    a, f, p = phi.a, phi.f, phi.prime
-    t = phi.t
-    if f == 0:
-        return None
-    # unknowns c[pp, rr, s] flattened as ((pp-1)*4 + (rr-1))*f + s
-    n_unk = 16 * f
-    rows = []
-    for j in range(a):
-        for pp in range(1, 5):
-            for qq in range(pp + 1, 5):
-                row = np.zeros(n_unk, dtype=np.int64)
-                for rr in range(1, 5):
-                    for s in range(f):
-                        row[((pp - 1) * 4 + (rr - 1)) * f + s] += t[s, j, qq - 1, rr - 1]
-                        row[((qq - 1) * 4 + (rr - 1)) * f + s] -= t[s, j, pp - 1, rr - 1]
-                rows.append(np.mod(row, p))
-    system = np.array(rows, dtype=np.int64)
+        n, t, quotient, cols = 4, phi.t, phi.phi_matrix(), _FULL_COLS
+    else:
+        hslice = subspace.restrict_to_H(phi, frame)
+        n, t, quotient, cols = 3, hslice.tframe, hslice.phi_h, _HYPER_COLS
+    # unknowns c[pp, rr, s] for pp in 1..n, rr in 1..4, flattened row-major;
+    # for each j and pp < qq <= n:
+    #   sum_{r,s} c[pp,r,s] t[s,j,qq,r] - c[qq,r,s] t[s,j,pp,r] = 0
+    T = t.transpose(1, 2, 3, 0)  # [j, q, r, s]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    system = np.zeros((a, len(pairs), n, 4, f), dtype=np.int64)
+    for k, (u, v) in enumerate(pairs):
+        system[:, k, u] += T[:, v]
+        system[:, k, v] -= T[:, u]
+    system = np.mod(system.reshape(a * len(pairs), n * 4 * f), p)
     kernel = exactalg.kernel_basis(system, p)
-    phi_mat = phi.phi_matrix()
-    for cvec in kernel:
-        g = _induced_full(cvec, t, a, f, p)
-        if not _row_span_contains(phi_mat, g, p):
+    if not kernel:
+        return None
+    # induced covectors g[j, (p, q)] = sum_{r,s} c[p,r,s] t[s,j,q,r], one per
+    # kernel vector; the symmetry system makes the (p,q) and (q,p) readings
+    # agree
+    C = np.stack(kernel).reshape(len(kernel), n, 4, f)
+    G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(len(kernel), a, n * 4)
+    G = np.mod(G[:, :, cols].reshape(len(kernel), -1), p)
+    for g in G:
+        if not _row_span_contains(quotient, g, p):
             return g
     return None
-
-
-def _induced_full(cvec, t, a, f, p):
-    """g[j*10 + mono(p,q)] = sum_{r,s} c[p,r,s] t[s,j,q,r]; the symmetry
-    system makes the (p,q) and (q,p) readings agree."""
-    g = np.zeros(10 * a, dtype=np.int64)
-    for j in range(a):
-        for pp in range(1, 5):
-            for qq in range(pp, 5):
-                acc = 0
-                for rr in range(1, 5):
-                    for s in range(f):
-                        acc += int(cvec[((pp - 1) * 4 + (rr - 1)) * f + s]) * int(
-                            t[s, j, qq - 1, rr - 1]
-                        )
-                g[j * 10 + pair_index(pp, qq)] = acc % p
-    return g
-
-
-def _find_rank0_hyper(phi, frame):
-    a, f, p = phi.a, phi.f, phi.prime
-    if f == 0:
-        return None
-    hslice = subspace.restrict_to_H(phi, frame)
-    t = hslice.tframe
-    # unknowns c[pp, rr, s] for pp in 1..3, rr in 1..4
-    n_unk = 12 * f
-    rows = []
-    for j in range(a):
-        for pp in range(1, 4):
-            for qq in range(pp + 1, 4):
-                row = np.zeros(n_unk, dtype=np.int64)
-                for rr in range(1, 5):
-                    for s in range(f):
-                        row[((pp - 1) * 4 + (rr - 1)) * f + s] += t[s, j, qq - 1, rr - 1]
-                        row[((qq - 1) * 4 + (rr - 1)) * f + s] -= t[s, j, pp - 1, rr - 1]
-                rows.append(np.mod(row, p))
-    system = np.array(rows, dtype=np.int64)
-    kernel = exactalg.kernel_basis(system, p)
-    for cvec in kernel:
-        g = _induced_hyper(cvec, t, a, f, p)
-        if not _row_span_contains(hslice.phi_h, g, p):
-            return g
-    return None
-
-
-def _induced_hyper(cvec, t, a, f, p):
-    """Covector on A(x)H.V: g[j*9 + pos(p,q)] = sum_{r,s} c[p,r,s] t[s,j,q,r]
-    for p <= 3 (and q arbitrary)."""
-    g = np.zeros(9 * a, dtype=np.int64)
-    for j in range(a):
-        for pp in range(1, 4):
-            for qq in range(pp, 5):
-                acc = 0
-                for rr in range(1, 5):
-                    for s in range(f):
-                        acc += int(cvec[((pp - 1) * 4 + (rr - 1)) * f + s]) * int(
-                            t[s, j, qq - 1, rr - 1]
-                        )
-                pos = HV_MONO_INDICES.index(pair_index(pp, qq))
-                g[j * 9 + pos] = acc % p
-    return g
 
 
 def rank_distribution(phi, frame=None, codim=1, trials=50, seed=0):

@@ -99,10 +99,6 @@ class FFormQuotient:
             out[:, i::10] = self.t[:, :, pp - 1, qq - 1]
         return out
 
-    def in_frame(self, frame):
-        t2 = transform_fform_tensor(self.t, frame)
-        return FFormQuotient(self.a, self.f, t2, self.prime)
-
 
 def gstar(phi):
     G = phi.t.transpose(0, 2, 1, 3).reshape(4 * phi.f, 4 * phi.a)
@@ -134,29 +130,6 @@ def zstar_basis(phi):
     if phi.f == 0:
         return [v for v in np.eye(4 * phi.a, dtype=np.int64)]
     return exactalg.kernel_basis(gstar(phi), phi.prime)
-
-
-@dataclass
-class SubspaceZ:
-    """ker Phi with its quotient, kernel basis computed on demand."""
-
-    phi: FFormQuotient
-    _kernel: list | None = None
-
-    def kernel_basis(self):
-        if self._kernel is None:
-            if self.phi.f == 0:
-                self._kernel = [
-                    v for v in np.eye(10 * self.phi.a, dtype=np.int64)
-                ]
-            else:
-                self._kernel = exactalg.kernel_basis(
-                    self.phi.phi_matrix(), self.phi.prime
-                )
-        return self._kernel
-
-    def dim(self):
-        return 10 * self.phi.a - self.phi.f
 
 
 def stack_quotient(phi, extra):
@@ -275,8 +248,8 @@ def mh1(m, frame):
 
     Assembled from the frame-transformed presentation by deleting the
     columns with a v4 factor and the x4^2 row of each A-block."""
-    Ms = transform_presentation(m.Ms, frame)
-    mf = SteinerPresentation(m.a, m.b, tuple(Ms), m.prime)
+    Ms = transform_presentation(m.Ms, frame.Pinv, frame.prime)
+    mf = SteinerPresentation(m.a, m.b, Ms, m.prime)
     full = assemble_md(mf, 1)
     rows = [j * 10 + i for j in range(m.a) for i in HV_MONO_INDICES]
     cols = [i * 4 + l for i in range(m.b) for l in (0, 1, 2)]
@@ -310,7 +283,7 @@ def transport_check(m, phi, frame=None, extra=()):
     top = FFormQuotient(m.a, phi.f, hslice.tframe, p)
     stacked = np.vstack([gstar(top), _hcols_matrix(u, m.a, p)])
     cols_frame = SteinerPresentation(
-        m.a, m.b, tuple(transform_presentation(m.Ms, frame)), p
+        m.a, m.b, transform_presentation(m.Ms, frame.Pinv, frame.prime), p
     ).columns()
     rhs = not exactalg.matmul_mod(stacked, cols_frame, p).any()
     return lhs, rhs
@@ -321,16 +294,11 @@ def transport_check(m, phi, frame=None, extra=()):
 
 
 def write_fform(fh, phi):
-    fh.write(f"fform {phi.a} {phi.f} {phi.prime}\n")
-    exactalg.write_matrix(fh, phi.phi_matrix(), phi.prime)
+    exactalg.write_blocks(fh, "fform", phi.a, phi.f, [phi.phi_matrix()],
+                          phi.prime)
 
 
 def read_fform(fh):
-    header = fh.readline().split()
-    if len(header) != 4 or header[0] != "fform":
-        raise ValueError(f"bad fform header: {header!r}")
-    a, f, p = (int(x) for x in header[1:])
-    mat, mp = exactalg.read_matrix(fh)
-    if mp != p or mat.shape != (f, 10 * a):
-        raise ValueError("fform block does not match header")
+    a, _, p, (mat,) = exactalg.read_blocks(
+        fh, "fform", 1, shape=lambda a, f: (f, 10 * a))
     return FFormQuotient.from_phi_matrix(mat, a, p)

@@ -156,6 +156,51 @@ def test_error_exit_codes(capsys):
     assert "file" in capsys.readouterr().err.lower()
 
 
+def _presentation_text(p):
+    """A locally free 3 x 8 presentation over the integers, written with
+    header prime p (entries reduced mod p)."""
+    m = SteinerPresentation.random(np.random.default_rng(11), 3, 8, P)
+    buf = io.StringIO()
+    write_presentation(buf, SteinerPresentation.from_matrices(m.Ms, p))
+    return buf.getvalue()
+
+
+def _truncated(text):
+    return "".join(text.splitlines(keepends=True)[:-2])
+
+
+@pytest.mark.parametrize("text, message", [
+    (_presentation_text(P).replace("steiner", "fform", 1),
+     "bad steiner header"),
+    (_truncated(_presentation_text(P)), "expected 8 entries per row, got 0"),
+    (_presentation_text(P).replace("steiner 3 8", "steiner 3 7", 1),
+     "does not match the header"),
+    (_presentation_text(2), "prime must exceed 3, got 2"),
+    (_presentation_text(9), "9 is not prime"),
+    (_presentation_text((1 << 20) + 7), "prime must be below 2**20"),
+    (_presentation_text(5), "--prime 32003 contradicts the loaded file (5)"),
+], ids=["wrong-tag", "truncated-block", "block-shape", "prime-2", "prime-9",
+        "prime-2^20+7", "F5-under-default-prime"])
+def test_load_rejects_bad_interchange_file(tmp_path, capsys, text, message):
+    path = tmp_path / "presentation.txt"
+    path.write_text(text)
+    assert cli.main(["--json", "cohomology", "--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_load_accepts_matching_prime(tmp_path):
+    path = tmp_path / "presentation.txt"
+    path.write_text(_presentation_text(5))
+    code, out = run_cli(["--json", "--prime", "5", "cohomology",
+                         "--load", str(path)])
+    assert code in (0, 1)
+    assert json.loads(out)["config"]["prime"] == 5
+
+
 def test_verify_curve_end_to_end():
     code, out = run_cli(["--json", "--trials", "5", "verify", "curve",
                          "-a", "10", "-b", "30"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from steinerlab import exactalg, subspace
-from steinerlab.multilin import random_frame
+from steinerlab.multilin import HV_MONO_INDICES, pair_index, random_frame
 from steinerlab.strata import (
     JordanType,
     centralizer_dim,
@@ -199,6 +199,57 @@ def test_find_rank0_small_a_large_f(rng):
     gh = find_rank0(phi, frame)
     hs = subspace.restrict_to_H(phi, frame)
     assert gh is not None and subspace.zh_rank(hs, [gh]) == 0
+
+
+def rank0_by_loops(phi, frame=None):
+    """The rank-0 search written out entry by entry: the reference for the
+    vectorized symmetry system and induced covectors in find_rank0."""
+    a, f, p = phi.a, phi.f, phi.prime
+    if frame is None:
+        n, t, quotient, width, target = 4, phi.t, phi.phi_matrix(), 10, int
+    else:
+        hs = subspace.restrict_to_H(phi, frame)
+        n, t, quotient = 3, hs.tframe, hs.phi_h
+        width, target = 9, HV_MONO_INDICES.index
+
+    def unk(pp, rr, s):
+        return (pp * 4 + rr) * f + s
+
+    rows = []
+    for j in range(a):
+        for pp in range(n):
+            for qq in range(pp + 1, n):
+                row = [0] * (n * 4 * f)
+                for rr in range(4):
+                    for s in range(f):
+                        row[unk(pp, rr, s)] += int(t[s, j, qq, rr])
+                        row[unk(qq, rr, s)] -= int(t[s, j, pp, rr])
+                rows.append(row)
+    system = np.mod(np.array(rows, dtype=np.int64), p)
+    for c in exactalg.kernel_basis(system, p):
+        g = np.zeros(width * a, dtype=np.int64)
+        for j in range(a):
+            for pp in range(n):
+                for qq in range(pp, 4):
+                    acc = sum(int(c[unk(pp, rr, s)]) * int(t[s, j, qq, rr])
+                              for rr in range(4) for s in range(f))
+                    g[j * width + target(pair_index(pp + 1, qq + 1))] = acc % p
+        stacked = np.vstack([quotient, g])
+        if exactalg.rank(stacked, p) > exactalg.rank(quotient, p):
+            return g
+    return None
+
+
+def test_find_rank0_matches_loop_reference(rng):
+    for trial in range(24):
+        a, f = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        phi = subspace.FFormQuotient.random(rng, a, f, P)
+        frame = random_frame(rng, P) if trial % 2 else None
+        want = rank0_by_loops(phi, frame)
+        got = find_rank0(phi, frame)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
 
 
 def test_rank_distribution_masses():

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from steinerlab import exactalg, subspace
-from steinerlab.multilin import frame_x4, random_frame, untransform_presentation
-from steinerlab.steiner import SteinerPresentation, assemble_md
+from steinerlab.multilin import frame_x4, random_frame, transform_presentation
+from steinerlab.steiner import (
+    SteinerPresentation,
+    assemble_md,
+    presentation_in_span,
+)
 from steinerlab.subspace import (
     FFormQuotient,
     HSliceZ,
     NonTransverse,
-    SubspaceZ,
     fstar_ZT,
     gstar,
     mh1,
@@ -99,12 +102,6 @@ def test_zstar_and_subspace_dims(rng):
     phi = FFormQuotient.random(rng, 3, 1, P)
     zs = zstar_basis(phi)
     assert len(zs) == 12 - 4
-    Z = SubspaceZ(phi)
-    assert Z.dim() == 30 - 1
-    kb = Z.kernel_basis()
-    mat = phi.phi_matrix()
-    for v in kb.T if isinstance(kb, np.ndarray) else kb:
-        assert not exactalg.matmul_mod(mat, np.reshape(v, (-1, 1)), P).any()
 
 
 def test_zstar_without_quotient():
@@ -198,12 +195,7 @@ def test_mh1_x4_frame_is_deletion(rng):
 def test_transport_full_constructed_positive(rng):
     a, f, b = 3, 1, 5
     phi = FFormQuotient.random(rng, a, f, P)
-    zs = zstar_basis(phi)
-    Zm = np.column_stack(zs)
-    coeff = rng.integers(0, P, size=(len(zs), b), dtype=np.int64)
-    m = SteinerPresentation.from_columns(
-        exactalg.matmul_mod(Zm, coeff, P), a, P
-    )
+    m = presentation_in_span(zstar_basis(phi), b, rng, P)
     assert transport_check(m, phi) == (True, True)
 
 
@@ -224,13 +216,9 @@ def test_transport_framed_positive(rng):
     stacked = fstar_ZT(hs, extra)
     kern = exactalg.kernel_basis(stacked, P)
     assert kern
-    K = np.column_stack(kern)
-    coeff = rng.integers(0, P, size=(len(kern), b), dtype=np.int64)
-    mf = SteinerPresentation.from_columns(
-        exactalg.matmul_mod(K, coeff, P), a, P
-    )
+    mf = presentation_in_span(kern, b, rng, P)
     m = SteinerPresentation(
-        a, b, tuple(untransform_presentation(mf.Ms, frame)), P
+        a, b, transform_presentation(mf.Ms, frame.P, P), P
     )
     assert transport_check(m, phi, frame, extra) == (True, True)
     # and without the extra covector the equivalence still holds
