@@ -1,11 +1,19 @@
 """Blocked numpy row-reduction over F_p: the elimination core (see backend).
 
 Arithmetic runs in float64, which is exact for integers below 2**53.  The
-caller guarantees (min(n, m) + panel) * p**2 < 2**53, so sums of products of
-reduced residues never lose precision.  The downward sweep is blocked: pivots
-are found one column at a time inside a panel, but the trailing columns are
-updated with a single matrix product per panel, which is what makes this
-usable on matrices with a few thousand rows.
+caller guarantees (rank + panel) * p**2 < 2**53, so sums of products of
+reduced residues never lose precision; reduction mod p is delayed until
+after each matrix product, as in FFLAS-FFPACK.
+
+The downward sweep is blocked and left-looking.  Pivots are found one column
+at a time inside a 128-column panel, with first-nonzero pivoting.  A
+finished panel does not touch the columns to its right: its update is kept
+pending, as the inverse W of its triangular factor and its multipliers,
+and a later panel receives every pending update, as matrix products, only
+when the sweep reaches it.  So a rank-only run that reaches rank = rows
+stops there and never reads the columns that could no longer pivot; a full
+run applies the pending updates to those columns once before the upward
+sweep.
 """
 
 from __future__ import annotations
@@ -15,20 +23,82 @@ import numpy as np
 PANEL = 128
 
 
-def _forward(F, p):
+def _reduce(x, p):
+    """x mod p, entrywise, for a float64 array of integers with
+    |x| + p < 2**53; several times cheaper than np.mod on float64.
+
+    x * (1/p) lies within 2/p < 1 of x / p, so q = floor(x * (1/p)) is off
+    from floor(x / p) by at most one: x - q * p is computed exactly and lies
+    in [-p, 2p), and one correction each way lands it in [0, p)."""
+    r = x - np.floor(x * (1.0 / p)) * p
+    r[r < 0] += p
+    r[r >= p] -= p
+    return r
+
+
+def _tri_inverse(low, invs, p):
+    """Inverse mod p of the k x k lower-triangular factor whose diagonal
+    inverses are `invs` and whose strictly lower part is that of `low`.
+
+    Doubles the inverted diagonal blocks level by level,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [C^-1 (-B) A^-1, C^-1]], with every
+    block pair of one level in one batched product."""
+    k = len(invs)
+    size = 1 << (k - 1).bit_length()
+    N = np.zeros((size, size))
+    N[:k, :k] = np.tril(p - low, -1)
+    W = np.eye(size)
+    W[np.arange(k), np.arange(k)] = invs
+    s = 1
+    while s < size:
+        nb = size // (2 * s)
+        d = np.arange(nb)
+        Nb = N.reshape(nb, 2 * s, nb, 2 * s)
+        Wb = W.reshape(nb, 2 * s, nb, 2 * s)
+        X = _reduce(Wb[d, s:, d, s:] @ Nb[d, s:, d, :s], p)
+        Wb[d, s:, d, :s] = _reduce(X @ Wb[d, :s, d, :s], p)
+        s *= 2
+    return W[:k, :k]
+
+
+def _apply_pending(C, L, done, p):
+    """Bring the column block C (a view into the matrix) up to date with the
+    finished panels in `done`, given as (pivot-row offset, pivot count, W).
+
+    The pivot rows are solved block by block, W_i @ (C_i - L_i @ C_<i), and
+    end fully reduced; the rows below them take one product with every
+    multiplier at once."""
+    top = 0
+    for off, k, W in done:
+        X = C[off:off + k]
+        if off:
+            X -= L[off:off + k, :off] @ C[:off]
+        X[:] = _reduce(W @ _reduce(X, p), p)
+        top = off + k
+    if top < C.shape[0]:
+        C[top:] -= L[top:, :top] @ C[:top]
+
+
+def _forward(F, p, full):
     """Downward sweep on float64 matrix F (entries reduced on entry).
 
-    Leaves F in echelon form with normalized, fully reduced pivot rows and
-    exact zeros below them.  Returns (rank, pivots).
+    Returns (rank, pivots).  With `full`, leaves F in echelon form with
+    normalized, fully reduced pivot rows and exact zeros below them;
+    otherwise F is left unspecified.
     """
     n, m = F.shape
+    # L[r, t]: multiplier of row r for the t-th pivot (r > t); row swaps move
+    # it along with the row, so pending updates follow every later swap
+    L = np.zeros((n, min(n, m)))
+    done = []
     cur = 0
     pivots = []
     c0 = 0
     while c0 < m and cur < n:
         c1 = min(c0 + PANEL, m)
         cur0 = cur
-        L = np.zeros((n - cur0, c1 - c0))
+        if done:
+            _apply_pending(F[:, c0:c1], L, done, p)
         invs = []
         for lc in range(c0, c1):
             if cur == n:
@@ -41,35 +111,31 @@ def _forward(F, p):
             r = cur + int(nz[0])
             if r != cur:
                 F[[cur, r], :] = F[[r, cur], :]
-                L[[cur - cur0, r - cur0], :] = L[[r - cur0, cur - cur0], :]
+                L[[cur, r], :] = L[[r, cur], :]
             inv = float(pow(int(F[cur, lc]), -1, p))
-            # normalize the pivot row across the panel; trailing columns are
-            # handled in the triangular pass below
+            # normalize the pivot row across the panel; columns to its
+            # right get the normalization through W
             F[cur, lc:c1] = np.mod(np.mod(F[cur, lc:c1], p) * inv, p)
-            k = cur - cur0
             fcol = np.mod(F[cur + 1:, lc], p)
-            L[cur + 1 - cur0:, k] = fcol
+            L[cur + 1:, cur] = fcol
             F[cur + 1:, lc + 1:c1] -= np.outer(fcol, F[cur, lc + 1:c1])
             F[cur + 1:, lc] = 0.0
             invs.append(inv)
             pivots.append(lc)
             cur += 1
-        k = cur - cur0
-        if k and c1 < m:
-            T = F[:, c1:]
-            Tp = T[cur0:cur0 + k, :]
-            # pivot rows first: each still needs the eliminations from the
-            # panel's earlier pivots, then its own normalization
-            for i in range(k):
-                if i:
-                    Tp[i] -= L[i, :i] @ Tp[:i]
-                Tp[i] = np.mod(np.mod(Tp[i], p) * invs[i], p)
-            if cur0 + k < n:
-                T[cur0 + k:, :] -= L[k:, :k] @ Tp
+        # keep the update only if a later panel or the full run's catch-up
+        # will read it
+        if cur > cur0 and c1 < m and (cur < n or full):
+            done.append((cur0, cur - cur0,
+                         _tri_inverse(L[cur0:cur, cur0:cur], invs, p)))
         c0 = c1
-    # rows that never produced a pivot are exact zeros by now; make sure no
-    # float junk survives in the zero block
-    if cur < n:
+    if full and c0 < m:
+        # rank reached the row count: only the pivot rows remain, and the
+        # columns never visited still owe every pending update
+        _apply_pending(F[:, c0:], L, done, p)
+    if full and cur < n:
+        # rows that never produced a pivot are exact zeros by now; make sure
+        # no float junk survives in the zero block
         F[cur:, :] = 0.0
     return cur, pivots
 
@@ -100,13 +166,19 @@ def _back_eliminate(F, p, rank, pivots):
 
 
 def rref(a, p, full=True):
-    """Reduce int64 array `a` in place mod p; return (rank, pivots)."""
+    """Reduce int64 array `a` mod p; return (rank, pivots).
+
+    With `full`, `a` is overwritten in place by its reduced row echelon
+    form.  Without it only (rank, pivots) is computed and the contents of
+    `a` are left unspecified."""
     n, m = a.shape
     if n == 0 or m == 0:
         return 0, []
-    F = np.mod(a, p).astype(np.float64)
-    rank, pivots = _forward(F, p)
-    if full and rank > 1:
-        _back_eliminate(F, p, rank, np.asarray(pivots, dtype=np.intp))
-    a[:, :] = F.astype(np.int64)
+    np.mod(a, p, out=a)
+    F = a.astype(np.float64)
+    rank, pivots = _forward(F, p, full)
+    if full:
+        if rank > 1:
+            _back_eliminate(F, p, rank, np.asarray(pivots, dtype=np.intp))
+        a[:, :] = F
     return rank, pivots

@@ -1,10 +1,17 @@
 """The F_p elimination core behind every rank, reduced form and kernel.
 
-`_core` is the blocked numpy elimination in _gfcore_py.  Its contract:
-rref(a, p, full) reduces an int64 C-contiguous array in place and returns
-(rank, pivot columns), with first-nonzero pivoting so the reduced form is
-canonical.  Every elimination goes through the attribute call
-`_core.rref(...)`, so a profiler can wrap that one attribute.
+`_core` is the blocked numpy elimination in _gfcore_py: a left-looking
+sweep over 128-column panels that applies each finished panel's update to
+a later panel only when it gets there, so a rank-only elimination stops
+as soon as the rank reaches the row count.  Deferring an update changes
+when it is applied, not its size, so sums stay below (rank + PANEL) * p**2
+as in a right-looking sweep.  Its contract: rref(a, p, True)
+reduces an int64 C-contiguous array in place to its reduced row echelon
+form and returns (rank, pivot columns), with first-nonzero pivoting so the
+reduced form is canonical; rref(a, p, False) returns the same (rank, pivot
+columns) and leaves the contents of `a` unspecified.  Every elimination
+goes through the attribute call `_core.rref(...)`, so a profiler can wrap
+that one attribute.
 """
 
 from __future__ import annotations

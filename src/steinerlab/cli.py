@@ -22,14 +22,25 @@ import numpy as np
 from . import __version__, exactalg, pwcurves, steiner, strata, subspace
 from .multilin import random_frame, transform_presentation
 from .seeding import derive_rng
-from .steiner import SteinerPresentation, assemble_md, chi3
+from .steiner import SteinerPresentation, chi3
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    return int(raw)
+def _env_default(name, default):
+    """The flag default: the environment variable when set, else the
+    built-in.  Kept as text so that the flag's type parses and checks it
+    like a command-line value."""
+    return os.environ.get(name, "").strip() or str(default)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _check(name, expected, got):
@@ -63,9 +74,9 @@ def cmd_cohomology(args, cfg):
                     f"{flag} {given} contradicts the loaded file ({actual})"
                 )
         cert = steiner.surjectivity_certificate(m, cfg["dmax"])
-        r1 = exactalg.rank(assemble_md(m, 1), m.prime)
+        f1 = cert.checked[0][1]  # coker m(1); m(1) has 10a rows
         sample = pwcurves.PWSample(
-            m.a, m.b, 10 * m.a - r1, None, m, r1, cert, m.prime, seed, 0
+            m.a, m.b, f1, None, m, 10 * m.a - f1, cert, m.prime, seed, 0
         )
     else:
         if args.a is None or args.b is None:
@@ -73,10 +84,11 @@ def cmd_cohomology(args, cfg):
         sample = pwcurves.sample_pw(
             args.a, args.b, f, seed, p, d_max=cfg["dmax"]
         )
+    checks, tab = pwcurves.verify_thm42(sample, args.kmin, args.kmax)
+    # only a sample that got a table is written out
     if args.export:
         with open(args.export, "w") as fh:
             steiner.write_presentation(fh, sample.m)
-    checks, tab = pwcurves.verify_thm42(sample, args.kmin, args.kmax)
     rows = [
         {k: int(v) for k, v in row.items()} for row in tab.as_dicts()
     ]
@@ -224,6 +236,11 @@ def cmd_verify_mh(args, cfg):
 def cmd_verify_rank0(args, cfg):
     p, seed = cfg["prime"], cfg["seed"]
     a, f = args.a, args.f
+    if a < 1 or f > 10 * a:
+        # A(x)S^2V has dimension 10a, so it has no rank-f quotient
+        raise pwcurves.InadmissibleParams(
+            f"need a >= 1 and f <= 10a, got a={a}, f={f}"
+        )
     rng = derive_rng(seed, 17, a, f)
     phi = subspace.FFormQuotient.random(rng, a, f, p)
     checks = []
@@ -335,14 +352,14 @@ def _print_text(report):
 def _add_global_flags(ap, suppress):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--prime", type=int,
-                    default=d(_env_int("STEINERLAB_PRIME",
-                                       exactalg.DEFAULT_PRIME)))
+                    default=d(_env_default("STEINERLAB_PRIME",
+                                           exactalg.DEFAULT_PRIME)))
     ap.add_argument("--seed", type=int,
-                    default=d(_env_int("STEINERLAB_SEED", 0)))
-    ap.add_argument("--trials", type=int,
-                    default=d(_env_int("STEINERLAB_TRIALS", 50)))
+                    default=d(_env_default("STEINERLAB_SEED", 0)))
+    ap.add_argument("--trials", type=_positive_int,
+                    default=d(_env_default("STEINERLAB_TRIALS", 50)))
     ap.add_argument("--dmax", type=int,
-                    default=d(_env_int("STEINERLAB_DMAX", 5)))
+                    default=d(_env_default("STEINERLAB_DMAX", 5)))
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     ap.add_argument("--json", action="store_true",
                     help="emit a canonical JSON report", **kw)

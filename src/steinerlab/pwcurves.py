@@ -56,7 +56,9 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
     Admissibility: 5a <= 2b <= 8a and b <= 4a - 4f (so the kernel Z* is big
     enough to receive B).  Each attempt uses a fresh derived stream; after
     `retries` failed genericity checks SamplingFailed reports the last
-    diagnostics instead of lowering the bar.
+    diagnostics instead of lowering the bar.  The rank of m(1) is read off
+    the first step of the surjectivity certificate, so an attempt
+    eliminates each m(d) once.
     """
     if not 5 * a <= 2 * b:
         raise InadmissibleParams(f"need 5a <= 2b, got a={a}, b={b}")
@@ -76,11 +78,12 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
             last = f"zstar dimension {len(zs)} != {4 * a - 4 * f}"
             continue
         m = steiner.presentation_in_span(zs, b, rng, p)
-        r1 = exactalg.rank(assemble_md(m, 1), p)
+        cert = steiner.surjectivity_certificate(m, d_max)
+        # the ladder starts at m(1), which has 10a rows
+        r1 = 10 * a - cert.checked[0][1]
         if r1 != want:
             last = f"rank m(1) = {r1}, expected {want}"
             continue
-        cert = steiner.surjectivity_certificate(m, d_max)
         return PWSample(a, b, f, phi, m, r1, cert, p, seed, attempt + 1)
     raise SamplingFailed(
         f"no valid sample for (a,b,f)=({a},{b},{f}) in {retries} attempts; "
@@ -96,8 +99,13 @@ def verify_thm42(sample, k_min=-6, k_max=4):
     h1(E(1)) = f, h0(E(1)) = 4b - 10a + f, h2 = 0 everywhere, the alternating
     sum identity, and at most one nonzero h^i per twist k != 1.
     """
+    if not k_min <= -1 or not k_max >= 1:
+        raise InadmissibleParams(
+            f"the twist window must contain -1, 0 and 1, got "
+            f"[{k_min}, {k_max}]"
+        )
     a, b, f = sample.a, sample.b, sample.f
-    tab = cohomology_table(sample.m, k_min, k_max)
+    tab = cohomology_table(sample.m, k_min, k_max, sample.cert)
     checks = []
 
     def add(name, expected, got):

@@ -192,16 +192,20 @@ class CohomologyTable:
         ]
 
 
-def cohomology_table(m, k_min=-6, k_max=4, d_max=5):
+def cohomology_table(m, k_min=-6, k_max=4, cert=None):
     """Cohomology of E_m(k) for k in [k_min, k_max].
 
-    Raises NotLocallyFree when no surjectivity certificate exists up to
-    d_max.  For k at or above the certified degree the rank of m(k) is known
-    without assembling it.
+    `cert` is the surjectivity certificate of m; when omitted it is computed
+    up to the default degree cap.  Raises NotLocallyFree when it found no
+    surjective degree.  The certificate has already eliminated m(k) for
+    1 <= k <= d0, so those ranks are read from its ladder; for k above d0
+    the rank of m(k) is known by propagation without assembling it.
     """
-    cert = surjectivity_certificate(m, d_max)
+    if cert is None:
+        cert = surjectivity_certificate(m)
     if not cert.found:
         raise NotLocallyFree(cert.checked)
+    coker = dict(cert.checked)
     a, b, p = m.a, m.b, m.prime
     rows = []
     for k in range(k_min, k_max + 1):
@@ -211,6 +215,8 @@ def cohomology_table(m, k_min=-6, k_max=4, d_max=5):
             nrows = a * dim_sym(k + 1)
             if k >= cert.d0:
                 r = nrows  # surjective by propagation
+            elif k in coker:
+                r = nrows - coker[k]
             else:
                 r = exactalg.rank(assemble_md(m, k), p)
             h0 = ncols - r

@@ -81,8 +81,11 @@ def test_core_matches_oracle_random(rng):
 
 def test_core_matches_oracle_panel_boundaries(rng):
     # the core eliminates in 128-column panels; straddle the seams (sympy
-    # needs seconds per matrix at these sizes, so only the int64 oracle runs)
-    for n, m in [(129, 127), (127, 129), (130, 260), (260, 130), (256, 256)]:
+    # needs seconds per matrix at these sizes, so only the int64 oracle runs).
+    # Every shape here is rank-deficient, so the sweep visits every panel;
+    # (150, 500) does so across four panels with pending updates in flight
+    for n, m in [(129, 127), (127, 129), (130, 260), (260, 130), (256, 256),
+                 (150, 500)]:
         M = rng.integers(0, P, size=(n, m)).astype(np.int64)
         M[n // 2] = (M[0] + M[1]) % P
         M[:, m // 2] = (M[:, 0] + 2 * M[:, 1]) % P
@@ -90,6 +93,43 @@ def test_core_matches_oracle_panel_boundaries(rng):
         assert rank0 == min(n, m) - 1
         assert m // 2 not in piv0
         _check_against(M, P, R0, piv0)
+
+
+@pytest.mark.parametrize("n, m", [(100, 400), (130, 520)])
+def test_core_matches_oracle_full_row_rank_wide(rng, n, m):
+    # the rank reaches the row count before the last panel: the rank-only
+    # run stops there, and the full run brings the columns it never visited
+    # up to date before the upward sweep
+    M = rng.integers(0, P, size=(n, m)).astype(np.int64)
+    R0, rank0, piv0 = oracle_rref(M, P)
+    assert rank0 == n and piv0[-1] < m - 128
+    _check_against(M, P, R0, piv0)
+
+
+def test_core_matches_oracle_late_row_swaps(rng):
+    # A sparse 0/1 matrix whose row swaps come only after two panels are
+    # finished.  Rows 0-9 pivot in panel 0 and rows 10-19 in panel 1.  Row
+    # 20 + i is a copy of pivot row src[i] plus a single 1 in column
+    # cols[i] >= 256, a column every pivot row leaves zero; so once reduced
+    # it is that unit vector, and the columns are in decreasing order, so
+    # panel 2 finds each pivot by a row swap.  The swapped rows carry their
+    # multiplier for pivot src[i], which the full run needs to reduce the
+    # trailing columns, past the point where the rank reaches 30.
+    n, m = 30, 400
+    M = np.zeros((n, m), dtype=np.int64)
+    M[:10, 10:] = rng.random((10, m - 10)) < 0.1
+    M[np.arange(10), np.arange(10)] = 1
+    M[10:20, 138:] = rng.random((10, m - 138)) < 0.1
+    M[np.arange(10, 20), np.arange(128, 138)] = 1
+    cols = np.arange(370, 260, -11)
+    M[:20, cols] = 0
+    src = rng.integers(0, 20, size=10)
+    M[20:] = M[src]
+    M[np.arange(20, 30), cols] = 1
+    R0, rank0, piv0 = oracle_rref(M, P)
+    assert rank0 == n
+    assert piv0[20:] == sorted(cols.tolist())
+    _check_against(M, P, R0, piv0)
 
 
 def test_core_matches_oracle_small_prime(rng):

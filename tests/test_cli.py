@@ -219,3 +219,61 @@ def test_text_output_readable():
     code, out = run_cli(["verify", "rank0", "-a", "4", "-f", "1"])
     assert code == 0
     assert "expected False, got False" in out
+
+
+def _assert_one_line_error(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rank0", "-a", "1", "-f", "20"],
+    ["verify", "rank0", "-a", "1", "-f", "11"],
+    ["verify", "rank0", "-a", "0", "-f", "1"],
+    ["cohomology", "-a", "3", "-b", "8", "--kmin", "5", "--kmax", "2"],
+], ids=["rank0-f20", "rank0-f11", "rank0-a0", "cohomology-window"])
+def test_inadmissible_parameters_exit_two(capsys, argv):
+    _assert_one_line_error(capsys, argv, "InadmissibleParams")
+
+
+def test_rejected_window_exports_nothing(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    _assert_one_line_error(
+        capsys, ["cohomology", "-a", "3", "-b", "8", "--kmin", "0",
+                 "--export", str(path)], "InadmissibleParams")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dmax", "1", "cohomology", "-a", "3", "-b", "8", "-f", "1"],
+    ["--dmax", "1", "verify", "pw", "-a", "3", "-b", "8", "-f", "1"],
+], ids=["cohomology", "verify-pw"])
+def test_dmax_reaches_the_table(capsys, argv):
+    # m(1) of the (3,8,1) sample has a cokernel of dimension 1, so with the
+    # ladder capped at d = 1 no table may be printed
+    _assert_one_line_error(capsys, argv, "NotLocallyFree")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0", "verify", "transport"],
+    ["verify", "curve", "-a", "7", "-b", "21", "--trials", "0"],
+], ids=["transport", "curve"])
+def test_trials_below_one_rejected_by_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --trials: must be at least 1, got 0" in captured.err
+
+
+def test_trials_env_below_one_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("STEINERLAB_TRIALS", "0")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "transport"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import sympy
 
-from steinerlab import exactalg, pwcurves, subspace
+from steinerlab import exactalg, pwcurves, steiner, subspace
 from steinerlab.pwcurves import (
     InadmissibleParams,
     KernelDimMismatch,
@@ -95,6 +95,32 @@ def test_verify_thm42_window():
     checks, tab = verify_thm42(s, k_min=-2, k_max=2)
     assert [r[0] for r in tab.rows] == [-2, -1, 0, 1, 2]
     assert all(c["pass"] for c in checks)
+
+
+def test_verify_thm42_rejects_window_without_rows_it_checks():
+    s = sample_pw(3, 8, 1, seed=2)
+    for k_min, k_max in ((5, 2), (0, 4), (-6, 0)):
+        with pytest.raises(InadmissibleParams):
+            verify_thm42(s, k_min, k_max)
+
+
+def test_each_md_eliminated_once_per_sample(monkeypatch):
+    # the certificate ladder eliminates m(1) and m(2) once; rank m(1) and
+    # the table's k = 1 row are read from it, so only m(0) is added
+    degrees = []
+    orig = steiner.assemble_md
+
+    def record(m, d):
+        degrees.append(d)
+        return orig(m, d)
+
+    monkeypatch.setattr(steiner, "assemble_md", record)
+    monkeypatch.setattr(pwcurves, "assemble_md", record)
+    s = sample_pw(3, 8, 1, seed=1)
+    assert s.attempts == 1 and s.cert.d0 == 2
+    assert degrees == [1, 2]
+    verify_thm42(s)
+    assert degrees == [1, 2, 0]
 
 
 def test_not_globally_generated():

@@ -5,8 +5,9 @@ import io
 
 import numpy as np
 import pytest
+from test_backends import oracle_rref
 
-from steinerlab import exactalg, steiner
+from steinerlab import exactalg, pwcurves, steiner
 from steinerlab.multilin import dim_sym
 from steinerlab.steiner import (
     CohomologyTable,
@@ -85,7 +86,7 @@ def test_zero_presentation():
     assert list(cert.checked) == [(1, 2 * dim_sym(2)), (2, 2 * dim_sym(3)),
                                   (3, 2 * dim_sym(4))]
     with pytest.raises(NotLocallyFree):
-        cohomology_table(m, -2, 2, d_max=3)
+        cohomology_table(m, -2, 2, cert)
 
 
 def test_columns_round_trip(rng):
@@ -161,6 +162,27 @@ def test_propagation_matches_direct_rank(rng):
         h1 = A.shape[0] - r
         assert tab.row(k)[1] == h0
         assert tab.row(k)[2] == h1
+
+
+def test_md_rank_matches_oracle():
+    # from m(3) on the rank reaches the row count before the last panel,
+    # so the rank-only sweep stops early there
+    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    for d in range(6):
+        A = assemble_md(m, d)
+        assert exactalg.rank(A, P) == oracle_rref(A, P)[1]
+
+
+def test_cohomology_table_reads_certificate():
+    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    cert = surjectivity_certificate(m, 5)
+    assert cert.checked == ((1, 1), (2, 0))
+    tab = cohomology_table(m, -1, cert.d0, cert)
+    assert tab == cohomology_table(m, -1, cert.d0)
+    for d, coker in cert.checked:
+        assert tab.row(d)[2] == coker
+    with pytest.raises(NotLocallyFree):
+        cohomology_table(m, -1, 2, surjectivity_certificate(m, 1))
 
 
 def test_bad_shapes_rejected():
