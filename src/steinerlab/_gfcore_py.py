@@ -5,15 +5,25 @@ caller guarantees (rank + panel) * p**2 < 2**53, so sums of products of
 reduced residues never lose precision; reduction mod p is delayed until
 after each matrix product, as in FFLAS-FFPACK.
 
-The downward sweep is blocked and left-looking.  Pivots are found one column
-at a time inside a 128-column panel, with first-nonzero pivoting.  A
-finished panel does not touch the columns to its right: its update is kept
-pending, as the inverse W of its triangular factor and its multipliers,
-and a later panel receives every pending update, as matrix products, only
-when the sweep reaches it.  So a rank-only run that reaches rank = rows
-stops there and never reads the columns that could no longer pivot; a full
-run applies the pending updates to those columns once before the upward
-sweep.
+The downward sweep is blocked and left-looking, over 128-column panels with
+first-nonzero pivoting.  A finished panel does not touch the columns to its
+right: its update is kept pending, as the inverse W of its triangular factor
+and its multipliers, and a later panel receives every pending update, as
+matrix products, only when the sweep reaches it.  So a rank-only run that
+reaches rank = rows stops there and never reads the columns that could no
+longer pivot; a full run applies the pending updates to those columns once
+before the upward sweep.
+
+Inside a panel the pivots are found by recursive halving (recursive LU, as
+in Toledo 1997 and the PLUQ of FFLAS-FFPACK): factor the left half, bring
+the right half up to date in one step, its new pivot rows as W @ X and the
+rows below them by one product with the left half's multipliers, then
+factor the right half.  Leaves of 16 columns run the per-column loop.  The
+halving stops once at most PANEL rows remain below the current pivot, a
+property of the input, so systems of up to 128 rows run the column loop on
+whole panels.  The pivots are the column loop's, and each pivot still adds
+less than p**2 to an entry before the entry is next reduced, so the
+(rank + panel) * p**2 bound holds as it did.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 PANEL = 128
+LEAF = 16
 
 
 def _reduce(x, p):
@@ -79,6 +90,57 @@ def _apply_pending(C, L, done, p):
         C[top:] -= L[top:, :top] @ C[:top]
 
 
+def _factor(F, L, cur, c0, c1, p, invs, pivots):
+    """Find the pivots of columns c0:c1 of F from row `cur` down, with the
+    rows and columns of the block up to date on entry; return the new row
+    count `cur`.
+
+    While more than PANEL rows remain below `cur`, the block is halved: the
+    left half is factored, the right half is brought up to date in one step
+    (its new pivot rows by W @ X, the rows below them by one product with
+    the left half's multipliers), and then factored in turn.  Leaves of at
+    most LEAF columns, and every block with at most PANEL rows left, run the
+    column loop: first-nonzero pivot, row swap, rank-1 update of the block.
+    """
+    n = F.shape[0]
+    if c1 - c0 > LEAF and n - cur > PANEL:
+        mid = c0 + (c1 - c0) // 2
+        k0 = len(invs)
+        top = _factor(F, L, cur, c0, mid, p, invs, pivots)
+        if top > cur:
+            W = _tri_inverse(L[cur:top, cur:top], invs[k0:], p)
+            X = F[cur:top, mid:c1]
+            X[:] = _reduce(W @ _reduce(X, p), p)
+            F[top:, mid:c1] -= L[top:, cur:top] @ X
+        return _factor(F, L, top, mid, c1, p, invs, pivots)
+    for lc in range(c0, c1):
+        if cur == n:
+            break
+        colv = np.mod(F[cur:, lc], p)
+        nz = np.nonzero(colv)[0]
+        if nz.size == 0:
+            F[cur:, lc] = 0.0
+            continue
+        r = int(nz[0])
+        if r:
+            # entries left of lc are zero in both rows, and so are the
+            # multipliers from pivot cur on
+            F[[cur, cur + r], lc:] = F[[cur + r, cur], lc:]
+            L[[cur, cur + r], :cur] = L[[cur + r, cur], :cur]
+            colv[[0, r]] = colv[[r, 0]]
+        inv = float(pow(int(colv[0]), -1, p))
+        # normalize the pivot row across the block; columns to its right
+        # get the normalization through W
+        F[cur, lc:c1] = np.mod(np.mod(F[cur, lc:c1], p) * inv, p)
+        L[cur + 1:, cur] = colv[1:]
+        F[cur + 1:, lc + 1:c1] -= np.outer(colv[1:], F[cur, lc + 1:c1])
+        F[cur + 1:, lc] = 0.0
+        invs.append(inv)
+        pivots.append(lc)
+        cur += 1
+    return cur
+
+
 def _forward(F, p, full):
     """Downward sweep on float64 matrix F (entries reduced on entry).
 
@@ -100,29 +162,7 @@ def _forward(F, p, full):
         if done:
             _apply_pending(F[:, c0:c1], L, done, p)
         invs = []
-        for lc in range(c0, c1):
-            if cur == n:
-                break
-            colv = np.mod(F[cur:, lc], p)
-            F[cur:, lc] = colv
-            nz = np.nonzero(colv)[0]
-            if nz.size == 0:
-                continue
-            r = cur + int(nz[0])
-            if r != cur:
-                F[[cur, r], :] = F[[r, cur], :]
-                L[[cur, r], :] = L[[r, cur], :]
-            inv = float(pow(int(F[cur, lc]), -1, p))
-            # normalize the pivot row across the panel; columns to its
-            # right get the normalization through W
-            F[cur, lc:c1] = np.mod(np.mod(F[cur, lc:c1], p) * inv, p)
-            fcol = np.mod(F[cur + 1:, lc], p)
-            L[cur + 1:, cur] = fcol
-            F[cur + 1:, lc + 1:c1] -= np.outer(fcol, F[cur, lc + 1:c1])
-            F[cur + 1:, lc] = 0.0
-            invs.append(inv)
-            pivots.append(lc)
-            cur += 1
+        cur = _factor(F, L, cur, c0, c1, p, invs, pivots)
         # keep the update only if a later panel or the full run's catch-up
         # will read it
         if cur > cur0 and c1 < m and (cur < n or full):
@@ -159,9 +199,8 @@ def _back_eliminate(F, p, rank, pivots):
                 )
         if j0 > 0:
             A = F[:j0, pivots[j0:j1]]
-            F[:j0, cstart:] = np.mod(
-                F[:j0, cstart:] - A @ F[j0:j1, cstart:], p
-            )
+            F[:j0, cstart:] = _reduce(F[:j0, cstart:] - A @ F[j0:j1, cstart:],
+                                      p)
         j1 = j0
 
 
@@ -169,13 +208,15 @@ def rref(a, p, full=True):
     """Reduce int64 array `a` mod p; return (rank, pivots).
 
     With `full`, `a` is overwritten in place by its reduced row echelon
-    form.  Without it only (rank, pivots) is computed and the contents of
-    `a` are left unspecified."""
+    form.  Without it only (rank, pivots) is computed and `a` is only
+    read."""
     n, m = a.shape
     if n == 0 or m == 0:
         return 0, []
-    np.mod(a, p, out=a)
-    F = a.astype(np.float64)
+    # the residues go straight into the float64 work array: one pass, and
+    # no reduced int64 copy next to it
+    F = np.empty((n, m))
+    np.remainder(a, p, out=F, casting="unsafe")
     rank, pivots = _forward(F, p, full)
     if full:
         if rank > 1:

@@ -3,13 +3,18 @@
 `_core` is the blocked numpy elimination in _gfcore_py: a left-looking
 sweep over 128-column panels that applies each finished panel's update to
 a later panel only when it gets there, so a rank-only elimination stops
-as soon as the rank reaches the row count.  Deferring an update changes
-when it is applied, not its size, so sums stay below (rank + PANEL) * p**2
-as in a right-looking sweep.  Its contract: rref(a, p, True)
-reduces an int64 C-contiguous array in place to its reduced row echelon
-form and returns (rank, pivot columns), with first-nonzero pivoting so the
-reduced form is canonical; rref(a, p, False) returns the same (rank, pivot
-columns) and leaves the contents of `a` unspecified.  Every elimination
+as soon as the rank reaches the row count.  Inside a panel with more than
+PANEL rows left below the pivot, the columns are halved recursively down to
+16-column leaves, so most of the within-panel update is matrix products
+too; smaller systems run the per-column loop.  Deferring or batching an
+update changes when it is applied, not its size: each pivot adds less than
+p**2 to an entry before the entry is next reduced, so sums stay below
+(rank + PANEL) * p**2 as in a right-looking, column-at-a-time sweep.  Its
+contract: rref(a, p, True) reduces an int64 C-contiguous array in place to
+its reduced row echelon form and returns (rank, pivot columns), with
+first-nonzero pivoting so the reduced form is canonical; rref(a, p, False)
+returns the same (rank, pivot columns) and only reads `a`, so `rank` hands
+it the caller's array when that is already int64.  Every elimination
 goes through the attribute call `_core.rref(...)`, so a profiler can wrap
 that one attribute.
 """
@@ -37,17 +42,19 @@ def _check_capacity(n, m, p):
         )
 
 
-def _prep(a, p):
-    arr = np.array(a, dtype=np.int64, order="C", copy=True)
+def _prep(a, p, copy=True):
+    """`a` as a C-contiguous int64 array the core may take; a fresh copy
+    unless `copy` is false.  The core reduces it mod p itself."""
+    arr = (np.array if copy else np.asarray)(a, dtype=np.int64, order="C")
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
-    np.mod(arr, p, out=arr)
     _check_capacity(arr.shape[0], arr.shape[1], p)
     return arr
 
 
 def rank(a, p):
-    arr = _prep(a, p)
+    # a rank-only core call only reads its input, so no copy is needed
+    arr = _prep(a, p, copy=False)
     r, _ = _core.rref(arr, p, False)
     return r
 

@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__, exactalg, pwcurves, steiner, strata, subspace
-from .multilin import random_frame, transform_presentation
+from .multilin import random_frame
 from .seeding import derive_rng
-from .steiner import SteinerPresentation, chi3
+from .steiner import chi3
 
 
 def _env_default(name, default):
@@ -154,47 +154,13 @@ def cmd_table(args, cfg):
     return checks, {"rows": payload}
 
 
-def _transport_trial(variant, trial, seed, p):
-    """One transport-equivalence instance; returns True when both sides of
-    the check agree.  Every third trial is a constructed positive, the rest
-    are random (almost surely negative)."""
-    rng = derive_rng(seed, 13, {"full": 0, "hyper": 1, "combined": 2}[variant],
-                     trial)
-    a = 2 + trial % 3
-    f = 1 + (trial % 2 if a > 2 else 0)
-    b = 2 * a
-    phi = subspace.FFormQuotient.random(rng, a, f, p)
-    frame = random_frame(rng, p) if variant != "full" else None
-    extra = []
-    positive = trial % 3 == 0
-    if variant == "full":
-        if positive:
-            m = steiner.presentation_in_span(subspace.zstar_basis(phi), b,
-                                             rng, p)
-        else:
-            m = SteinerPresentation.random(rng, a, b, p)
-        lhs, rhs = subspace.transport_check(m, phi)
-        return lhs == rhs
-    hslice = subspace.restrict_to_H(phi, frame)
-    if variant == "combined":
-        extra = [rng.integers(0, p, size=9 * a, dtype=np.int64)]
-    if positive:
-        kern = exactalg.kernel_basis(subspace.fstar_ZT(hslice, extra), p)
-        mf = steiner.presentation_in_span(kern, b, rng, p)
-        m = SteinerPresentation(
-            a, b, transform_presentation(mf.Ms, frame.P, p), p)
-    else:
-        m = SteinerPresentation.random(rng, a, b, p)
-    lhs, rhs = subspace.transport_check(m, phi, frame, extra)
-    return lhs == rhs
-
-
 def cmd_verify_transport(args, cfg):
     p, seed, trials = cfg["prime"], cfg["seed"], cfg["trials"]
     checks = []
     for variant in ("full", "hyper", "combined"):
         agree = sum(
-            1 for t in range(trials) if _transport_trial(variant, t, seed, p)
+            1 for t in range(trials)
+            if subspace.transport_trial(variant, t, seed, p)
         )
         checks.append(_check(
             f"both sides agree on every {variant} instance", trials, agree))

@@ -29,10 +29,12 @@ from .multilin import (
     HyperplaneFrame,
     mono_basis,
     pair_index,
+    random_frame,
     transform_fform_tensor,
     transform_presentation,
 )
-from .steiner import SteinerPresentation, assemble_md
+from .seeding import derive_rng
+from .steiner import SteinerPresentation, assemble_md, presentation_in_span
 
 
 class NonTransverse(Exception):
@@ -287,6 +289,41 @@ def transport_check(m, phi, frame=None, extra=()):
     ).columns()
     rhs = not exactalg.matmul_mod(stacked, cols_frame, p).any()
     return lhs, rhs
+
+
+def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
+    """One transport-equivalence instance of `variant` ("full", "hyper" or
+    "combined"); returns True when both sides of the check agree.  Every
+    third trial is a constructed positive, the rest are random (almost
+    surely negative)."""
+    rng = derive_rng(seed, 13, {"full": 0, "hyper": 1, "combined": 2}[variant],
+                     trial)
+    a = 2 + trial % 3
+    f = 1 + (trial % 2 if a > 2 else 0)
+    b = 2 * a
+    phi = FFormQuotient.random(rng, a, f, p)
+    frame = random_frame(rng, p) if variant != "full" else None
+    extra = []
+    positive = trial % 3 == 0
+    if variant == "full":
+        if positive:
+            m = presentation_in_span(zstar_basis(phi), b, rng, p)
+        else:
+            m = SteinerPresentation.random(rng, a, b, p)
+        lhs, rhs = transport_check(m, phi)
+        return lhs == rhs
+    hslice = restrict_to_H(phi, frame)
+    if variant == "combined":
+        extra = [rng.integers(0, p, size=9 * a, dtype=np.int64)]
+    if positive:
+        kern = exactalg.kernel_basis(fstar_ZT(hslice, extra), p)
+        mf = presentation_in_span(kern, b, rng, p)
+        m = SteinerPresentation(
+            a, b, transform_presentation(mf.Ms, frame.P, p), p)
+    else:
+        m = SteinerPresentation.random(rng, a, b, p)
+    lhs, rhs = transport_check(m, phi, frame, extra)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import numpy as np
 
 from conftest import ACCEPTANCE_RESULTS
 from steinerlab import cli, exactalg, pwcurves, strata, subspace
-from steinerlab.cli import _transport_trial
 from steinerlab.multilin import random_frame
 from steinerlab.seeding import derive_rng
 from steinerlab.steiner import chi3, corank_md
@@ -34,6 +33,7 @@ from steinerlab.strata import (
 from steinerlab.subspace import (
     FFormQuotient,
     restrict_to_H,
+    transport_trial,
     vstar_rank,
     witness_z,
     z_rank,
@@ -137,7 +137,7 @@ def test_criterion_03_transport():
         for variant in ("full", "hyper", "combined"):
             for trial in range(200):
                 total += 1
-                agree += bool(_transport_trial(variant, trial, seed, P))
+                agree += bool(transport_trial(variant, trial, seed, P))
     elapsed = time.monotonic() - t0
     ok = agree == total == 1800
     _record(3, ok, f"both sides agree in {agree}/{total} instances "

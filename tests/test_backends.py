@@ -83,9 +83,11 @@ def test_core_matches_oracle_panel_boundaries(rng):
     # the core eliminates in 128-column panels; straddle the seams (sympy
     # needs seconds per matrix at these sizes, so only the int64 oracle runs).
     # Every shape here is rank-deficient, so the sweep visits every panel;
-    # (150, 500) does so across four panels with pending updates in flight
+    # (150, 500) does so across four panels with pending updates in flight.
+    # In (140, 300) and (300, 300) the rows left below the pivot fall to 128
+    # inside a panel, so its blocks stop halving there
     for n, m in [(129, 127), (127, 129), (130, 260), (260, 130), (256, 256),
-                 (150, 500)]:
+                 (150, 500), (140, 300), (300, 300)]:
         M = rng.integers(0, P, size=(n, m)).astype(np.int64)
         M[n // 2] = (M[0] + M[1]) % P
         M[:, m // 2] = (M[:, 0] + 2 * M[:, 1]) % P
@@ -138,6 +140,75 @@ def test_core_matches_oracle_small_prime(rng):
     R1, _, piv1 = oracle_rref(M, 5)
     assert piv0 == piv1 and np.array_equal(R0, R1)
     _check_against(M, 5, R0, piv0)
+
+
+# Panels of a matrix with more than PANEL = 128 rows left below the current
+# pivot are factored by recursive halving down to 16-column leaves, the
+# right half brought up to date by products with the left half's pivots;
+# blocks with at most 128 rows left run the column loop.  The tests below
+# put the awkward columns on the seams of the halving.
+
+
+def test_core_matches_oracle_leaf_and_half_seams(rng):
+    # zero and dependent columns on both sides of the leaf seam at 16 and
+    # of the half seam at 64 of the first two panels, with 300 rows so that
+    # every one of them lies in a halved block
+    n, m = 300, 400
+    M = rng.integers(0, P, size=(n, m)).astype(np.int64)
+    for base in (0, 128):
+        M[:, base + 15] = 0
+        M[:, base + 16] = (M[:, 0] + 3 * M[:, base + 14]) % P
+        M[:, base + 17] = (2 * M[:, base + 16] + M[:, 1]) % P
+        M[:, base + 63] = 0
+        M[:, base + 64] = (M[:, base + 62] + M[:, 2]) % P
+        M[:, base + 65] = 0
+    R0, rank0, piv0 = oracle_rref(M, P)
+    for base in (0, 128):
+        assert not {base + c for c in (15, 16, 17, 63, 64, 65)} & set(piv0)
+    _check_against(M, P, R0, piv0)
+
+
+@pytest.mark.parametrize("half", ["left", "right"])
+def test_core_matches_oracle_half_without_pivot(rng, half):
+    # one half of the first panel yields no pivot: zero columns on the left,
+    # combinations of the left half's columns on the right
+    n, m = 300, 320
+    M = rng.integers(0, P, size=(n, m)).astype(np.int64)
+    if half == "left":
+        M[:, :64] = 0
+    else:
+        M[:, 64:128] = (M[:, :64] @ rng.integers(0, 3, size=(64, 64))) % P
+    R0, rank0, piv0 = oracle_rref(M, P)
+    assert not set(range(0, 64) if half == "left" else range(64, 128)) \
+        & set(piv0)
+    _check_against(M, P, R0, piv0)
+
+
+def test_core_matches_oracle_small_prime_halved(rng):
+    M = rng.integers(0, 5, size=(256, 300)).astype(np.int64)
+    R0, rank0, piv0 = oracle_rref(M, 5)
+    _check_against(M, 5, R0, piv0)
+
+
+@pytest.mark.parametrize("kind", ["all_top", "near_top"])
+def test_core_matches_oracle_near_capacity_prime(rng, kind):
+    # entries p - 1 make every product as large as a residue product can be;
+    # (300 + 130) * p**2 stays below 2**53 with room for the accumulation.
+    # A repeated row and 40 columns past the square part leave free columns,
+    # whose entries in the reduced form show any error of the sweep
+    p = 1048573
+    n, m = 300, 340
+    backend._check_capacity(n, m, p)
+    if kind == "all_top":
+        M = np.full((n, m), p - 1, dtype=np.int64)
+        M[np.arange(n), np.arange(n)] = 0
+        M[:, n:] = rng.integers(p - 2, p, size=(n, m - n))
+    else:
+        M = rng.integers(p - 4, p, size=(n, m)).astype(np.int64)
+    M[n - 1] = M[0]
+    R0, rank0, piv0 = oracle_rref(M, p)
+    assert rank0 == n - 1
+    _check_against(M, p, R0, piv0)
 
 
 def test_backend_name_reported():
