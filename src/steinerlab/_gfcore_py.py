@@ -1,9 +1,9 @@
 """Blocked numpy row-reduction over F_p: the elimination core (see backend).
 
 Arithmetic runs in float64, which is exact for integers below 2**53.  The
-caller guarantees (rank + panel) * p**2 < 2**53, so sums of products of
-reduced residues never lose precision; reduction mod p is delayed until
-after each matrix product, as in FFLAS-FFPACK.
+caller checks with _check_capacity that (rank + panel) * p**2 < 2**53, so
+sums of products of reduced residues never lose precision; reduction mod p
+is delayed until after each matrix product, as in FFLAS-FFPACK.
 
 The downward sweep is blocked and left-looking, over 128-column panels with
 first-nonzero pivoting.  A finished panel does not touch the columns to its
@@ -32,6 +32,19 @@ import numpy as np
 
 PANEL = 128
 LEAF = 16
+
+# float64 holds every integer below 2**53 exactly
+_LIMIT = 2**53
+
+
+def _check_capacity(n, m, p):
+    """Reject a shape whose elimination mod p could leave float64's exact
+    range: accumulated values stay below (min(n, m) + PANEL + 2) * p**2."""
+    if (min(n, m) + PANEL + 2) * p * p >= _LIMIT:
+        raise ValueError(
+            f"matrix of shape ({n}, {m}) too large for exact elimination "
+            f"mod {p}"
+        )
 
 
 def _reduce(x, p):

@@ -16,7 +16,8 @@ first-nonzero pivoting so the reduced form is canonical; rref(a, p, False)
 returns the same (rank, pivot columns) and only reads `a`, so `rank` hands
 it the caller's array when that is already int64.  Every elimination
 goes through the attribute call `_core.rref(...)`, so a profiler can wrap
-that one attribute.
+that one attribute.  The capacity guard that keeps those sums exact lives
+with the core, as _core._check_capacity.
 """
 
 from __future__ import annotations
@@ -25,21 +26,9 @@ import numpy as np
 
 from . import _gfcore_py as _core
 
-# Accumulated values during elimination stay below (#pivots + panel + 2) * p^2,
-# and the core works in float64.
-_LIMIT = 2**53
-
 
 def backend_name():
     return "python"
-
-
-def _check_capacity(n, m, p):
-    if (min(n, m) + 130) * p * p >= _LIMIT:
-        raise ValueError(
-            f"matrix of shape ({n}, {m}) too large for exact elimination "
-            f"mod {p}"
-        )
 
 
 def _prep(a, p, copy=True):
@@ -48,7 +37,7 @@ def _prep(a, p, copy=True):
     arr = (np.array if copy else np.asarray)(a, dtype=np.int64, order="C")
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
-    _check_capacity(arr.shape[0], arr.shape[1], p)
+    _core._check_capacity(arr.shape[0], arr.shape[1], p)
     return arr
 
 
@@ -73,37 +62,12 @@ def nullspace(a, p):
     of the result corresponds to the j-th free column, carries a 1 there, and
     is supported only on pivot and earlier free coordinates.
     """
-    a = np.asarray(a, dtype=np.int64)
-    m = a.shape[1]
     R, r, pivots = rref(a, p)
-    pivset = set(pivots)
-    free = [j for j in range(m) if j not in pivset]
+    m = R.shape[1]
+    is_free = np.ones(m, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((m, len(free)), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[fc, idx] = 1
-        for i, pc in enumerate(pivots):
-            v = int(R[i, fc])
-            if v:
-                basis[pc, idx] = p - v
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots, :] = (p - R[:r, free]) % p
     return basis
-
-
-def matmul_mod(a, b, p):
-    """Exact (a @ b) mod p using float64 BLAS, chunking the inner dimension
-    when sums could reach 2**53."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    step = max(1, (2**53 - 1) // (p * p))
-    if inner <= step:
-        return (np.mod(a.astype(np.float64) @ b.astype(np.float64), p)).astype(
-            np.int64
-        )
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k0 in range(0, inner, step):
-        k1 = min(k0 + step, inner)
-        part = a[:, k0:k1].astype(np.float64) @ b[k0:k1, :].astype(np.float64)
-        out = (out + part.astype(np.int64)) % p
-    return out

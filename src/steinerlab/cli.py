@@ -202,10 +202,10 @@ def cmd_verify_mh(args, cfg):
 def cmd_verify_rank0(args, cfg):
     p, seed = cfg["prime"], cfg["seed"]
     a, f = args.a, args.f
-    if a < 1 or f > 10 * a:
+    if a < 1 or not 0 <= f <= 10 * a:
         # A(x)S^2V has dimension 10a, so it has no rank-f quotient
         raise pwcurves.InadmissibleParams(
-            f"need a >= 1 and f <= 10a, got a={a}, f={f}"
+            f"need a >= 1 and 0 <= f <= 10a, got a={a}, f={f}"
         )
     rng = derive_rng(seed, 17, a, f)
     phi = subspace.FFormQuotient.random(rng, a, f, p)
@@ -400,6 +400,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         prime = exactalg.validate_prime(args.prime)
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

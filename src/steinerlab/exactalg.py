@@ -19,7 +19,7 @@ from . import backend
 DEFAULT_PRIME = 32003
 
 # the elimination core accumulates sums of products of residues; this cap
-# keeps them exact (see backend._check_capacity)
+# keeps them exact (see _gfcore_py._check_capacity)
 MAX_PRIME = 1 << 20
 
 
@@ -51,13 +51,11 @@ def as_matrix(rows, p=DEFAULT_PRIME):
 
 
 def rank(M, p=DEFAULT_PRIME):
-    M = np.asarray(M, dtype=np.int64)
     return backend.rank(M, p)
 
 
 def rref(M, p=DEFAULT_PRIME):
     """Reduced row echelon form: returns (R, rank, pivot columns)."""
-    M = np.asarray(M, dtype=np.int64)
     return backend.rref(M, p)
 
 
@@ -67,7 +65,6 @@ def kernel_basis(M, p=DEFAULT_PRIME):
     The basis is canonical (read off the reduced echelon form), so repeated
     calls give identical vectors.
     """
-    M = np.asarray(M, dtype=np.int64)
     ns = backend.nullspace(M, p)
     return [ns[:, j].copy() for j in range(ns.shape[1])]
 
@@ -85,7 +82,24 @@ def corank(M, p=DEFAULT_PRIME):
 
 
 def matmul_mod(A, B, p=DEFAULT_PRIME):
-    return backend.matmul_mod(A, B, p)
+    """Exact (A @ B) mod p using float64 BLAS, chunking the inner dimension
+    when sums could reach 2**53."""
+    A = np.asarray(A, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    inner = A.shape[-1]
+    if inner == 0:
+        return np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    step = max(1, (2**53 - 1) // (p * p))
+    if inner <= step:
+        return (np.mod(A.astype(np.float64) @ B.astype(np.float64), p)).astype(
+            np.int64
+        )
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for k0 in range(0, inner, step):
+        k1 = min(k0 + step, inner)
+        part = A[:, k0:k1].astype(np.float64) @ B[k0:k1, :].astype(np.float64)
+        out = (out + part.astype(np.int64)) % p
+    return out
 
 
 def inv_matrix(M, p=DEFAULT_PRIME):

@@ -7,7 +7,11 @@ All matrix indexings in the package rely on one global convention:
   so (d,0,0,0) comes first and (0,0,0,d) last; the basis has C(d+3,3)
   elements;
 * a tensor-product space A (x) S^dV is indexed by
-  (index in A) * dim S^dV + (monomial index).
+  (index in A) * dim S^dV + (monomial index);
+* a covector on A (x) S^2V is also read as a coefficient tensor
+  t[j, p, q], symmetric in (p, q), whose coordinate at (j, x_p x_q) is the
+  block entry MONO_PQ gives; every module reads A (x) S^2V and its
+  hyperplane part A (x) H.V through MONO_PQ and HV_MONO_INDICES.
 
 A hyperplane H of V is carried by a nonzero covector h together with an
 invertible change of basis P whose first three columns span ker h.  In the
@@ -78,6 +82,14 @@ def pair_index(p, q):
 # x4^2 is the one degree-2 monomial outside H.V in the normalized frame; all
 # nine others, in basis order, index the coordinates of A (x) H.V
 HV_MONO_INDICES = tuple(i for i in range(10) if mono_basis(2)[i] != (0, 0, 0, 2))
+
+# the (p, q) position, 0-based with p <= q, of each degree-2 monomial
+# x_{p+1} x_{q+1} in a symmetric 4 x 4 block, in basis order: the coordinate
+# of A (x) S^2V at (j, i) reads entry (j, *MONO_PQ[i]) of a coefficient
+# tensor t[..., j, p, q], and A (x) H.V keeps the HV_MONO_INDICES among them
+MONO_PQ = tuple(
+    tuple(k for k, c in enumerate(e) for _ in range(c)) for e in mono_basis(2)
+)
 
 
 @dataclass(frozen=True)

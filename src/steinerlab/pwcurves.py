@@ -20,14 +20,10 @@ from . import exactalg, steiner, subspace
 from .multilin import random_frame
 from .seeding import derive_rng
 from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
-from .subspace import FFormQuotient, mh1, zstar_basis
+from .subspace import FFormQuotient, SamplingFailed, mh1, zstar_basis
 
 
 class InadmissibleParams(Exception):
-    pass
-
-
-class SamplingFailed(Exception):
     pass
 
 
@@ -53,13 +49,15 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
     """Draw a presentation whose m(1) has image the generic codimension-f
     subspace of A(x)S^2V.
 
-    Admissibility: 5a <= 2b <= 8a and b <= 4a - 4f (so the kernel Z* is big
-    enough to receive B).  Each attempt uses a fresh derived stream; after
-    `retries` failed genericity checks SamplingFailed reports the last
-    diagnostics instead of lowering the bar.  The rank of m(1) is read off
+    Admissibility: a >= 1, 5a <= 2b <= 8a and b <= 4a - 4f (so the kernel
+    Z* is big enough to receive B).  Each attempt uses a fresh derived
+    stream; after `retries` failed genericity checks SamplingFailed reports
+    the last diagnostics instead of lowering the bar.  The rank of m(1) is read off
     the first step of the surjectivity certificate, so an attempt
     eliminates each m(d) once.
     """
+    if a < 1:
+        raise InadmissibleParams(f"need a >= 1, got a={a}")
     if not 5 * a <= 2 * b:
         raise InadmissibleParams(f"need 5a <= 2b, got a={a}, b={b}")
     if not 2 * b <= 8 * a:

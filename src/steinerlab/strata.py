@@ -16,12 +16,11 @@ recomputation and are reported with flags instead of being silently adopted
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import exactalg, subspace
-from .multilin import HV_MONO_INDICES, pair_index
+from .multilin import HV_MONO_INDICES, MONO_PQ
 from .seeding import derive_rng
 
 
@@ -88,49 +87,27 @@ def enumerate_jordan4():
     """The 14 Jordan types of a 4x4 matrix, in the reference row order:
     ascending centralizer dimension, then descending eigenvalue count, then
     partition order."""
-    found = set()
-    for sizes in _size_multisets(4):
-        pools = [_partitions_of(s) for s in sizes]
-        for combo in _multiset_product(pools, sizes):
-            found.add(JordanType(combo))
     types = sorted(
-        found,
+        (JordanType(tuple(part for _, part in blocks))
+         for blocks in _eigenspace_blocks(4)),
         key=lambda t: (centralizer_dim(t), -t.num_eigenvalues, t.partitions),
     )
     assert len(types) == 14
     return types
 
 
-def _size_multisets(n):
-    """Nonincreasing tuples of positive ints summing to n (eigenvalue space
-    size patterns)."""
-    return _partitions_of(n)
-
-
-def _multiset_product(pools, sizes):
-    """Multisets picking one partition per pool; pools of equal size must not
-    produce ordered duplicates."""
-    if not pools:
+def _eigenspace_blocks(n, top=None):
+    """Every nonincreasing tuple of (size, partition of size) pairs, each
+    pair at most `top`, with sizes summing to n: one pair per distinct
+    eigenvalue, so each Jordan type of an n x n matrix comes out once."""
+    if n == 0:
         yield ()
         return
-    # group equal sizes together: choose a multiset from each group
-    groups = []
-    i = 0
-    while i < len(sizes):
-        j = i
-        while j < len(sizes) and sizes[j] == sizes[i]:
-            j += 1
-        groups.append((pools[i], j - i))
-        i = j
-    def rec(gi):
-        if gi == len(groups):
-            yield ()
-            return
-        pool, count = groups[gi]
-        for pick in combinations_with_replacement(pool, count):
-            for rest in rec(gi + 1):
-                yield pick + rest
-    yield from rec(0)
+    for size in range(n, 0, -1):
+        for part in _partitions_of(size):
+            if top is None or (size, part) <= top:
+                for rest in _eigenspace_blocks(n - size, (size, part)):
+                    yield ((size, part),) + rest
 
 
 def centralizer_dim(t):
@@ -271,39 +248,21 @@ class PairStrataRow:
     flags: tuple = field(default_factory=tuple)
 
 
-def _j3(blocks_per_eig):
-    """3x3 representative from [(eig, size), ...] in order."""
-    C = np.zeros((3, 3), dtype=np.int64)
-    pos = 0
-    for eig, size in blocks_per_eig:
-        for i in range(size):
-            C[pos + i, pos + i] = eig
-            if i + 1 < size:
-                C[pos + i, pos + i + 1] = 1
-        pos += size
-    return C
-
-
-# (label, c_class, C0, c, r_ref, S_ref, O_computed_expected parts, O_ref_display)
+# (label, c_class, c, r_ref, S_ref, O_computed_expected parts, O_ref_display);
+# C0 is the representative of the label's Jordan type, and
 # O_computed = (9 - centralizer) + #eigenvalues + dim of the c-class
 _JORDAN3X4_ROWS = [
-    ("1|1|1", "generic", _j3([(1, 1), (2, 1), (3, 1)]), (1, 1, 1), 3, 7,
-     (9 - 3) + 3 + 3, "12"),
-    ("11|1", "c in the simple eigenspace", _j3([(1, 1), (1, 1), (2, 1)]),
-     (0, 0, 1), 2, 8, (9 - 5) + 2 + 1, "7"),
-    ("11|1", "other c", _j3([(1, 1), (1, 1), (2, 1)]), (1, 0, 0), 3, 7,
-     (9 - 5) + 2 + 3, "<12"),
-    ("111", "c nonzero", _j3([(1, 1), (1, 1), (1, 1)]), (0, 0, 1), 2, 8,
-     (9 - 9) + 1 + 3, "7"),
-    ("111", "c zero", _j3([(1, 1), (1, 1), (1, 1)]), (0, 0, 0), 0, 10,
-     (9 - 9) + 1 + 0, "-"),
-    ("2|1", "generic", _j3([(1, 2), (2, 1)]), (1, 1, 1), 3, 7,
-     (9 - 3) + 2 + 3, "<12"),
-    ("21", "c in the big block's eigenline", _j3([(1, 2), (1, 1)]),
-     (1, 0, 0), 2, 8, (9 - 5) + 1 + 1, "6"),
-    ("21", "other c", _j3([(1, 2), (1, 1)]), (0, 0, 1), 3, 7,
-     (9 - 5) + 1 + 3, "<12"),
-    ("3", "generic", _j3([(1, 3)]), (1, 1, 1), 3, 7, (9 - 3) + 1 + 3, "<12"),
+    ("1|1|1", "generic", (1, 1, 1), 3, 7, (9 - 3) + 3 + 3, "12"),
+    ("11|1", "c in the simple eigenspace", (0, 0, 1), 2, 8,
+     (9 - 5) + 2 + 1, "7"),
+    ("11|1", "other c", (1, 0, 0), 3, 7, (9 - 5) + 2 + 3, "<12"),
+    ("111", "c nonzero", (0, 0, 1), 2, 8, (9 - 9) + 1 + 3, "7"),
+    ("111", "c zero", (0, 0, 0), 0, 10, (9 - 9) + 1 + 0, "-"),
+    ("2|1", "generic", (1, 1, 1), 3, 7, (9 - 3) + 2 + 3, "<12"),
+    ("21", "c in the big block's eigenline", (1, 0, 0), 2, 8,
+     (9 - 5) + 1 + 1, "6"),
+    ("21", "other c", (0, 0, 1), 3, 7, (9 - 5) + 1 + 3, "<12"),
+    ("3", "generic", (1, 1, 1), 3, 7, (9 - 3) + 1 + 3, "<12"),
 ]
 
 
@@ -316,7 +275,9 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
     (the pair map is not onto) and is flagged.
     """
     rows = []
-    for label, c_class, C0, c, r_ref, S_ref, O_comp, O_disp in _JORDAN3X4_ROWS:
+    for label, c_class, c, r_ref, S_ref, O_comp, O_disp in _JORDAN3X4_ROWS:
+        C0 = JordanType(tuple(tuple(map(int, part))
+                              for part in label.split("|"))).representative(p)
         r, S = solution_dim_3x4(C0, c, p)
         flags = []
         if r == 0:
@@ -334,20 +295,11 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
 # rank-0 covectors
 
 
-def _row_span_contains(rows_matrix, vec, p):
-    """Is vec in the row span of rows_matrix (over F_p)?"""
-    base = exactalg.rank(rows_matrix, p)
-    aug = np.vstack([rows_matrix, vec.reshape(1, -1)])
-    return exactalg.rank(aug, p) == base
-
-
-# positions of the target coordinates inside the (p, q) block of the induced
-# covector, p in 1..4 (full) or 1..3 (hyperplane), q in 1..4: the ten
+# positions of the target coordinates inside the flattened (p, q) block of
+# the induced covector, p < 4 (full) or p < 3 (hyperplane): the ten
 # degree-2 monomials of A(x)S^2V, or the nine of A(x)H.V
-_BLOCK_POS = {pair_index(pp, qq): (pp - 1) * 4 + qq - 1
-              for pp in range(1, 5) for qq in range(pp, 5)}
-_FULL_COLS = tuple(_BLOCK_POS[i] for i in range(10))
-_HYPER_COLS = tuple(_BLOCK_POS[i] for i in HV_MONO_INDICES)
+_FULL_COLS = [pp * 4 + qq for pp, qq in MONO_PQ]
+_HYPER_COLS = [_FULL_COLS[i] for i in HV_MONO_INDICES]
 
 
 def find_rank0(phi, frame=None):
@@ -355,9 +307,12 @@ def find_rank0(phi, frame=None):
     frame is given) with Z-rank (resp. (Z,H)-rank) zero.
 
     The symmetry constraints on the coefficient family c are linear: solve
-    them, then scan the kernel basis for a c whose induced covector is
-    independent of the quotient's rows.  If every basis vector induces a
-    dependent covector the span does too, and None is honest.
+    them, then return the first kernel basis vector's induced covector that
+    is independent of the quotient's rows.  Every candidate is reduced at
+    once against one reduced echelon form (R, pivots) of the quotient: the
+    remainder g - g[pivots] R vanishes exactly when g lies in the row span.
+    If every basis vector induces a dependent covector the span does too,
+    and None is honest.
     """
     a, f, p = phi.a, phi.f, phi.prime
     if f == 0:
@@ -386,10 +341,10 @@ def find_rank0(phi, frame=None):
     C = np.stack(kernel).reshape(len(kernel), n, 4, f)
     G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(len(kernel), a, n * 4)
     G = np.mod(G[:, :, cols].reshape(len(kernel), -1), p)
-    for g in G:
-        if not _row_span_contains(quotient, g, p):
-            return g
-    return None
+    R, r, pivots = exactalg.rref(quotient, p)
+    rest = np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
+    hits = np.flatnonzero(rest.any(axis=1))
+    return G[hits[0]] if hits.size else None
 
 
 def rank_distribution(phi, frame=None, codim=1, trials=50, seed=0):

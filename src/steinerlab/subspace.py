@@ -4,7 +4,10 @@ invariants attached to a codimension-f subspace Z and its hyperplane slices.
 A quotient Phi: A(x)S^2V ->> F of dimension f is stored as the coefficient
 tensor t[s,j,p,q] = Phi_s(alpha_j (x) x_p x_q), symmetric in (p,q) with no
 factor-of-2 bookkeeping: values on monomials, not on symmetrized tensors.
-Three maps are derived from it:
+Matrices of covectors and coefficient tensors convert into each other
+through the layout of multilin (MONO_PQ, HV_MONO_INDICES): one gather reads
+a tensor's coordinates on A(x)S^2V or on A(x)H.V, and one scatter writes
+them back.  Three maps are derived from the tensor:
 
 * gstar(Phi): A(x)V -> V^at(x)F, the 4f x 4a matrix with entry t[s,j,p,q] at
   row (s,p), column (j,q).  Its rank is the V*-rank of Z = ker Phi, and
@@ -15,6 +18,10 @@ Three maps are derived from it:
 * fstar_ZT: the stack of gstar (in frame coordinates) with the H-column
   slices of the quotient cutting T inside Z' = Z cap A(x)H.V; its rank excess
   over the V*-rank is the (Z,H)-rank of T.
+
+A subspace T cut out of Z (or of Z') by extra covectors is presented by the
+quotient's rows with the extra covectors appended, built in one place for
+the full-space and the hyperplane systems alike.
 """
 
 from __future__ import annotations
@@ -26,9 +33,8 @@ import numpy as np
 from . import exactalg
 from .multilin import (
     HV_MONO_INDICES,
+    MONO_PQ,
     HyperplaneFrame,
-    mono_basis,
-    pair_index,
     random_frame,
     transform_fform_tensor,
     transform_presentation,
@@ -41,13 +47,47 @@ class NonTransverse(Exception):
     """Z fails to meet A(x)H.V in the expected codimension f."""
 
 
-def _mono_to_pair(i):
-    e = mono_basis(2)[i]
-    nz = [k + 1 for k, c in enumerate(e) for _ in range(c)]
-    return nz[0], nz[1]
+class SamplingFailed(Exception):
+    """A random draw missed a generic property on every allowed attempt."""
 
 
-_PAIRS = tuple(_mono_to_pair(i) for i in range(10))
+# block positions (p's, q's) of the coordinates of A(x)S^2V and of A(x)H.V
+_S2V = np.array(MONO_PQ).T
+_HV = _S2V[:, list(HV_MONO_INDICES)]
+
+
+def _coords(t, pq=_S2V):
+    """Gather: the k x (a * #coordinates) matrix of a coefficient tensor
+    t[s, j, p, q] on the coordinates pq, entry t[s, j, p_i, q_i] at row s,
+    column (j, i)."""
+    return t[:, :, pq[0], pq[1]].reshape(t.shape[0], -1)
+
+
+def _tensor(mat, a, pq=_S2V):
+    """Scatter, the inverse of _coords: the symmetric coefficient tensor of
+    a matrix of covectors on the coordinates pq, zero off them."""
+    k = mat.shape[0]
+    t = np.zeros((k, a, 4, 4), dtype=np.int64)
+    vals = mat.reshape(k, a, -1)
+    t[:, :, pq[0], pq[1]] = vals
+    t[:, :, pq[1], pq[0]] = vals
+    return t
+
+
+def _block_rows(t, n=4):
+    """The nk x 4a matrix of a coefficient tensor t[s, j, p, q] with
+    entry t[s, j, p, q] at row (s, p), p < n, and column (j, q)."""
+    k, a = t.shape[:2]
+    G = t[:, :, :n].transpose(0, 2, 1, 3).reshape(n * k, 4 * a)
+    return np.ascontiguousarray(G)
+
+
+def _stack(rows, extra, p):
+    """The quotient's rows with the extra covectors appended, mod p."""
+    if not len(extra):
+        return rows
+    extra = np.mod(np.asarray(extra, dtype=np.int64).reshape(len(extra), -1), p)
+    return np.vstack([rows, extra])
 
 
 @dataclass(frozen=True)
@@ -64,25 +104,21 @@ class FFormQuotient:
             raise ValueError("coefficient tensor must be symmetric in (p, q)")
 
     @classmethod
-    def from_tensor(cls, t, p=exactalg.DEFAULT_PRIME, check_rank=True):
+    def from_tensor(cls, t, p=exactalg.DEFAULT_PRIME):
         t = np.mod(np.asarray(t, dtype=np.int64), p)
         q = cls(t.shape[1], t.shape[0], t, p)
-        if check_rank and q.f and exactalg.rank(q.phi_matrix(), p) != q.f:
-            raise ValueError("quotient matrix does not have full rank f")
+        if q.f and exactalg.rank(q.phi_matrix(), p) != q.f:
+            raise ValueError("quotient covectors are linearly dependent")
         return q
 
     @classmethod
-    def from_phi_matrix(cls, mat, a, p=exactalg.DEFAULT_PRIME, check_rank=True):
+    def from_phi_matrix(cls, mat, a, p=exactalg.DEFAULT_PRIME):
         """Inverse of phi_matrix: rows are covectors on A(x)S^2V."""
         mat = np.mod(np.asarray(mat, dtype=np.int64), p)
         f = mat.shape[0]
         if mat.shape != (f, 10 * a):
             raise ValueError("phi matrix must be f x 10a")
-        t = np.zeros((f, a, 4, 4), dtype=np.int64)
-        for i, (pp, qq) in enumerate(_PAIRS):
-            t[:, :, pp - 1, qq - 1] = mat[:, i::10]
-            t[:, :, qq - 1, pp - 1] = mat[:, i::10]
-        return cls.from_tensor(t, p, check_rank)
+        return cls.from_tensor(_tensor(mat, a), p)
 
     @classmethod
     def random(cls, rng, a, f, p=exactalg.DEFAULT_PRIME):
@@ -92,19 +128,16 @@ class FFormQuotient:
             q = cls(a, f, t, p)
             if f == 0 or exactalg.rank(q.phi_matrix(), p) == f:
                 return q
-        raise RuntimeError(f"could not sample a rank-{f} quotient")
+        raise SamplingFailed(
+            f"no rank-{f} quotient of A(x)S^2V with a={a} in 8 draws")
 
     def phi_matrix(self):
         """f x 10a matrix on the monomial basis of A(x)S^2V."""
-        out = np.zeros((self.f, 10 * self.a), dtype=np.int64)
-        for i, (pp, qq) in enumerate(_PAIRS):
-            out[:, i::10] = self.t[:, :, pp - 1, qq - 1]
-        return out
+        return _coords(self.t)
 
 
 def gstar(phi):
-    G = phi.t.transpose(0, 2, 1, 3).reshape(4 * phi.f, 4 * phi.a)
-    return np.ascontiguousarray(G)
+    return _block_rows(phi.t)
 
 
 def vstar_rank(phi):
@@ -137,13 +170,8 @@ def zstar_basis(phi):
 def stack_quotient(phi, extra):
     """Quotient presenting the subspace of Z cut by extra covectors on
     A(x)S^2V.  Rejects covectors that are dependent modulo Phi's rows."""
-    extra = [np.asarray(g, dtype=np.int64) % phi.prime for g in extra]
-    e = len(extra)
-    base = phi.phi_matrix()
-    stacked = np.vstack([base] + [g.reshape(1, -1) for g in extra]) if e else base
-    if exactalg.rank(stacked, phi.prime) != phi.f + e:
-        raise ValueError("extra covectors are dependent on Z")
-    return FFormQuotient.from_phi_matrix(stacked, phi.a, phi.prime, check_rank=False)
+    stacked = _stack(phi.phi_matrix(), extra, phi.prime)
+    return FFormQuotient.from_phi_matrix(stacked, phi.a, phi.prime)
 
 
 def z_rank(phi, extra):
@@ -181,18 +209,11 @@ class HSliceZ:
         return 9 * self.a - exactalg.rank(self.phi_h, self.phi.prime)
 
 
-def _restrict_rows(mat_10a, a):
-    """Drop the x4^2 column of every A-block: 10a coordinates -> 9a."""
-    cols = [j * 10 + i for j in range(a) for i in HV_MONO_INDICES]
-    return mat_10a[:, cols]
-
-
 def restrict_to_H(phi, frame):
     """Slice Z by A(x)H.V; raises NonTransverse when the intersection is too
     big (rank of the restricted quotient below f)."""
     tframe = transform_fform_tensor(phi.t, frame)
-    full = FFormQuotient(phi.a, phi.f, tframe, phi.prime).phi_matrix()
-    phi_h = _restrict_rows(full, phi.a)
+    phi_h = _coords(tframe, _HV)
     if phi.f:
         r = exactalg.rank(phi_h, phi.prime)
         if r < phi.f:
@@ -202,20 +223,10 @@ def restrict_to_H(phi, frame):
     return HSliceZ(phi, frame, tframe, phi_h)
 
 
-def _hcols_matrix(u_rows, a, p):
-    """The 3e x 4a matrix of an e-row covector family on A(x)H.V: row (s,p)
-    for p in 1..3, entry at column (j,q) equal to the value on
-    alpha_j (x) v_p v_q."""
-    e = u_rows.shape[0]
-    out = np.zeros((3 * e, 4 * a), dtype=np.int64)
-    for s in range(e):
-        for pp in range(1, 4):
-            for qq in range(1, 5):
-                i = pair_index(pp, qq)
-                hv_pos = HV_MONO_INDICES.index(i)
-                col_of = u_rows[s, hv_pos::9]
-                out[s * 3 + (pp - 1), (qq - 1)::4] = col_of
-    return out
+def _fstar(hslice, u):
+    """fstar_ZT for the quotient u = [Phi_H; extra] of T, unchecked."""
+    bottom = _block_rows(_tensor(u, hslice.a, _HV), 3)
+    return np.vstack([_block_rows(hslice.tframe), bottom])
 
 
 def fstar_ZT(hslice, extra=()):
@@ -223,16 +234,13 @@ def fstar_ZT(hslice, extra=()):
     extra covectors on A(x)H.V (empty extra means T = Z').
 
     Top block: gstar in frame coordinates.  Bottom block: the H-column
-    matrix of the full quotient [Phi_H; extra] of T."""
+    matrix of the full quotient [Phi_H; extra] of T, row (s, p) for p in
+    1..3 and column (j, q) holding its value on alpha_j (x) v_p v_q."""
     p = hslice.phi.prime
-    a, f = hslice.a, hslice.f
-    extra = [np.asarray(g, dtype=np.int64) % p for g in extra]
-    e = len(extra)
-    u = np.vstack([hslice.phi_h] + [g.reshape(1, -1) for g in extra]) if e else hslice.phi_h
-    if exactalg.rank(u, p) != f + e:
+    u = _stack(hslice.phi_h, extra, p)
+    if exactalg.rank(u, p) != len(u):
         raise ValueError("extra covectors are dependent on Z'")
-    top = FFormQuotient(a, f, hslice.tframe, p)
-    return np.vstack([gstar(top), _hcols_matrix(u, a, p)])
+    return _fstar(hslice, u)
 
 
 def zh_rank(hslice, extra=()):
@@ -252,10 +260,9 @@ def mh1(m, frame):
     columns with a v4 factor and the x4^2 row of each A-block."""
     Ms = transform_presentation(m.Ms, frame.Pinv, frame.prime)
     mf = SteinerPresentation(m.a, m.b, Ms, m.prime)
-    full = assemble_md(mf, 1)
-    rows = [j * 10 + i for j in range(m.a) for i in HV_MONO_INDICES]
-    cols = [i * 4 + l for i in range(m.b) for l in (0, 1, 2)]
-    return np.ascontiguousarray(full[np.ix_(rows, cols)])
+    full = assemble_md(mf, 1).reshape(m.a, 10, m.b, 4)
+    mh = full[:, list(HV_MONO_INDICES), :, :3]
+    return np.ascontiguousarray(mh.reshape(9 * m.a, 3 * m.b))
 
 
 def transport_check(m, phi, frame=None, extra=()):
@@ -274,16 +281,11 @@ def transport_check(m, phi, frame=None, extra=()):
         rhs = not exactalg.matmul_mod(gstar(phi), m.columns(), p).any()
         return lhs, rhs
     hslice = restrict_to_H(phi, frame)
-    extra = [np.asarray(g, dtype=np.int64) % p for g in extra]
-    u = (
-        np.vstack([hslice.phi_h] + [g.reshape(1, -1) for g in extra])
-        if extra
-        else hslice.phi_h
-    )
+    # no independence check: a dependent extra covector is a valid instance
+    u = _stack(hslice.phi_h, extra, p)
     mh = mh1(m, frame)
     lhs = lhs and not exactalg.matmul_mod(u, mh, p).any()
-    top = FFormQuotient(m.a, phi.f, hslice.tframe, p)
-    stacked = np.vstack([gstar(top), _hcols_matrix(u, m.a, p)])
+    stacked = _fstar(hslice, u)
     cols_frame = SteinerPresentation(
         m.a, m.b, transform_presentation(m.Ms, frame.Pinv, frame.prime), p
     ).columns()

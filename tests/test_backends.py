@@ -11,7 +11,7 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from steinerlab import backend
+from steinerlab import _gfcore_py, backend
 
 P = 32003
 
@@ -198,7 +198,7 @@ def test_core_matches_oracle_near_capacity_prime(rng, kind):
     # whose entries in the reduced form show any error of the sweep
     p = 1048573
     n, m = 300, 340
-    backend._check_capacity(n, m, p)
+    _gfcore_py._check_capacity(n, m, p)
     if kind == "all_top":
         M = np.full((n, m), p - 1, dtype=np.int64)
         M[np.arange(n), np.arange(n)] = 0
@@ -219,10 +219,10 @@ def test_capacity_guard():
     # accumulated values during elimination grow like (pivots + margin) * p^2
     # and must stay below the float64 core's 2**53 budget
     big_p = 1048573
-    n = backend._LIMIT // (big_p * big_p) + 200
+    n = _gfcore_py._LIMIT // (big_p * big_p) + 200
     with pytest.raises(ValueError):
-        backend._check_capacity(n, n, big_p)
-    backend._check_capacity(4000, 4000, 32003)
+        _gfcore_py._check_capacity(n, n, big_p)
+    _gfcore_py._check_capacity(4000, 4000, 32003)
 
 
 def test_nullspace_canonical(rng):
@@ -231,7 +231,14 @@ def test_nullspace_canonical(rng):
     B = backend.nullspace(M, P)
     assert B.shape == (10, 10 - backend.rank(M, P))
     assert not np.mod(M.astype(object) @ B.astype(object), P).astype(int).any()
-    _, _, pivots = backend.rref(M, P)
+    R, _, pivots = backend.rref(M, P)
     free = [j for j in range(10) if j not in set(pivots)]
     for idx, fc in enumerate(free):
         assert B[fc, idx] == 1
+    # the basis read off the reduced form entry by entry
+    ref = np.zeros_like(B)
+    for idx, fc in enumerate(free):
+        ref[fc, idx] = 1
+        for i, pc in enumerate(pivots):
+            ref[pc, idx] = (P - R[i, fc]) % P
+    assert np.array_equal(B, ref)

@@ -277,3 +277,38 @@ def test_trials_env_below_one_rejected(monkeypatch, capsys):
         cli.main(["verify", "transport"])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_mh_rejects_empty_source(capsys):
+    _assert_one_line_error(capsys, ["verify", "mh", "-a", "0", "-b", "0"],
+                           "need a >= 1, got a=0")
+
+
+def test_rank0_rejects_negative_f(capsys):
+    _assert_one_line_error(capsys, ["verify", "rank0", "-a", "2", "-f", "-1"],
+                           "need a >= 1 and 0 <= f <= 10a, got a=2, f=-1")
+
+
+def test_seed_flag_rejects_negative(capsys):
+    _assert_one_line_error(
+        capsys, ["--seed", "-1", "verify", "pw", "-a", "3", "-b", "8",
+                 "-f", "1"], "seed must be non-negative, got -1")
+
+
+def test_seed_env_rejects_negative(monkeypatch, capsys):
+    monkeypatch.setenv("STEINERLAB_SEED", "-2")
+    _assert_one_line_error(capsys, ["verify", "transport"],
+                           "seed must be non-negative, got -2")
+
+
+class _ZeroRng:
+    """Draws only zeros, so every sampled quotient has rank 0."""
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        return np.zeros(size, dtype=dtype)
+
+
+def test_quotient_sampler_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "derive_rng", lambda *key: _ZeroRng())
+    _assert_one_line_error(capsys, ["verify", "rank0", "-a", "2", "-f", "1"],
+                           "SamplingFailed: no rank-1 quotient")

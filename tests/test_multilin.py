@@ -7,6 +7,7 @@ import pytest
 from steinerlab import exactalg, multilin
 from steinerlab.multilin import (
     HV_MONO_INDICES,
+    MONO_PQ,
     HyperplaneFrame,
     dim_sym,
     frame_x4,
@@ -79,6 +80,13 @@ def test_pair_index():
 
 def test_hv_mono_indices():
     assert HV_MONO_INDICES == tuple(range(9))
+
+
+def test_mono_pq_agrees_with_pair_index():
+    assert len(MONO_PQ) == 10
+    for p in range(1, 5):
+        for q in range(p, 5):
+            assert MONO_PQ[pair_index(p, q)] == (p - 1, q - 1)
 
 
 def test_frame_from_covector(rng):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from steinerlab import exactalg, subspace
-from steinerlab.multilin import frame_x4, random_frame, transform_presentation
+from steinerlab.multilin import (
+    HV_MONO_INDICES,
+    frame_x4,
+    pair_index,
+    random_frame,
+    transform_presentation,
+)
 from steinerlab.steiner import (
     SteinerPresentation,
     assemble_md,
@@ -72,7 +78,8 @@ def test_from_tensor_rank_check():
     t[1, 0] = np.eye(4, dtype=np.int64)
     with pytest.raises(ValueError):
         FFormQuotient.from_tensor(t, P)
-    q = FFormQuotient.from_tensor(t, P, check_rank=False)
+    # the dataclass constructor checks only shape and symmetry
+    q = FFormQuotient(1, 2, t, P)
     assert (q.a, q.f) == (1, 2)
 
 
@@ -82,6 +89,18 @@ def test_phi_matrix_round_trip(rng):
     assert mat.shape == (2, 30)
     phi2 = FFormQuotient.from_phi_matrix(mat, 3, P)
     assert np.array_equal(phi.t, phi2.t)
+
+
+def test_phi_matrix_layout(rng):
+    # coordinate (j, x_p x_q) of A(x)S^2V sits at column j * 10 + pair index
+    phi = FFormQuotient.random(rng, 3, 2, P)
+    mat = phi.phi_matrix()
+    for s in range(2):
+        for j in range(3):
+            for p in range(1, 5):
+                for q in range(p, 5):
+                    assert mat[s, j * 10 + pair_index(p, q)] == \
+                        phi.t[s, j, p - 1, q - 1]
 
 
 def test_witness_vstar_rank_small_grid():
@@ -145,6 +164,15 @@ def test_restrict_to_h_generic(rng):
     assert hs.zprime_dim() == 9 * 4 - 1
 
 
+def test_restrict_to_h_drops_x4_squared(rng):
+    # Phi_H is the frame quotient on A(x)S^2V without each block's x4^2
+    phi = FFormQuotient.random(rng, 3, 2, P)
+    hs = restrict_to_H(phi, random_frame(rng, P))
+    full = FFormQuotient(3, 2, hs.tframe, P).phi_matrix()
+    cols = [j * 10 + i for j in range(3) for i in HV_MONO_INDICES]
+    assert np.array_equal(hs.phi_h, full[:, cols])
+
+
 def test_restrict_to_h_transversality():
     # the quadric x4^2 restricts to zero on the hyperplane x4 = 0
     phi = _diag_quadric([0, 0, 0, 1])
@@ -180,6 +208,36 @@ def test_fstar_shape_and_dependent_extras(rng):
     assert M.shape == (4 * 1 + 3 * 2, 16)
     with pytest.raises(ValueError):
         fstar_ZT(hs, [hs.phi_h[0]])
+
+
+def hcols_by_loops(u_rows, a):
+    """The H-column matrix of an e-row covector family on A(x)H.V written
+    out entry by entry: row (s, p) for p in 1..3, column (j, q) holding the
+    value on alpha_j (x) v_p v_q.  The reference for fstar_ZT's bottom
+    block."""
+    e = u_rows.shape[0]
+    out = np.zeros((3 * e, 4 * a), dtype=np.int64)
+    for s in range(e):
+        for pp in range(1, 4):
+            for qq in range(1, 5):
+                hv_pos = HV_MONO_INDICES.index(pair_index(pp, qq))
+                out[s * 3 + (pp - 1), (qq - 1)::4] = u_rows[s, hv_pos::9]
+    return out
+
+
+def test_fstar_blocks_match_loop_reference(rng):
+    for trial in range(12):
+        a, f = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        e = trial % 3
+        phi = FFormQuotient.random(rng, a, f, P)
+        hs = restrict_to_H(phi, random_frame(rng, P))
+        extra = [rng.integers(0, P, size=9 * a, dtype=np.int64)
+                 for _ in range(e)]
+        M = fstar_ZT(hs, extra)
+        u = np.vstack([hs.phi_h] + [g.reshape(1, -1) for g in extra])
+        top = gstar(FFormQuotient(a, f, hs.tframe, P))
+        assert np.array_equal(M[:4 * f], top)
+        assert np.array_equal(M[4 * f:], hcols_by_loops(u, a))
 
 
 def test_mh1_x4_frame_is_deletion(rng):
