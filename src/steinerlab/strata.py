@@ -248,21 +248,22 @@ class PairStrataRow:
     flags: tuple = field(default_factory=tuple)
 
 
-# (label, c_class, c, r_ref, S_ref, O_computed_expected parts, O_ref_display);
-# C0 is the representative of the label's Jordan type, and
-# O_computed = (9 - centralizer) + #eigenvalues + dim of the c-class
+# (partitions of C0's Jordan type, c_class, c, r_ref, S_ref,
+#  O_computed_expected parts, O_ref_display); C0 is the representative of
+# the Jordan type, and O_computed = (9 - centralizer) + #eigenvalues + dim
+# of the c-class
 _JORDAN3X4_ROWS = [
-    ("1|1|1", "generic", (1, 1, 1), 3, 7, (9 - 3) + 3 + 3, "12"),
-    ("11|1", "c in the simple eigenspace", (0, 0, 1), 2, 8,
+    (((1,), (1,), (1,)), "generic", (1, 1, 1), 3, 7, (9 - 3) + 3 + 3, "12"),
+    (((1, 1), (1,)), "c in the simple eigenspace", (0, 0, 1), 2, 8,
      (9 - 5) + 2 + 1, "7"),
-    ("11|1", "other c", (1, 0, 0), 3, 7, (9 - 5) + 2 + 3, "<12"),
-    ("111", "c nonzero", (0, 0, 1), 2, 8, (9 - 9) + 1 + 3, "7"),
-    ("111", "c zero", (0, 0, 0), 0, 10, (9 - 9) + 1 + 0, "-"),
-    ("2|1", "generic", (1, 1, 1), 3, 7, (9 - 3) + 2 + 3, "<12"),
-    ("21", "c in the big block's eigenline", (1, 0, 0), 2, 8,
+    (((1, 1), (1,)), "other c", (1, 0, 0), 3, 7, (9 - 5) + 2 + 3, "<12"),
+    (((1, 1, 1),), "c nonzero", (0, 0, 1), 2, 8, (9 - 9) + 1 + 3, "7"),
+    (((1, 1, 1),), "c zero", (0, 0, 0), 0, 10, (9 - 9) + 1 + 0, "-"),
+    (((2,), (1,)), "generic", (1, 1, 1), 3, 7, (9 - 3) + 2 + 3, "<12"),
+    (((2, 1),), "c in the big block's eigenline", (1, 0, 0), 2, 8,
      (9 - 5) + 1 + 1, "6"),
-    ("21", "other c", (0, 0, 1), 3, 7, (9 - 5) + 1 + 3, "<12"),
-    ("3", "generic", (1, 1, 1), 3, 7, (9 - 3) + 1 + 3, "<12"),
+    (((2, 1),), "other c", (0, 0, 1), 3, 7, (9 - 5) + 1 + 3, "<12"),
+    (((3,),), "generic", (1, 1, 1), 3, 7, (9 - 3) + 1 + 3, "<12"),
 ]
 
 
@@ -275,9 +276,9 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
     (the pair map is not onto) and is flagged.
     """
     rows = []
-    for label, c_class, c, r_ref, S_ref, O_comp, O_disp in _JORDAN3X4_ROWS:
-        C0 = JordanType(tuple(tuple(map(int, part))
-                              for part in label.split("|"))).representative(p)
+    for parts, c_class, c, r_ref, S_ref, O_comp, O_disp in _JORDAN3X4_ROWS:
+        jt = JordanType(parts)
+        C0 = jt.representative(p)
         r, S = solution_dim_3x4(C0, c, p)
         flags = []
         if r == 0:
@@ -285,8 +286,8 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
         if r != r_ref or S != S_ref:
             flags.append("ref_mismatch")
         rows.append(
-            PairStrataRow(label, c_class, r_ref, r, S_ref, S, O_comp, O_disp,
-                          tuple(flags))
+            PairStrataRow(jt.label, c_class, r_ref, r, S_ref, S, O_comp,
+                          O_disp, tuple(flags))
         )
     return rows
 

@@ -60,7 +60,7 @@ def _coords(t, pq=_S2V):
     """Gather: the k x (a * #coordinates) matrix of a coefficient tensor
     t[s, j, p, q] on the coordinates pq, entry t[s, j, p_i, q_i] at row s,
     column (j, i)."""
-    return t[:, :, pq[0], pq[1]].reshape(t.shape[0], -1)
+    return t[:, :, pq[0], pq[1]].reshape(t.shape[0], t.shape[1] * pq.shape[1])
 
 
 def _tensor(mat, a, pq=_S2V):
@@ -68,7 +68,7 @@ def _tensor(mat, a, pq=_S2V):
     a matrix of covectors on the coordinates pq, zero off them."""
     k = mat.shape[0]
     t = np.zeros((k, a, 4, 4), dtype=np.int64)
-    vals = mat.reshape(k, a, -1)
+    vals = mat.reshape(k, a, pq.shape[1])
     t[:, :, pq[0], pq[1]] = vals
     t[:, :, pq[1], pq[0]] = vals
     return t
@@ -171,7 +171,11 @@ def stack_quotient(phi, extra):
     """Quotient presenting the subspace of Z cut by extra covectors on
     A(x)S^2V.  Rejects covectors that are dependent modulo Phi's rows."""
     stacked = _stack(phi.phi_matrix(), extra, phi.prime)
-    return FFormQuotient.from_phi_matrix(stacked, phi.a, phi.prime)
+    try:
+        return FFormQuotient.from_phi_matrix(stacked, phi.a, phi.prime)
+    except ValueError:
+        # Phi's rows are independent, so the stack fails only on the extras
+        raise ValueError("extra covectors are dependent on Z") from None
 
 
 def z_rank(phi, extra):

@@ -279,6 +279,13 @@ def test_trials_env_below_one_rejected(monkeypatch, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_pw_without_quotient():
+    # -f defaults to 0: the quotient has no covectors
+    code, out = run_cli(["verify", "pw", "-a", "3", "-b", "8"])
+    assert code == 0
+    assert "quotient kills the image of m(1)" in out
+
+
 def test_mh_rejects_empty_source(capsys):
     _assert_one_line_error(capsys, ["verify", "mh", "-a", "0", "-b", "0"],
                            "need a >= 1, got a=0")

@@ -91,6 +91,19 @@ def test_phi_matrix_round_trip(rng):
     assert np.array_equal(phi.t, phi2.t)
 
 
+def test_zero_row_quotient_round_trip(rng):
+    # f = 0: no covectors, but the layout still has 10a (resp. 9a) columns
+    phi = FFormQuotient.random(rng, 3, 0, P)
+    mat = phi.phi_matrix()
+    assert mat.shape == (0, 30)
+    phi2 = FFormQuotient.from_phi_matrix(mat, 3, P)
+    assert phi2.t.shape == (0, 3, 4, 4)
+    hs = restrict_to_H(phi, random_frame(rng, P))
+    assert hs.phi_h.shape == (0, 27)
+    assert fstar_ZT(hs).shape == (0, 12)
+    assert zh_rank(hs) == 0
+
+
 def test_phi_matrix_layout(rng):
     # coordinate (j, x_p x_q) of A(x)S^2V sits at column j * 10 + pair index
     phi = FFormQuotient.random(rng, 3, 2, P)
@@ -151,7 +164,7 @@ def test_z_rank_monotone_bounded(rng):
 def test_stack_quotient_rejects_dependent(rng):
     phi = FFormQuotient.random(rng, 3, 2, P)
     row = phi.phi_matrix()[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="extra covectors are dependent on Z"):
         stack_quotient(phi, [row])
 
 
