@@ -156,7 +156,7 @@ def mh_rank_survey(sample, trials, seed):
     for trial in range(trials):
         rng = derive_rng(seed, 5, trial)
         frame = random_frame(rng, sample.prime)
-        r = exactalg.rank(mh1(sample.m, frame), sample.prime)
+        r = exactalg.rank(mh1(sample.m.in_frame(frame)), sample.prime)
         hist[r] = hist.get(r, 0) + 1
     return hist
 

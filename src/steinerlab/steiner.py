@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg
-from .multilin import dim_sym, mono_basis, mult_index
+from .multilin import dim_sym, mono_basis, mult_index, transform_presentation
 
 
 class NotLocallyFree(Exception):
@@ -81,6 +81,12 @@ class SteinerPresentation:
         for k in range(4):
             out[k::4, :] = self.Ms[k]
         return out
+
+    def in_frame(self, frame):
+        """The presentation written in the coordinates of a hyperplane
+        frame, where H = {x4 = 0}."""
+        Ms = transform_presentation(self.Ms, frame.Pinv, frame.prime)
+        return SteinerPresentation(self.a, self.b, Ms, self.prime)
 
     def transpose(self):
         """The presentation with matrices M_k^T and the roles of A, B

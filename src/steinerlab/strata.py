@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg, subspace
-from .multilin import HV_MONO_INDICES, MONO_PQ
 from .seeding import derive_rng
 
 
@@ -296,16 +295,9 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
 # rank-0 covectors
 
 
-# positions of the target coordinates inside the flattened (p, q) block of
-# the induced covector, p < 4 (full) or p < 3 (hyperplane): the ten
-# degree-2 monomials of A(x)S^2V, or the nine of A(x)H.V
-_FULL_COLS = [pp * 4 + qq for pp, qq in MONO_PQ]
-_HYPER_COLS = [_FULL_COLS[i] for i in HV_MONO_INDICES]
-
-
-def find_rank0(phi, frame=None):
-    """Search for a covector g cutting a hyperplane of Z (or of Z' when a
-    frame is given) with Z-rank (resp. (Z,H)-rank) zero.
+def find_rank0(sl):
+    """Search for a covector g cutting a hyperplane of the slice sl (Z, or
+    Z' on a hyperplane) with Z-rank (resp. (Z,H)-rank) zero.
 
     The symmetry constraints on the coefficient family c are linear: solve
     them, then return the first kernel basis vector's induced covector that
@@ -315,14 +307,10 @@ def find_rank0(phi, frame=None):
     If every basis vector induces a dependent covector the span does too,
     and None is honest.
     """
-    a, f, p = phi.a, phi.f, phi.prime
+    a, f, p = sl.phi.a, sl.phi.f, sl.phi.prime
     if f == 0:
         return None
-    if frame is None:
-        n, t, quotient, cols = 4, phi.t, phi.phi_matrix(), _FULL_COLS
-    else:
-        hslice = subspace.restrict_to_H(phi, frame)
-        n, t, quotient, cols = 3, hslice.tframe, hslice.phi_h, _HYPER_COLS
+    n, t = sl.n, sl.t
     # unknowns c[pp, rr, s] for pp in 1..n, rr in 1..4, flattened row-major;
     # for each j and pp < qq <= n:
     #   sum_{r,s} c[pp,r,s] t[s,j,qq,r] - c[qq,r,s] t[s,j,pp,r] = 0
@@ -337,12 +325,12 @@ def find_rank0(phi, frame=None):
     if not kernel:
         return None
     # induced covectors g[j, (p, q)] = sum_{r,s} c[p,r,s] t[s,j,q,r], one per
-    # kernel vector; the symmetry system makes the (p,q) and (q,p) readings
-    # agree
+    # kernel vector, read on the slice's coordinates; the symmetry system
+    # makes the (p,q) and (q,p) readings agree
     C = np.stack(kernel).reshape(len(kernel), n, 4, f)
     G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(len(kernel), a, n * 4)
-    G = np.mod(G[:, :, cols].reshape(len(kernel), -1), p)
-    R, r, pivots = exactalg.rref(quotient, p)
+    G = np.mod(G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(len(kernel), -1), p)
+    R, r, pivots = exactalg.rref(sl.rows, p)
     rest = np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
     hits = np.flatnonzero(rest.any(axis=1))
     return G[hits[0]] if hits.size else None
@@ -354,15 +342,12 @@ def rank_distribution(phi, frame=None, codim=1, trials=50, seed=0):
     if trials < 1:
         raise ValueError("trials must be positive")
     p = phi.prime
+    sl = subspace.zslice(phi, frame)
     hist = {}
-    hslice = subspace.restrict_to_H(phi, frame) if frame is not None else None
-    amb = 10 * phi.a if frame is None else 9 * phi.a
     for trial in range(trials):
         rng = derive_rng(seed, 7, trial)
-        extra = [rng.integers(0, p, size=amb, dtype=np.int64) for _ in range(codim)]
-        if frame is None:
-            r = subspace.z_rank(phi, extra)
-        else:
-            r = subspace.zh_rank(hslice, extra)
+        extra = [rng.integers(0, p, size=sl.rows.shape[1], dtype=np.int64)
+                 for _ in range(codim)]
+        r = subspace.z_rank(sl, extra)
         hist[r] = hist.get(r, 0) + 1
     return hist

@@ -7,26 +7,28 @@ factor-of-2 bookkeeping: values on monomials, not on symmetrized tensors.
 Matrices of covectors and coefficient tensors convert into each other
 through the layout of multilin (MONO_PQ, HV_MONO_INDICES): one gather reads
 a tensor's coordinates on A(x)S^2V or on A(x)H.V, and one scatter writes
-them back.  Three maps are derived from the tensor:
+them back.
 
-* gstar(Phi): A(x)V -> V^at(x)F, the 4f x 4a matrix with entry t[s,j,p,q] at
-  row (s,p), column (j,q).  Its rank is the V*-rank of Z = ker Phi, and
-  Phi vanishes on the image of m(1) exactly when gstar(Phi) kills every
-  column of m.
-* the restriction Phi_H to A(x)H.V for a hyperplane H of V, computed in the
-  frame where H = {x4 = 0}.
-* fstar_ZT: the stack of gstar (in frame coordinates) with the H-column
-  slices of the quotient cutting T inside Z' = Z cap A(x)H.V; its rank excess
-  over the V*-rank is the (Z,H)-rank of T.
+gstar(Phi): A(x)V -> V^at(x)F is the 4f x 4a matrix with entry t[s,j,p,q]
+at row (s,p), column (j,q).  Its rank is the V*-rank of Z = ker Phi, and
+Phi vanishes on the image of m(1) exactly when gstar(Phi) kills every
+column of m.
 
-A subspace T cut out of Z (or of Z') by extra covectors is presented by the
-quotient's rows with the extra covectors appended, built in one place for
-the full-space and the hyperplane systems alike.
+Rank invariants are taken on a slice, built by zslice: Z itself, or, for a
+hyperplane H of V, Z' = Z cap A(x)H.V in the frame where H = {x4 = 0} (the
+trace on a hyperplane of the methode d'Horace).  The slice carries the
+tensor in its coordinates, the quotient's rows on the ten (resp. nine)
+coordinates of A(x)S^2V (resp. A(x)H.V), its number n of frame directions
+(4, resp. 3) and the V*-rank of Z, computed at most once.  A subspace T cut
+out of the slice by extra covectors has one stacked system fstar_ZT, gstar
+in slice coordinates over the rows p < n of the extras; its rank excess
+over the V*-rank, z_rank, is the Z-rank of T on Z and its (Z,H)-rank on Z'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from . import exactalg
 from .multilin import (
     HV_MONO_INDICES,
     MONO_PQ,
-    HyperplaneFrame,
     random_frame,
     transform_fform_tensor,
     transform_presentation,
@@ -80,14 +81,6 @@ def _block_rows(t, n=4):
     k, a = t.shape[:2]
     G = t[:, :, :n].transpose(0, 2, 1, 3).reshape(n * k, 4 * a)
     return np.ascontiguousarray(G)
-
-
-def _stack(rows, extra, p):
-    """The quotient's rows with the extra covectors appended, mod p."""
-    if not len(extra):
-        return rows
-    extra = np.mod(np.asarray(extra, dtype=np.int64).reshape(len(extra), -1), p)
-    return np.vstack([rows, extra])
 
 
 @dataclass(frozen=True)
@@ -167,133 +160,121 @@ def zstar_basis(phi):
     return exactalg.kernel_basis(gstar(phi), phi.prime)
 
 
-def stack_quotient(phi, extra):
-    """Quotient presenting the subspace of Z cut by extra covectors on
-    A(x)S^2V.  Rejects covectors that are dependent modulo Phi's rows."""
-    stacked = _stack(phi.phi_matrix(), extra, phi.prime)
-    try:
-        return FFormQuotient.from_phi_matrix(stacked, phi.a, phi.prime)
-    except ValueError:
-        # Phi's rows are independent, so the stack fails only on the extras
-        raise ValueError("extra covectors are dependent on Z") from None
-
-
-def z_rank(phi, extra):
-    """V*-rank excess of the subspace T = Z cap ker(extra) over Z."""
-    bigger = stack_quotient(phi, extra)
-    return vstar_rank(bigger) - vstar_rank(phi)
-
-
 # ---------------------------------------------------------------------------
-# hyperplane slices
+# the slice of Z that rank invariants are taken on
 
 
 @dataclass(frozen=True)
-class HSliceZ:
-    """Z' = Z cap A(x)H.V, carried in the frame normalizing H to {x4=0}.
+class ZSlice:
+    """Z = ker Phi, or its hyperplane slice Z' = Z cap A(x)H.V carried in
+    the frame where H = {x4 = 0}; build it with zslice.
 
-    phi_h is the f x 9a matrix of the restricted quotient on the coordinates
-    of A(x)H.V; tframe is the full coefficient tensor in frame coordinates.
+    t is the coefficient tensor in slice coordinates, pq the block positions
+    of the slice's coordinates (_S2V on Z, _HV on Z'), rows the quotient's
+    rows on them, and n the number of frame directions (4, or 3 on H).
     """
 
     phi: FFormQuotient
-    frame: HyperplaneFrame
-    tframe: np.ndarray
-    phi_h: np.ndarray
+    t: np.ndarray
+    pq: np.ndarray
+    rows: np.ndarray
+    n: int
 
-    @property
-    def a(self):
-        return self.phi.a
-
-    @property
-    def f(self):
-        return self.phi.f
-
-    def zprime_dim(self):
-        return 9 * self.a - exactalg.rank(self.phi_h, self.phi.prime)
+    @cached_property
+    def vstar(self):
+        """The V*-rank of Z, computed at most once per slice."""
+        return vstar_rank(self.phi)
 
 
-def restrict_to_H(phi, frame):
-    """Slice Z by A(x)H.V; raises NonTransverse when the intersection is too
-    big (rank of the restricted quotient below f)."""
-    tframe = transform_fform_tensor(phi.t, frame)
-    phi_h = _coords(tframe, _HV)
+def zslice(phi, frame=None):
+    """The slice Z of phi, or Z' for the hyperplane of `frame`; raises
+    NonTransverse when dim Z' exceeds 9a - f (rank of Phi_H below f)."""
+    if frame is None:
+        return ZSlice(phi, phi.t, _S2V, phi.phi_matrix(), 4)
+    t = transform_fform_tensor(phi.t, frame)
+    rows = _coords(t, _HV)
     if phi.f:
-        r = exactalg.rank(phi_h, phi.prime)
+        r = exactalg.rank(rows, phi.prime)
         if r < phi.f:
             raise NonTransverse(
                 f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}"
             )
-    return HSliceZ(phi, frame, tframe, phi_h)
+    return ZSlice(phi, t, _HV, rows, 3)
 
 
-def _fstar(hslice, u):
-    """fstar_ZT for the quotient u = [Phi_H; extra] of T, unchecked."""
-    bottom = _block_rows(_tensor(u, hslice.a, _HV), 3)
-    return np.vstack([_block_rows(hslice.tframe), bottom])
+def _extra_rows(sl, extra):
+    """The extra covectors as a matrix on the slice's coordinates, mod p."""
+    mat = np.asarray(extra, dtype=np.int64)
+    return np.mod(mat.reshape(len(extra), sl.rows.shape[1]), sl.phi.prime)
 
 
-def fstar_ZT(hslice, extra=()):
-    """Stacked matrix (4f + 3(f+e)) x 4a for the subspace T of Z' cut by e
-    extra covectors on A(x)H.V (empty extra means T = Z').
-
-    Top block: gstar in frame coordinates.  Bottom block: the H-column
-    matrix of the full quotient [Phi_H; extra] of T, row (s, p) for p in
-    1..3 and column (j, q) holding its value on alpha_j (x) v_p v_q."""
-    p = hslice.phi.prime
-    u = _stack(hslice.phi_h, extra, p)
-    if exactalg.rank(u, p) != len(u):
-        raise ValueError("extra covectors are dependent on Z'")
-    return _fstar(hslice, u)
+def _system(sl, extra):
+    """fstar_ZT for the matrix of extra covectors, unchecked."""
+    bottom = _block_rows(_tensor(extra, sl.phi.a, sl.pq), sl.n)
+    return np.vstack([_block_rows(sl.t), bottom])
 
 
-def zh_rank(hslice, extra=()):
-    """rank of fstar_ZT minus the V*-rank of Z."""
-    M = fstar_ZT(hslice, extra)
-    return exactalg.rank(M, hslice.phi.prime) - vstar_rank(hslice.phi)
+def fstar_ZT(sl, extra=()):
+    """Stacked matrix (4f + n e) x 4a for the subspace T of the slice cut by
+    e extra covectors on its coordinates (empty extra means T is the slice).
+
+    Top block: gstar in slice coordinates.  Bottom block: row (s, p) for
+    p < n and column (j, q) holding extra covector s on alpha_j (x) v_p v_q.
+    The quotient's own rows would add nothing: on Z they are the top block,
+    on Z' its rows p < 3.  Rejects extras dependent on the quotient's rows.
+    """
+    extra = _extra_rows(sl, extra)
+    u = np.vstack([sl.rows, extra])
+    if exactalg.rank(u, sl.phi.prime) != len(u):
+        raise ValueError("extra covectors are dependent on the quotient's rows")
+    return _system(sl, extra)
+
+
+def z_rank(sl, extra=()):
+    """Rank excess of the subspace T of the slice cut by extra covectors
+    over Z: the Z-rank of T on Z, its (Z,H)-rank on Z'."""
+    return exactalg.rank(fstar_ZT(sl, extra), sl.phi.prime) - sl.vstar
 
 
 # ---------------------------------------------------------------------------
 # transported equation systems
 
 
-def mh1(m, frame):
-    """Matrix of m_H(1): B(x)H -> A(x)H.V, shape 9a x 3b.
+def mh1(mf):
+    """Matrix of m_H(1): B(x)H -> A(x)H.V, shape 9a x 3b, for a presentation
+    mf in the coordinates of a frame (m.in_frame(frame)), where H = {x4 = 0}.
 
-    Assembled from the frame-transformed presentation by deleting the
-    columns with a v4 factor and the x4^2 row of each A-block."""
-    Ms = transform_presentation(m.Ms, frame.Pinv, frame.prime)
-    mf = SteinerPresentation(m.a, m.b, Ms, m.prime)
-    full = assemble_md(mf, 1).reshape(m.a, 10, m.b, 4)
+    Assembled by deleting the columns with a v4 factor and the x4^2 row of
+    each A-block."""
+    full = assemble_md(mf, 1).reshape(mf.a, 10, mf.b, 4)
     mh = full[:, list(HV_MONO_INDICES), :, :3]
-    return np.ascontiguousarray(mh.reshape(9 * m.a, 3 * m.b))
+    return np.ascontiguousarray(mh.reshape(9 * mf.a, 3 * mf.b))
 
 
 def transport_check(m, phi, frame=None, extra=()):
     """Evaluate both sides of the transport equivalence; returns (lhs, rhs).
 
-    lhs states the conditions on multiplication maps: Phi kills the image of
-    m(1), and, when a frame is given, the quotient [Phi_H; extra] kills the
-    image of m_H(1).  rhs states that the transported stacked system kills
-    every column of m.  The two are equivalent; tests assert lhs == rhs on
-    random and constructed instances.
+    lhs states the conditions on multiplication maps: the quotient
+    [Phi; extra] kills the image of m(1) or, when a frame is given, Phi
+    kills it and [Phi_H; extra] kills the image of m_H(1).  rhs states that
+    the stacked system of the slice kills every column of m, in slice
+    coordinates.  The two are equivalent; tests assert lhs == rhs on random
+    and constructed instances.
     """
     p = m.prime
-    m1 = assemble_md(m, 1)
-    lhs = not exactalg.matmul_mod(phi.phi_matrix(), m1, p).any()
-    if frame is None:
-        rhs = not exactalg.matmul_mod(gstar(phi), m.columns(), p).any()
-        return lhs, rhs
-    hslice = restrict_to_H(phi, frame)
+    sl = zslice(phi, frame)
     # no independence check: a dependent extra covector is a valid instance
-    u = _stack(hslice.phi_h, extra, p)
-    mh = mh1(m, frame)
-    lhs = lhs and not exactalg.matmul_mod(u, mh, p).any()
-    stacked = _fstar(hslice, u)
-    cols_frame = SteinerPresentation(
-        m.a, m.b, transform_presentation(m.Ms, frame.Pinv, frame.prime), p
-    ).columns()
-    rhs = not exactalg.matmul_mod(stacked, cols_frame, p).any()
+    extra = _extra_rows(sl, extra)
+    u = np.vstack([sl.rows, extra])
+    if frame is None:
+        lhs = not exactalg.matmul_mod(u, assemble_md(m, 1), p).any()
+    else:
+        lhs = not exactalg.matmul_mod(phi.phi_matrix(), assemble_md(m, 1),
+                                      p).any()
+        m = m.in_frame(frame)
+        mh = mh1(m)
+        lhs = lhs and not exactalg.matmul_mod(u, mh, p).any()
+    rhs = not exactalg.matmul_mod(_system(sl, extra), m.columns(), p).any()
     return lhs, rhs
 
 
@@ -310,22 +291,14 @@ def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
     phi = FFormQuotient.random(rng, a, f, p)
     frame = random_frame(rng, p) if variant != "full" else None
     extra = []
-    positive = trial % 3 == 0
-    if variant == "full":
-        if positive:
-            m = presentation_in_span(zstar_basis(phi), b, rng, p)
-        else:
-            m = SteinerPresentation.random(rng, a, b, p)
-        lhs, rhs = transport_check(m, phi)
-        return lhs == rhs
-    hslice = restrict_to_H(phi, frame)
     if variant == "combined":
         extra = [rng.integers(0, p, size=9 * a, dtype=np.int64)]
-    if positive:
-        kern = exactalg.kernel_basis(fstar_ZT(hslice, extra), p)
-        mf = presentation_in_span(kern, b, rng, p)
-        m = SteinerPresentation(
-            a, b, transform_presentation(mf.Ms, frame.P, p), p)
+    if trial % 3 == 0:
+        kern = exactalg.kernel_basis(fstar_ZT(zslice(phi, frame), extra), p)
+        m = presentation_in_span(kern, b, rng, p)
+        if frame is not None:
+            m = SteinerPresentation(
+                a, b, transform_presentation(m.Ms, frame.P, p), p)
     else:
         m = SteinerPresentation.random(rng, a, b, p)
     lhs, rhs = transport_check(m, phi, frame, extra)

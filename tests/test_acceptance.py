@@ -32,12 +32,11 @@ from steinerlab.strata import (
 )
 from steinerlab.subspace import (
     FFormQuotient,
-    restrict_to_H,
     transport_trial,
     vstar_rank,
     witness_z,
     z_rank,
-    zh_rank,
+    zslice,
 )
 
 P = exactalg.DEFAULT_PRIME
@@ -203,19 +202,20 @@ def test_criterion_06_rank0_thresholds():
                 phi = FFormQuotient.random(rng, a, f, P)
                 frame = random_frame(rng, P)
                 if 5 * f != 2 * a:
-                    g = find_rank0(phi)
+                    sl = zslice(phi)
+                    g = find_rank0(sl)
                     want = 5 * f > 2 * a
                     good = (g is not None) == want and (
-                        g is None or z_rank(phi, [g]) == 0
+                        g is None or z_rank(sl, [g]) == 0
                     )
                     if not good:
                         bad.append(("full", a, f, seed))
                 if 11 * f != 3 * a:
-                    g = find_rank0(phi, frame)
+                    hs = zslice(phi, frame)
+                    g = find_rank0(hs)
                     want = 11 * f > 3 * a
                     good = (g is not None) == want and (
-                        g is None
-                        or zh_rank(restrict_to_H(phi, frame), [g]) == 0
+                        g is None or z_rank(hs, [g]) == 0
                     )
                     if not good:
                         bad.append(("hyper", a, f, seed))

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab import cli, exactalg
 from steinerlab.steiner import SteinerPresentation, write_presentation
@@ -258,25 +260,41 @@ def test_dmax_reaches_the_table(capsys, argv):
     _assert_one_line_error(capsys, argv, "NotLocallyFree")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--trials", "0", "verify", "transport"],
-    ["verify", "curve", "-a", "7", "-b", "21", "--trials", "0"],
-], ids=["transport", "curve"])
-def test_trials_below_one_rejected_by_parser(capsys, argv):
+def _assert_parser_rejects(capsys, argv, message):
+    # argparse leaves through SystemExit; its message is one line, no usage
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --trials: must be at least 1, got 0" in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0", "verify", "transport"],
+    ["verify", "curve", "-a", "7", "-b", "21", "--trials", "0"],
+], ids=["transport", "curve"])
+def test_trials_below_one_rejected_by_parser(capsys, argv):
+    _assert_parser_rejects(capsys, argv,
+                           "argument --trials: must be at least 1, got 0")
 
 
 def test_trials_env_below_one_rejected(monkeypatch, capsys):
     monkeypatch.setenv("STEINERLAB_TRIALS", "0")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "transport"])
-    assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    _assert_parser_rejects(capsys, ["verify", "transport"],
+                           "must be at least 1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "rank0", "-a", "x", "-f", "1"],
+     "argument -a: invalid int value: 'x'"),
+    (["verify", "pw", "-a", "3"],
+     "the following arguments are required: -b"),
+], ids=["a-not-int", "b-missing"])
+def test_parser_rejections_print_one_line(capsys, argv, message):
+    _assert_parser_rejects(capsys, argv, message)
 
 
 def test_verify_pw_without_quotient():
@@ -319,3 +337,71 @@ def test_quotient_sampler_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "derive_rng", lambda *key: _ZeroRng())
     _assert_one_line_error(capsys, ["verify", "rank0", "-a", "2", "-f", "1"],
                            "SamplingFailed: no rank-1 quotient")
+
+
+# ---------------------------------------------------------------------------
+# property: every argv ends in a report or a one-line error
+
+_N = st.integers(-1, 6).map(str)
+_K = st.integers(-8, 8).map(str)
+
+_COMMANDS = st.one_of(
+    st.tuples(_N, _N, _N, _K, _K).map(
+        lambda c: ["cohomology", "-a", c[0], "-b", c[1], "-f", c[2],
+                   "--kmin", c[3], "--kmax", c[4]]),
+    st.sampled_from([["table", "jordan4"], ["table", "jordan3x4"],
+                     ["verify", "transport"]]),
+    st.tuples(st.sampled_from(["pw", "mh"]), _N, _N, _N).map(
+        lambda c: ["verify", c[0], "-a", c[1], "-b", c[2], "-f", c[3]]),
+    st.tuples(_N, _N, st.booleans()).map(
+        lambda c: ["verify", "rank0", "-a", c[0], "-f", c[1]]
+        + ["--hyperplane"] * c[2]),
+    st.tuples(_N, _N).map(
+        lambda c: ["verify", "curve", "-a", c[0], "-b", c[1]]),
+)
+
+_GLOBALS = st.tuples(
+    st.sampled_from(["5", "7", "11", "97", "32003"]),
+    st.integers(1, 3).map(str),
+    st.integers(0, 3).map(str),
+    st.booleans(),
+).map(lambda g: ["--prime", g[0], "--trials", g[1], "--seed", g[2]]
+      + ["--json"] * g[3])
+
+
+def _broken(argv, how):
+    """argv with one value argparse rejects: a zero trial count, a
+    non-integer -a, or a dropped -b (else -f) with its value."""
+    argv = list(argv)
+    if how == "trials":
+        argv[argv.index("--trials") + 1] = "0"
+    elif how == "int":
+        argv += ["-a", "x"] if "-a" not in argv else []
+        argv[argv.index("-a") + 1] = "x"
+    elif how == "drop":
+        for flag in ("-b", "-f"):
+            if flag in argv:
+                i = argv.index(flag)
+                return argv[:i] + argv[i + 2:]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_GLOBALS, _COMMANDS,
+       st.sampled_from([None, None, None, "trials", "int", "drop"]))
+def test_every_argv_reports_or_fails_in_one_line(flags, command, how):
+    argv = _broken(flags + command, how)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("error: ")
+    elif "--json" in argv:
+        failed = [c for c in json.loads(out.getvalue())["checks"]
+                  if not c["pass"]]
+        assert bool(failed) == (code == 1), argv

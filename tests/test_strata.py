@@ -168,37 +168,36 @@ def test_jordan3x4_table():
 
 def test_find_rank0_full_context(rng):
     # witnesses exist exactly above the 5f > 2a threshold
-    phi = subspace.FFormQuotient.random(rng, 2, 1, P)
-    g = find_rank0(phi)
+    sl = subspace.zslice(subspace.FFormQuotient.random(rng, 2, 1, P))
+    g = find_rank0(sl)
     assert g is not None
-    assert subspace.z_rank(phi, [g]) == 0
+    assert subspace.z_rank(sl, [g]) == 0
 
     phi = subspace.FFormQuotient.random(rng, 3, 1, P)
-    assert find_rank0(phi) is None
+    assert find_rank0(subspace.zslice(phi)) is None
 
 
 def test_find_rank0_hyper_context(rng):
     phi = subspace.FFormQuotient.random(rng, 2, 1, P)
-    frame = random_frame(rng, P)
-    g = find_rank0(phi, frame)
+    hs = subspace.zslice(phi, random_frame(rng, P))
+    g = find_rank0(hs)
     assert g is not None
-    hs = subspace.restrict_to_H(phi, frame)
-    assert subspace.zh_rank(hs, [g]) == 0
+    assert subspace.z_rank(hs, [g]) == 0
 
     phi = subspace.FFormQuotient.random(rng, 4, 1, P)
-    assert find_rank0(phi, random_frame(rng, P)) is None
+    assert find_rank0(subspace.zslice(phi, random_frame(rng, P))) is None
 
 
 def test_find_rank0_small_a_large_f(rng):
     # a = 2, f = 3: far above both thresholds, both contexts must produce
     # verified witnesses
     phi = subspace.FFormQuotient.random(rng, 2, 3, P)
-    g = find_rank0(phi)
-    assert g is not None and subspace.z_rank(phi, [g]) == 0
-    frame = random_frame(rng, P)
-    gh = find_rank0(phi, frame)
-    hs = subspace.restrict_to_H(phi, frame)
-    assert gh is not None and subspace.zh_rank(hs, [gh]) == 0
+    sl = subspace.zslice(phi)
+    g = find_rank0(sl)
+    assert g is not None and subspace.z_rank(sl, [g]) == 0
+    hs = subspace.zslice(phi, random_frame(rng, P))
+    gh = find_rank0(hs)
+    assert gh is not None and subspace.z_rank(hs, [gh]) == 0
 
 
 def rank0_by_loops(phi, frame=None):
@@ -208,8 +207,8 @@ def rank0_by_loops(phi, frame=None):
     if frame is None:
         n, t, quotient, width, target = 4, phi.t, phi.phi_matrix(), 10, int
     else:
-        hs = subspace.restrict_to_H(phi, frame)
-        n, t, quotient = 3, hs.tframe, hs.phi_h
+        hs = subspace.zslice(phi, frame)
+        n, t, quotient = 3, hs.t, hs.rows
         width, target = 9, HV_MONO_INDICES.index
 
     def unk(pp, rr, s):
@@ -246,7 +245,7 @@ def test_find_rank0_matches_loop_reference(rng):
         phi = subspace.FFormQuotient.random(rng, a, f, P)
         frame = random_frame(rng, P) if trial % 2 else None
         want = rank0_by_loops(phi, frame)
-        got = find_rank0(phi, frame)
+        got = find_rank0(subspace.zslice(phi, frame))
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got, want)

@@ -10,6 +10,7 @@ import pytest
 from steinerlab import exactalg, subspace
 from steinerlab.multilin import (
     HV_MONO_INDICES,
+    MONO_PQ,
     frame_x4,
     pair_index,
     random_frame,
@@ -22,20 +23,18 @@ from steinerlab.steiner import (
 )
 from steinerlab.subspace import (
     FFormQuotient,
-    HSliceZ,
     NonTransverse,
+    ZSlice,
     fstar_ZT,
     gstar,
     mh1,
     read_fform,
-    restrict_to_H,
-    stack_quotient,
     transport_check,
     vstar_rank,
     witness_z,
     write_fform,
     z_rank,
-    zh_rank,
+    zslice,
     zstar_basis,
 )
 
@@ -98,10 +97,10 @@ def test_zero_row_quotient_round_trip(rng):
     assert mat.shape == (0, 30)
     phi2 = FFormQuotient.from_phi_matrix(mat, 3, P)
     assert phi2.t.shape == (0, 3, 4, 4)
-    hs = restrict_to_H(phi, random_frame(rng, P))
-    assert hs.phi_h.shape == (0, 27)
+    hs = zslice(phi, random_frame(rng, P))
+    assert hs.rows.shape == (0, 27)
     assert fstar_ZT(hs).shape == (0, 12)
-    assert zh_rank(hs) == 0
+    assert z_rank(hs) == 0
 
 
 def test_phi_matrix_layout(rng):
@@ -147,16 +146,16 @@ def test_z_rank_generic_hyperplane():
     rng = np.random.default_rng(42)
     phi = FFormQuotient.random(rng, 6, 2, P)
     g = rng.integers(0, P, size=60, dtype=np.int64)
-    assert z_rank(phi, [g]) == 4
+    assert z_rank(zslice(phi), [g]) == 4
 
 
 def test_z_rank_monotone_bounded(rng):
-    phi = FFormQuotient.random(rng, 5, 1, P)
+    sl = zslice(FFormQuotient.random(rng, 5, 1, P))
     prev = 0
     extras = []
     for _ in range(3):
         extras.append(rng.integers(0, P, size=50, dtype=np.int64))
-        cur = z_rank(phi, extras)
+        cur = z_rank(sl, extras)
         assert prev <= cur <= prev + 4
         prev = cur
 
@@ -164,70 +163,73 @@ def test_z_rank_monotone_bounded(rng):
 def test_stack_quotient_rejects_dependent(rng):
     phi = FFormQuotient.random(rng, 3, 2, P)
     row = phi.phi_matrix()[0]
-    with pytest.raises(ValueError, match="extra covectors are dependent on Z"):
-        stack_quotient(phi, [row])
+    with pytest.raises(ValueError,
+                       match="extra covectors are dependent on the quotient"):
+        z_rank(zslice(phi), [row])
 
 
 def test_restrict_to_h_generic(rng):
     phi = FFormQuotient.random(rng, 4, 1, P)
     frame = random_frame(rng, P)
-    hs = restrict_to_H(phi, frame)
-    assert isinstance(hs, HSliceZ)
-    assert hs.phi_h.shape == (1, 36)
-    assert hs.zprime_dim() == 9 * 4 - 1
+    hs = zslice(phi, frame)
+    assert isinstance(hs, ZSlice)
+    assert (hs.n, hs.rows.shape) == (3, (1, 36))
+    # dim Z' = 9a - rank Phi_H = 9a - f
+    assert exactalg.rank(hs.rows, P) == 1
 
 
 def test_restrict_to_h_drops_x4_squared(rng):
     # Phi_H is the frame quotient on A(x)S^2V without each block's x4^2
     phi = FFormQuotient.random(rng, 3, 2, P)
-    hs = restrict_to_H(phi, random_frame(rng, P))
-    full = FFormQuotient(3, 2, hs.tframe, P).phi_matrix()
+    hs = zslice(phi, random_frame(rng, P))
+    full = FFormQuotient(3, 2, hs.t, P).phi_matrix()
     cols = [j * 10 + i for j in range(3) for i in HV_MONO_INDICES]
-    assert np.array_equal(hs.phi_h, full[:, cols])
+    assert np.array_equal(hs.rows, full[:, cols])
 
 
 def test_restrict_to_h_transversality():
     # the quadric x4^2 restricts to zero on the hyperplane x4 = 0
     phi = _diag_quadric([0, 0, 0, 1])
     with pytest.raises(NonTransverse):
-        restrict_to_H(phi, frame_x4())
+        zslice(phi, frame_x4())
 
 
 def test_zh_rank_examples():
     rng = np.random.default_rng(7)
     phi = FFormQuotient.random(rng, 4, 1, P)
     frame = random_frame(rng, P)
-    hs = restrict_to_H(phi, frame)
+    hs = zslice(phi, frame)
     g = rng.integers(0, P, size=36, dtype=np.int64)
-    assert zh_rank(hs, [g]) == 3
+    assert z_rank(hs, [g]) == 3
 
     phi5 = FFormQuotient.random(rng, 5, 1, P)
-    hs5 = restrict_to_H(phi5, random_frame(rng, P))
+    hs5 = zslice(phi5, random_frame(rng, P))
     gs = [rng.integers(0, P, size=45, dtype=np.int64) for _ in range(2)]
-    assert zh_rank(hs5, gs) == 6
+    assert z_rank(hs5, gs) == 6
 
 
 def test_zh_rank_of_zprime_itself(rng):
     # T = Z' adds no covector beyond Phi_H, so the excess rank is zero
     phi = FFormQuotient.random(rng, 4, 2, P)
-    hs = restrict_to_H(phi, random_frame(rng, P))
-    assert zh_rank(hs) == 0
+    hs = zslice(phi, random_frame(rng, P))
+    assert z_rank(hs) == 0
 
 
 def test_fstar_shape_and_dependent_extras(rng):
     phi = FFormQuotient.random(rng, 4, 1, P)
-    hs = restrict_to_H(phi, random_frame(rng, P))
+    hs = zslice(phi, random_frame(rng, P))
     M = fstar_ZT(hs, [rng.integers(0, P, size=36, dtype=np.int64)])
-    assert M.shape == (4 * 1 + 3 * 2, 16)
+    # 4f rows of gstar in frame coordinates, 3e rows for the e extras
+    assert M.shape == (4 * 1 + 3 * 1, 16)
     with pytest.raises(ValueError):
-        fstar_ZT(hs, [hs.phi_h[0]])
+        fstar_ZT(hs, [hs.rows[0]])
 
 
 def hcols_by_loops(u_rows, a):
     """The H-column matrix of an e-row covector family on A(x)H.V written
     out entry by entry: row (s, p) for p in 1..3, column (j, q) holding the
     value on alpha_j (x) v_p v_q.  The reference for fstar_ZT's bottom
-    block."""
+    block on Z'."""
     e = u_rows.shape[0]
     out = np.zeros((3 * e, 4 * a), dtype=np.int64)
     for s in range(e):
@@ -243,19 +245,65 @@ def test_fstar_blocks_match_loop_reference(rng):
         a, f = int(rng.integers(1, 6)), int(rng.integers(1, 3))
         e = trial % 3
         phi = FFormQuotient.random(rng, a, f, P)
-        hs = restrict_to_H(phi, random_frame(rng, P))
+        hs = zslice(phi, random_frame(rng, P))
         extra = [rng.integers(0, P, size=9 * a, dtype=np.int64)
                  for _ in range(e)]
         M = fstar_ZT(hs, extra)
-        u = np.vstack([hs.phi_h] + [g.reshape(1, -1) for g in extra])
-        top = gstar(FFormQuotient(a, f, hs.tframe, P))
+        assert M.shape == (4 * f + 3 * e, 4 * a)
+        top = gstar(FFormQuotient(a, f, hs.t, P))
         assert np.array_equal(M[:4 * f], top)
-        assert np.array_equal(M[4 * f:], hcols_by_loops(u, a))
+        if e:
+            assert np.array_equal(M[4 * f:],
+                                  hcols_by_loops(np.vstack(extra), a))
+        # the dropped rows, Phi_H's H-columns, are the top block's p <= 3
+        # rows
+        drop = hcols_by_loops(hs.rows, a).reshape(f, 3, 4 * a)
+        assert np.array_equal(drop, top.reshape(f, 4, 4 * a)[:, :3])
+
+
+def stacked_by_loops(t, u, a, framed):
+    """The stacked system as built before the quotient's own rows were
+    dropped from it: gstar of the tensor t over the rows p < n of the whole
+    quotient u = [rows; extra] of T, n = 3 on A(x)H.V and 4 on A(x)S^2V,
+    written out entry by entry."""
+    n = 3 if framed else 4
+    coords = [MONO_PQ[i] for i in (HV_MONO_INDICES if framed else range(10))]
+    k = len(coords)
+    bottom = np.zeros((n * len(u), 4 * a), dtype=np.int64)
+    for s in range(len(u)):
+        for i, (pp, qq) in enumerate(coords):
+            for j in range(a):
+                if pp < n:
+                    bottom[s * n + pp, j * 4 + qq] = u[s, j * k + i]
+                if qq < n:
+                    bottom[s * n + qq, j * 4 + pp] = u[s, j * k + i]
+    return np.vstack([gstar(FFormQuotient(a, len(t), t, P)), bottom])
+
+
+def test_fstar_matches_stacked_reference(rng):
+    # dropping the quotient's own rows changes neither the rank nor the
+    # canonical kernel basis, on Z and on Z'
+    for trial in range(24):
+        a, f = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        e, framed = trial % 3, bool(trial % 2)
+        phi = FFormQuotient.random(rng, a, f, P)
+        sl = zslice(phi, random_frame(rng, P) if framed else None)
+        width = 9 * a if framed else 10 * a
+        extra = [rng.integers(0, P, size=width, dtype=np.int64)
+                 for _ in range(e)]
+        M = fstar_ZT(sl, extra)
+        u = np.vstack([sl.rows] + [g.reshape(1, -1) for g in extra])
+        ref = stacked_by_loops(sl.t, u, a, framed)
+        assert M.shape == (4 * f + (3 if framed else 4) * e, 4 * a)
+        assert exactalg.rank(M, P) == exactalg.rank(ref, P)
+        got, want = (exactalg.kernel_basis(X, P) for X in (M, ref))
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_mh1_x4_frame_is_deletion(rng):
     m = SteinerPresentation.random(rng, 2, 5, P)
-    mh = mh1(m, frame_x4())
+    mh = mh1(m.in_frame(frame_x4()))
     full = assemble_md(m, 1)
     rows = [j * 10 + i for j in range(2) for i in range(9)]
     cols = [i * 4 + l for i in range(5) for l in (0, 1, 2)]
@@ -282,7 +330,7 @@ def test_transport_framed_positive(rng):
     a, f, b = 3, 1, 4
     phi = FFormQuotient.random(rng, a, f, P)
     frame = random_frame(rng, P)
-    hs = restrict_to_H(phi, frame)
+    hs = zslice(phi, frame)
     extra = [rng.integers(0, P, size=9 * a, dtype=np.int64)]
     stacked = fstar_ZT(hs, extra)
     kern = exactalg.kernel_basis(stacked, P)
