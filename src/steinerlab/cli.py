@@ -12,6 +12,7 @@ STEINERLAB_DMAX, then built-ins (32003 / 0 / 50 / 5).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,11 +26,21 @@ from .seeding import derive_rng
 from .steiner import chi3
 
 
-def _env_default(name, default):
-    """The flag default: the environment variable when set, else the
-    built-in.  Kept as text so that the flag's type parses and checks it
-    like a command-line value."""
-    return os.environ.get(name, "").strip() or str(default)
+# dest, environment variable and built-in default of each global flag
+_GLOBAL_DEFAULTS = (
+    ("prime", "STEINERLAB_PRIME", exactalg.DEFAULT_PRIME),
+    ("seed", "STEINERLAB_SEED", 0),
+    ("trials", "STEINERLAB_TRIALS", 50),
+    ("dmax", "STEINERLAB_DMAX", 5),
+)
+
+
+def _env_defaults():
+    """The global flags' defaults: each environment variable when set, else
+    the built-in.  Kept as text so that each flag's type parses and checks
+    it like a command-line value."""
+    return {dest: os.environ.get(env, "").strip() or str(default)
+            for dest, env, default in _GLOBAL_DEFAULTS}
 
 
 def _positive_int(text):
@@ -305,17 +316,11 @@ def _print_text(report):
 
 
 def _add_global_flags(ap, suppress):
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--prime", type=int,
-                    default=d(_env_default("STEINERLAB_PRIME",
-                                           exactalg.DEFAULT_PRIME)))
-    ap.add_argument("--seed", type=int,
-                    default=d(_env_default("STEINERLAB_SEED", 0)))
-    ap.add_argument("--trials", type=_positive_int,
-                    default=d(_env_default("STEINERLAB_TRIALS", 50)))
-    ap.add_argument("--dmax", type=int,
-                    default=d(_env_default("STEINERLAB_DMAX", 5)))
     kw = {"default": argparse.SUPPRESS} if suppress else {}
+    ap.add_argument("--prime", type=int, **kw)
+    ap.add_argument("--seed", type=int, **kw)
+    ap.add_argument("--trials", type=_positive_int, **kw)
+    ap.add_argument("--dmax", type=int, **kw)
     ap.add_argument("--json", action="store_true",
                     help="emit a canonical JSON report", **kw)
 
@@ -328,7 +333,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  The global flags get
+    their defaults from main, on every call."""
     ap = _Parser(
         prog="steinerlab",
         description="exact mod-p diagnostics for kernel bundles of matrices "
@@ -394,6 +402,9 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    # the parser outlives this call and the environment may change between
+    # calls, so the global flags' defaults are set anew each time
+    ap.set_defaults(**_env_defaults())
     args = ap.parse_args(argv)
     try:
         prime = exactalg.validate_prime(args.prime)

@@ -1,5 +1,5 @@
-"""Monomial bases of symmetric powers of a 4-dimensional space, the
-multiplication indexing S^dV x V -> S^{d+1}V, and hyperplane frames.
+"""Monomial bases of symmetric powers of a 4-dimensional space, their
+indexing, and hyperplane frames.
 
 All matrix indexings in the package rely on one global convention:
 
@@ -60,15 +60,6 @@ def mono_index(mono):
     """Index of an exponent tuple within its degree's basis."""
     d = sum(mono)
     return _mono_pos(d)[tuple(mono)]
-
-
-def mult_index(mono, k):
-    """Index of mono * x_k (k in 1..4) in the next degree's basis."""
-    if not 1 <= k <= 4:
-        raise ValueError(f"variable index must be in 1..4, got {k}")
-    e = list(mono)
-    e[k - 1] += 1
-    return _mono_pos(sum(e))[tuple(e)]
 
 
 def pair_index(p, q):

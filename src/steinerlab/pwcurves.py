@@ -266,13 +266,20 @@ def h1_ic_vanishing(sample, direct=False):
     true iff m(s-3) is surjective (vacuous when s < 3).
 
     With direct=False the certified degree is used when it already implies
-    surjectivity; direct=True always assembles m(s-3) and checks the rank.
+    surjectivity.  direct=True checks m(s-3) itself, independently of that
+    certificate: first by the x1-split of steiner.horace_surjective, the
+    methode d'Horace (Hirschowitz, Manuscripta Math. 50, 1985), which asks
+    full row rank of m'(s-3) on the hyperplane x1 = 0 stacked over
+    M1(x)id; where the split does not certify, by the rank of the dense
+    m(s-3).
     """
     s = sample.b - 2 * sample.a
     if s < 3:
         return True
     d = s - 3
     if not direct and sample.cert.found and sample.cert.d0 <= d:
+        return True
+    if steiner.horace_surjective(sample.m, d):
         return True
     return steiner.cokernel_dim_md(sample.m, d) == 0
 

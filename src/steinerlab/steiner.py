@@ -7,6 +7,11 @@ into graded linear algebra: for twists k >= 0, h0(E_m(k)) is the kernel
 dimension of m(k) and h1 its cokernel dimension, h2 vanishes, and h3 closes
 the Euler characteristic.  Local freeness of E_m is certified by finite-degree
 surjectivity, which propagates upward in degree.
+
+A single degree can also be certified onto without eliminating m(d): split
+its rows and columns by x1-degree and check the part on the hyperplane
+x1 = 0 together with M1, the methode d'Horace (Hirschowitz, Manuscripta
+Math. 50, 1985); see horace_surjective.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg
-from .multilin import dim_sym, mono_basis, mult_index, transform_presentation
+from .multilin import dim_sym, mono_basis, transform_presentation
 
 
 class NotLocallyFree(Exception):
@@ -107,6 +112,24 @@ def presentation_in_span(basis, b, rng, p=exactalg.DEFAULT_PRIME):
     )
 
 
+def _scatter_md(m, cols, rows):
+    """The block of m(d) from the column monomials `cols` (degree d) to the
+    row monomials `rows` (degree d + 1), in the layout of assemble_md:
+    column (i, mu) carries M_k[:, i] to the rows (j, mu*x_k) for each k with
+    mu*x_k among `rows`."""
+    D0, D1 = len(cols), len(rows)
+    pos = {mono: r for r, mono in enumerate(rows)}
+    out = np.zeros((m.a * D1, m.b * D0), dtype=np.int64)
+    for ci, mono in enumerate(cols):
+        for k in range(4):
+            e = list(mono)
+            e[k] += 1
+            tgt = pos.get(tuple(e))
+            if tgt is not None:
+                out[tgt::D1, ci::D0] += m.Ms[k]
+    return out
+
+
 def assemble_md(m, d):
     """Matrix of m(d), shape a*C(d+4,3) x b*C(d+3,3).
 
@@ -115,14 +138,7 @@ def assemble_md(m, d):
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    a, b = m.a, m.b
-    D0, D1 = dim_sym(d), dim_sym(d + 1)
-    out = np.zeros((a * D1, b * D0), dtype=np.int64)
-    for mi, mono in enumerate(mono_basis(d)):
-        for k in range(1, 5):
-            tgt = mult_index(mono, k)
-            out[tgt::D1, mi::D0] += m.Ms[k - 1]
-    return out
+    return _scatter_md(m, mono_basis(d), mono_basis(d + 1))
 
 
 def rank_md(m, d):
@@ -136,6 +152,36 @@ def corank_md(m, d):
 
 def cokernel_dim_md(m, d):
     return exactalg.cokernel_dim(assemble_md(m, d), m.prime)
+
+
+def horace_surjective(m, d):
+    """True when the x1-split of m(d) certifies it surjective, else None.
+
+    Group the rows and columns of m(d) by their x1-exponent e, and let
+    W = span(x2, x3, x4).  Column group e, B(x)x1^e S^{d-e}W, maps to row
+    group e by m'(d-e), the degree-(d-e) map of (M2, M3, M4), that is m on
+    the hyperplane x1 = 0, and to row group e+1 by M1(x)id.  So
+
+        m(d) = [[m'(d), 0], [C, m(d-1).x1]]
+
+    and the stack [m'(d); M1(x)id] of column group 0 against row groups 0
+    and 1 decides it: when the stack has full row rank, m(d) is onto.  Row
+    group 1 meets column group 0 only through M1(x)id, so a full-rank stack
+    forces rank M1 = a.  Then the rows of groups 2..d+1 against column
+    groups 1..d form a block upper-bidiagonal matrix with diagonal blocks
+    M1(x)id, which is onto, and the stack reaches what is left in row groups
+    0 and 1.  This is the methode d'Horace, a trace on a hyperplane plus a
+    residual (Hirschowitz, "La methode d'Horace pour l'interpolation a
+    plusieurs variables", Manuscripta Math. 50, 1985).  The condition is
+    exact but only sufficient: None says nothing about m(d), and
+    cokernel_dim_md decides.
+    """
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    cols = tuple(mu for mu in mono_basis(d) if mu[0] == 0)
+    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] <= 1)
+    stack = _scatter_md(m, cols, rows)
+    return True if exactalg.rank(stack, m.prime) == stack.shape[0] else None
 
 
 @dataclass(frozen=True)

@@ -302,8 +302,9 @@ def find_rank0(sl):
     The symmetry constraints on the coefficient family c are linear: solve
     them, then return the first kernel basis vector's induced covector that
     is independent of the quotient's rows.  Every candidate is reduced at
-    once against one reduced echelon form (R, pivots) of the quotient: the
-    remainder g - g[pivots] R vanishes exactly when g lies in the row span.
+    once against the slice's reduced echelon form (R, pivots), which the
+    quotient's rank check already computed: the remainder g - g[pivots] R
+    vanishes exactly when g lies in the row span.
     If every basis vector induces a dependent covector the span does too,
     and None is honest.
     """
@@ -330,7 +331,7 @@ def find_rank0(sl):
     C = np.stack(kernel).reshape(len(kernel), n, 4, f)
     G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(len(kernel), a, n * 4)
     G = np.mod(G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(len(kernel), -1), p)
-    R, r, pivots = exactalg.rref(sl.rows, p)
+    R, r, pivots = sl.echelon
     rest = np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
     hits = np.flatnonzero(rest.any(axis=1))
     return G[hits[0]] if hits.size else None

@@ -19,10 +19,11 @@ hyperplane H of V, Z' = Z cap A(x)H.V in the frame where H = {x4 = 0} (the
 trace on a hyperplane of the methode d'Horace).  The slice carries the
 tensor in its coordinates, the quotient's rows on the ten (resp. nine)
 coordinates of A(x)S^2V (resp. A(x)H.V), its number n of frame directions
-(4, resp. 3) and the V*-rank of Z, computed at most once.  A subspace T cut
-out of the slice by extra covectors has one stacked system fstar_ZT, gstar
-in slice coordinates over the rows p < n of the extras; its rank excess
-over the V*-rank, z_rank, is the Z-rank of T on Z and its (Z,H)-rank on Z'.
+(4, resp. 3), and the V*-rank of Z and the reduced echelon form of the
+rows, each computed at most once.  A subspace T cut out of the slice by
+extra covectors has one stacked system fstar_ZT, gstar in slice coordinates
+over the rows p < n of the extras; its rank excess over the V*-rank,
+z_rank, is the Z-rank of T on Z and its (Z,H)-rank on Z'.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class FFormQuotient:
     def from_tensor(cls, t, p=exactalg.DEFAULT_PRIME):
         t = np.mod(np.asarray(t, dtype=np.int64), p)
         q = cls(t.shape[1], t.shape[0], t, p)
-        if q.f and exactalg.rank(q.phi_matrix(), p) != q.f:
+        if q.f and q.echelon[1] != q.f:
             raise ValueError("quotient covectors are linearly dependent")
         return q
 
@@ -119,7 +120,7 @@ class FFormQuotient:
             raw = rng.integers(0, p, size=(f, a, 4, 4), dtype=np.int64)
             t = np.mod(raw + raw.transpose(0, 1, 3, 2), p)
             q = cls(a, f, t, p)
-            if f == 0 or exactalg.rank(q.phi_matrix(), p) == f:
+            if f == 0 or q.echelon[1] == f:
                 return q
         raise SamplingFailed(
             f"no rank-{f} quotient of A(x)S^2V with a={a} in 8 draws")
@@ -127,6 +128,12 @@ class FFormQuotient:
     def phi_matrix(self):
         """f x 10a matrix on the monomial basis of A(x)S^2V."""
         return _coords(self.t)
+
+    @cached_property
+    def echelon(self):
+        """(R, rank, pivots), the reduced echelon form of phi_matrix,
+        computed at most once."""
+        return exactalg.rref(self.phi_matrix(), self.prime)
 
 
 def gstar(phi):
@@ -185,6 +192,14 @@ class ZSlice:
         """The V*-rank of Z, computed at most once per slice."""
         return vstar_rank(self.phi)
 
+    @cached_property
+    def echelon(self):
+        """(R, rank, pivots), the reduced echelon form of rows, computed at
+        most once; on Z the rows are phi's own, so it is phi.echelon."""
+        if self.n == 4:
+            return self.phi.echelon
+        return exactalg.rref(self.rows, self.phi.prime)
+
 
 def zslice(phi, frame=None):
     """The slice Z of phi, or Z' for the hyperplane of `frame`; raises
@@ -192,14 +207,14 @@ def zslice(phi, frame=None):
     if frame is None:
         return ZSlice(phi, phi.t, _S2V, phi.phi_matrix(), 4)
     t = transform_fform_tensor(phi.t, frame)
-    rows = _coords(t, _HV)
+    sl = ZSlice(phi, t, _HV, _coords(t, _HV), 3)
     if phi.f:
-        r = exactalg.rank(rows, phi.prime)
+        r = sl.echelon[1]
         if r < phi.f:
             raise NonTransverse(
                 f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}"
             )
-    return ZSlice(phi, t, _HV, rows, 3)
+    return sl
 
 
 def _extra_rows(sl, extra):

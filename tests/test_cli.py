@@ -95,6 +95,20 @@ def test_env_defaults(monkeypatch):
     assert all(c["expected"] == 7 for c in report["checks"])
 
 
+def test_env_defaults_are_read_on_every_call(monkeypatch):
+    # the parser is built once per process, so each call must still see
+    # the environment as it is then
+    for seed in ("3", "11"):
+        monkeypatch.setenv("STEINERLAB_SEED", seed)
+        code, out = run_cli(["--json", "verify", "rank0", "-a", "2",
+                             "-f", "1"])
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == int(seed)
+    monkeypatch.delenv("STEINERLAB_SEED")
+    code, out = run_cli(["--json", "verify", "rank0", "-a", "2", "-f", "1"])
+    assert json.loads(out)["config"]["seed"] == 0
+
+
 def test_cohomology_rows_match_library():
     from steinerlab import pwcurves
 

@@ -13,7 +13,6 @@ from steinerlab.multilin import (
     frame_x4,
     mono_basis,
     mono_index,
-    mult_index,
     pair_index,
     random_frame,
     transform_fform_tensor,
@@ -46,25 +45,6 @@ def test_mono_basis_generic_degree():
         assert len(set(basis)) == len(basis)
         for mono in basis:
             assert mono_index(mono) == basis.index(mono)
-
-
-def test_mult_index_shifts_exponent():
-    basis2 = mono_basis(2)
-    basis3 = mono_basis(3)
-    for i, mono in enumerate(basis2):
-        for k in range(1, 5):
-            lifted = list(mono)
-            lifted[k - 1] += 1
-            assert basis3[mult_index(mono, k)] == tuple(lifted)
-
-
-def test_mult_index_commutes():
-    for mono in mono_basis(1):
-        for k1 in range(1, 5):
-            for k2 in range(1, 5):
-                m1 = mono_basis(2)[mult_index(mono, k1)]
-                m2 = mono_basis(2)[mult_index(mono, k2)]
-                assert mult_index(m1, k2) == mult_index(m2, k1)
 
 
 def test_pair_index():

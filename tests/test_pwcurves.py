@@ -207,6 +207,8 @@ def test_h1_ic_edge_cases():
     cert = surjectivity_certificate(zero, 2)
     s = PWSample(1, 5, 0, None, zero, 0, cert, P, 0, 0)
     assert h1_ic_vanishing(s) is False
+    # the x1-split cannot certify m(0), so the dense rank decides
+    assert steiner.horace_surjective(zero, 0) is None
     assert h1_ic_vanishing(s, direct=True) is False
 
 

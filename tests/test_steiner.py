@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from test_backends import oracle_rref
 
-from steinerlab import exactalg, pwcurves, steiner
-from steinerlab.multilin import dim_sym
+from steinerlab import exactalg, pwcurves, steiner, subspace
+from steinerlab.multilin import dim_sym, mono_basis
 from steinerlab.steiner import (
     CohomologyTable,
     NotLocallyFree,
@@ -20,6 +20,7 @@ from steinerlab.steiner import (
     corank_md,
     dual_h0,
     euler_char,
+    horace_surjective,
     rank_md,
     read_presentation,
     surjectivity_certificate,
@@ -53,6 +54,19 @@ def test_assemble_shapes(rng):
     A0 = assemble_md(m, 0)
     for k in range(4):
         assert np.array_equal(A0[k::4, :], m.Ms[k])
+    # degree 2, against a loop over the layout: column (i, mu) holds
+    # M_k[:, i] at the rows (j, mu*x_k) and nothing else
+    D0, D1 = dim_sym(2), dim_sym(3)
+    ref = np.zeros((2 * D1, 7 * D0), dtype=np.int64)
+    for ci, mu in enumerate(mono_basis(2)):
+        for k in range(4):
+            lifted = list(mu)
+            lifted[k] += 1
+            r = mono_basis(3).index(tuple(lifted))
+            for j in range(2):
+                for i in range(7):
+                    ref[j * D1 + r, i * D0 + ci] = m.Ms[k][j, i]
+    assert np.array_equal(assemble_md(m, 2), ref)
 
 
 def test_single_column_rank():
@@ -171,6 +185,81 @@ def test_md_rank_matches_oracle():
     for d in range(6):
         A = assemble_md(m, d)
         assert exactalg.rank(A, P) == oracle_rref(A, P)[1]
+
+
+def test_horace_certificates_have_full_dense_rank():
+    # each `verify curve` sample (A, 3A, 1): every m(d) the x1-split
+    # certifies up to the critical degree A - 3 has dense rank equal to its
+    # row count, and the critical degree itself is certified
+    for A in (7, 8, 9, 10):
+        m = pwcurves.sample_pw(A, 3 * A, 1, seed=0).m
+        certified = [d for d in range(A - 2) if horace_surjective(m, d)]
+        assert A - 3 in certified
+        for d in certified:
+            assert cokernel_dim_md(m, d) == 0
+
+
+def _deficient(rng, a, b, p):
+    """A random a x b matrix of rank below a (a >= 1)."""
+    M = exactalg.random_matrix(rng, a, b, p)
+    M[-1] = 0 if a == 1 else M[0]
+    return M
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_horace_never_certifies_a_cokernel(p):
+    # the dense rank is the oracle.  The draws mix generic presentations,
+    # ones with a deficient M1, and ones inside the kernel Z* of a random
+    # quotient, whose m(1) has a cokernel while its split stack is square
+    # or wide; small primes make deficient draws common
+    rng = np.random.default_rng(p)
+    certified = cokernels = wide_cokernels = 0
+    for trial in range(120):
+        kind = trial % 3
+        if kind == 2:
+            a = int(rng.integers(4, 6))
+            phi = subspace.FFormQuotient.random(rng, a, 1, p)
+            zs = subspace.zstar_basis(phi)
+            m = steiner.presentation_in_span(zs, 3 * a, rng, p)
+            d = 1
+        else:
+            a = int(rng.integers(1, 4))
+            b = int(rng.integers(a, 4 * a + 1))
+            d = int(rng.integers(0, 4))
+            m = SteinerPresentation.random(rng, a, b, p)
+            if kind == 1:
+                m = SteinerPresentation(
+                    a, b, (_deficient(rng, a, b, p),) + m.Ms[1:], p)
+        cert = horace_surjective(m, d)
+        coker = cokernel_dim_md(m, d)
+        assert cert in (True, None)
+        if cert:
+            assert coker == 0, (trial, a, m.b, d)
+            certified += 1
+        elif coker:
+            cokernels += 1
+            wide_cokernels += m.b >= a * (1 + (d + 3) / (d + 1))
+    assert certified and cokernels and wide_cokernels
+
+
+def test_horace_needs_m1_of_full_rank(rng):
+    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    assert horace_surjective(m, 2) is True
+    low = SteinerPresentation(3, 8, (_deficient(rng, 3, 8, P),) + m.Ms[1:], P)
+    assert horace_surjective(low, 2) is None
+
+
+def test_horace_needs_more_than_the_hyperplane():
+    # (a, b, d) = (1, 3, 0): m'(0), the map of (M2, M3, M4), is the 3 x 3
+    # identity and onto, but m(0) is 4 x 3 and cannot be
+    Ms = [np.array([[1, 2, 3]])] + [np.eye(3, dtype=np.int64)[[k]]
+                                     for k in range(3)]
+    m = SteinerPresentation.from_matrices(Ms, P)
+    assert exactalg.rank(assemble_md(m, 0)[[1, 2, 3]], P) == 3
+    assert cokernel_dim_md(m, 0) == 1
+    assert horace_surjective(m, 0) is None
+    with pytest.raises(ValueError):
+        horace_surjective(m, -1)
 
 
 def test_cohomology_table_reads_certificate():
