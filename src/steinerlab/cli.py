@@ -187,7 +187,8 @@ def cmd_verify_pw(args, cfg):
         "rank of m(1) is 10a - f", 10 * args.a - f, sample.rank_m1))
     checks.insert(1, _check(
         "surjectivity certificate found", True, sample.cert.found))
-    lhs, rhs = subspace.transport_check(sample.m, sample.phi)
+    lhs, rhs = subspace.transport_check(sample.m,
+                                        subspace.zslice(sample.phi))
     checks.append(_check(
         "quotient kills the image of m(1), both formulations",
         (True, True), (lhs, rhs)))

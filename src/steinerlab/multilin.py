@@ -99,17 +99,27 @@ class HyperplaneFrame:
 
     @classmethod
     def from_covector(cls, h, p=exactalg.DEFAULT_PRIME):
+        """The frame of ker h, in closed form.
+
+        With j the first nonzero entry of h and f running over the other
+        three indices in order, v_i = e_f - (h_f / h_j) e_j is the canonical
+        kernel basis of the row h (the one its reduced echelon form gives)
+        and v4 = e_j.  The inverse has row e_f^T for each v_i and last row
+        h / h_j: it sends v_i to e_i because h(v_i) = 0, and e_j to e_4.
+        """
         hvec = np.mod(np.asarray(h, dtype=np.int64).reshape(4), p)
         if not hvec.any():
             raise ValueError("hyperplane covector must be nonzero")
-        kb = exactalg.kernel_basis(hvec.reshape(1, 4), p)
-        assert len(kb) == 3
-        j = int(np.nonzero(hvec)[0][0])
+        j = int(np.flatnonzero(hvec)[0])
+        hj_inv = pow(int(hvec[j]), -1, p)
         P = np.zeros((4, 4), dtype=np.int64)
-        for i, v in enumerate(kb):
-            P[:, i] = v
+        Pinv = np.zeros((4, 4), dtype=np.int64)
+        for i, f in enumerate(k for k in range(4) if k != j):
+            P[f, i] = 1
+            P[j, i] = -int(hvec[f]) * hj_inv % p
+            Pinv[i, f] = 1
         P[j, 3] = 1
-        Pinv = exactalg.inv_matrix(P, p)
+        Pinv[3] = hvec * hj_inv % p
         return cls(tuple(int(x) for x in hvec), P, Pinv, p)
 
 

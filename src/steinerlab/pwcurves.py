@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactalg, steiner, subspace
+from . import exactalg, steiner
 from .multilin import random_frame
 from .seeding import derive_rng
 from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
-from .subspace import FFormQuotient, SamplingFailed, mh1, zstar_basis
+from .subspace import FFormQuotient, SamplingFailed, zstar_basis
 
 
 class InadmissibleParams(Exception):
@@ -149,14 +149,35 @@ def check_not_globally_generated(sample):
 
 
 def mh_rank_survey(sample, trials, seed):
-    """Histogram of rank m_H(1) over random hyperplane frames."""
+    """Histogram of rank m_H(1) over random hyperplane frames, each rank read
+    from one kernel basis of m(1).
+
+    For H = ker h, B(x)H is the kernel of id_B(x)h inside B(x)V, and m_H(1)
+    is m(1) on B(x)H (in a frame where H = {x4 = 0}, the x4^2 rows it drops
+    are zero on B(x)H).  So, with K = ker m(1), rank-nullity gives
+    rank m_H(1) = 3b - dim(K cap B(x)H).
+    A vector sum_r c_r K_r of K has B-components w_i = sum_r c_r K_r[4i:4i+4],
+    and it lies in B(x)H iff h(w_i) = (c^T N(h))_i = 0 for every i, where
+    N(h) = sum_k h_k N_k is the section matrix of K at the covector h
+    (N_k[r, i] = K_r[4i + k]).  So K cap B(x)H is the left kernel of N(h),
+    of dimension dim K - rank N(h), and
+
+        rank m_H(1) = 3b - dim K + rank N(h),
+
+    exactly, at every prime and for every presentation.  Trial t draws its
+    frame from derive_rng(seed, 5, t) and reads only its covector h.  Raises
+    KernelDimMismatch when dim K is not 4b - rank m(1), the rank the sample
+    recorded.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
+    b, p = sample.b, sample.prime
+    Ns = _kernel_forms(sample, 4 * b - sample.rank_m1, "4b - rank m(1)")
+    dim_k = len(Ns[0])
     hist = {}
     for trial in range(trials):
-        rng = derive_rng(seed, 5, trial)
-        frame = random_frame(rng, sample.prime)
-        r = exactalg.rank(mh1(sample.m.in_frame(frame)), sample.prime)
+        h = random_frame(derive_rng(seed, 5, trial), p).h
+        r = 3 * b - dim_k + exactalg.rank(evaluate_linear(Ns, h, p), p)
         hist[r] = hist.get(r, 0) + 1
     return hist
 
@@ -241,24 +262,26 @@ def evaluate_linear(mats, x, p=exactalg.DEFAULT_PRIME):
     return np.mod(acc, p)
 
 
+def _kernel_forms(sample, want, name):
+    """The kernel basis K_1..K_c of m(1), read as the four c x b matrices
+    N_k[r, i] = K_r[4i + k] (coefficient of x_k); raises KernelDimMismatch
+    unless c equals `want`, the value of the expression `name`."""
+    kern = exactalg.kernel_basis(assemble_md(sample.m, 1), sample.prime)
+    if len(kern) != want:
+        raise KernelDimMismatch(
+            f"dim ker m(1) = {len(kern)}, expected {name} = {want}"
+        )
+    K = np.array(kern, dtype=np.int64).reshape(len(kern), sample.b, 4)
+    return tuple(np.ascontiguousarray(K[:, :, k]) for k in range(4))
+
+
 def section_matrix(sample):
     """The c x b matrix of linear forms whose rows span ker m(1) in B(x)V.
 
     Returns four c x b scalar matrices N_k (coefficient of x_k).  At any
     point x, every row of N(x) lies in ker M(x); at a generic point N(x) has
     rank c - 1."""
-    a, b, p = sample.a, sample.b, sample.prime
-    c = b - a + 1
-    kern = exactalg.kernel_basis(assemble_md(sample.m, 1), p)
-    if len(kern) != c:
-        raise KernelDimMismatch(
-            f"dim ker m(1) = {len(kern)}, expected c = {c}"
-        )
-    Ns = [np.zeros((c, b), dtype=np.int64) for _ in range(4)]
-    for r, vec in enumerate(kern):
-        for k in range(4):
-            Ns[k][r, :] = vec[k::4]
-    return tuple(Ns)
+    return _kernel_forms(sample, sample.b - sample.a + 1, "c")
 
 
 def h1_ic_vanishing(sample, direct=False):

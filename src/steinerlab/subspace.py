@@ -37,6 +37,7 @@ from . import exactalg
 from .multilin import (
     HV_MONO_INDICES,
     MONO_PQ,
+    HyperplaneFrame,
     random_frame,
     transform_fform_tensor,
     transform_presentation,
@@ -178,14 +179,19 @@ class ZSlice:
 
     t is the coefficient tensor in slice coordinates, pq the block positions
     of the slice's coordinates (_S2V on Z, _HV on Z'), rows the quotient's
-    rows on them, and n the number of frame directions (4, or 3 on H).
+    rows on them, and frame the hyperplane frame of Z' (None on Z).
     """
 
     phi: FFormQuotient
     t: np.ndarray
     pq: np.ndarray
     rows: np.ndarray
-    n: int
+    frame: HyperplaneFrame | None = None
+
+    @property
+    def n(self):
+        """The number of frame directions: 4, or 3 on H."""
+        return 4 if self.frame is None else 3
 
     @cached_property
     def vstar(self):
@@ -196,7 +202,7 @@ class ZSlice:
     def echelon(self):
         """(R, rank, pivots), the reduced echelon form of rows, computed at
         most once; on Z the rows are phi's own, so it is phi.echelon."""
-        if self.n == 4:
+        if self.frame is None:
             return self.phi.echelon
         return exactalg.rref(self.rows, self.phi.prime)
 
@@ -205,9 +211,9 @@ def zslice(phi, frame=None):
     """The slice Z of phi, or Z' for the hyperplane of `frame`; raises
     NonTransverse when dim Z' exceeds 9a - f (rank of Phi_H below f)."""
     if frame is None:
-        return ZSlice(phi, phi.t, _S2V, phi.phi_matrix(), 4)
+        return ZSlice(phi, phi.t, _S2V, phi.phi_matrix())
     t = transform_fform_tensor(phi.t, frame)
-    sl = ZSlice(phi, t, _HV, _coords(t, _HV), 3)
+    sl = ZSlice(phi, t, _HV, _coords(t, _HV), frame)
     if phi.f:
         r = sl.echelon[1]
         if r < phi.f:
@@ -236,11 +242,16 @@ def fstar_ZT(sl, extra=()):
     Top block: gstar in slice coordinates.  Bottom block: row (s, p) for
     p < n and column (j, q) holding extra covector s on alpha_j (x) v_p v_q.
     The quotient's own rows would add nothing: on Z they are the top block,
-    on Z' its rows p < 3.  Rejects extras dependent on the quotient's rows.
+    on Z' its rows p < 3.  Rejects extras dependent on the quotient's rows;
+    with no extras, reads the rows' independence off sl.echelon.
     """
     extra = _extra_rows(sl, extra)
-    u = np.vstack([sl.rows, extra])
-    if exactalg.rank(u, sl.phi.prime) != len(u):
+    if len(extra):
+        u = np.vstack([sl.rows, extra])
+        independent = exactalg.rank(u, sl.phi.prime) == len(u)
+    else:
+        independent = not sl.phi.f or sl.echelon[1] == sl.phi.f
+    if not independent:
         raise ValueError("extra covectors are dependent on the quotient's rows")
     return _system(sl, extra)
 
@@ -266,27 +277,27 @@ def mh1(mf):
     return np.ascontiguousarray(mh.reshape(9 * mf.a, 3 * mf.b))
 
 
-def transport_check(m, phi, frame=None, extra=()):
-    """Evaluate both sides of the transport equivalence; returns (lhs, rhs).
+def transport_check(m, sl, extra=()):
+    """Evaluate both sides of the transport equivalence on the slice sl of a
+    quotient Phi (built by zslice); returns (lhs, rhs).
 
     lhs states the conditions on multiplication maps: the quotient
-    [Phi; extra] kills the image of m(1) or, when a frame is given, Phi
+    [Phi; extra] kills the image of m(1) or, on the slice of a frame, Phi
     kills it and [Phi_H; extra] kills the image of m_H(1).  rhs states that
     the stacked system of the slice kills every column of m, in slice
     coordinates.  The two are equivalent; tests assert lhs == rhs on random
     and constructed instances.
     """
     p = m.prime
-    sl = zslice(phi, frame)
     # no independence check: a dependent extra covector is a valid instance
     extra = _extra_rows(sl, extra)
     u = np.vstack([sl.rows, extra])
-    if frame is None:
+    if sl.frame is None:
         lhs = not exactalg.matmul_mod(u, assemble_md(m, 1), p).any()
     else:
-        lhs = not exactalg.matmul_mod(phi.phi_matrix(), assemble_md(m, 1),
-                                      p).any()
-        m = m.in_frame(frame)
+        lhs = not exactalg.matmul_mod(sl.phi.phi_matrix(),
+                                      assemble_md(m, 1), p).any()
+        m = m.in_frame(sl.frame)
         mh = mh1(m)
         lhs = lhs and not exactalg.matmul_mod(u, mh, p).any()
     rhs = not exactalg.matmul_mod(_system(sl, extra), m.columns(), p).any()
@@ -308,15 +319,16 @@ def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
     extra = []
     if variant == "combined":
         extra = [rng.integers(0, p, size=9 * a, dtype=np.int64)]
+    sl = zslice(phi, frame)
     if trial % 3 == 0:
-        kern = exactalg.kernel_basis(fstar_ZT(zslice(phi, frame), extra), p)
+        kern = exactalg.kernel_basis(fstar_ZT(sl, extra), p)
         m = presentation_in_span(kern, b, rng, p)
         if frame is not None:
             m = SteinerPresentation(
                 a, b, transform_presentation(m.Ms, frame.P, p), p)
     else:
         m = SteinerPresentation.random(rng, a, b, p)
-    lhs, rhs = transport_check(m, phi, frame, extra)
+    lhs, rhs = transport_check(m, sl, extra)
     return lhs == rhs
 
 

@@ -85,6 +85,33 @@ def test_frame_from_covector(rng):
         assert not hits.any()
 
 
+
+def _eliminated_frame(h, p):
+    """P from the kernel basis of the row h, e_j appended, and its inverse
+    by elimination."""
+    hvec = np.mod(np.asarray(h, dtype=np.int64), p)
+    j = int(np.flatnonzero(hvec)[0])
+    P_ = np.zeros((4, 4), dtype=np.int64)
+    for i, v in enumerate(exactalg.kernel_basis(hvec.reshape(1, 4), p)):
+        P_[:, i] = v
+    P_[j, 3] = 1
+    return P_, exactalg.inv_matrix(P_, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 32003, 1048573])
+def test_frame_closed_form_matches_elimination(rng, p):
+    for j in range(4):
+        for _ in range(25):
+            h = rng.integers(0, p, size=4, dtype=np.int64)
+            h[:j] = 0
+            h[j] = rng.integers(1, p)
+            fr = HyperplaneFrame.from_covector(h, p)
+            P_, Pinv = _eliminated_frame(h, p)
+            assert np.array_equal(fr.P, P_)
+            assert np.array_equal(fr.Pinv, Pinv)
+            assert fr.h == tuple(int(x) for x in h)
+
+
 def test_frame_rejects_zero_covector():
     with pytest.raises(ValueError):
         HyperplaneFrame.from_covector([0, 0, 0, 0], P)

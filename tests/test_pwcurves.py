@@ -6,6 +6,7 @@ expansion of the Hilbert polynomial read off the length-3 resolution, so the
 frozen values 45 and 186 do not depend on the code path under test.
 """
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ from steinerlab.pwcurves import (
     verify_thm42,
     write_linforms,
 )
-from steinerlab.steiner import assemble_md, chi3
+from steinerlab.multilin import random_frame
+from steinerlab.seeding import derive_rng
+from steinerlab.steiner import SteinerPresentation, assemble_md, chi3
 
 P = exactalg.DEFAULT_PRIME
 
@@ -134,6 +137,78 @@ def test_mh_rank_survey():
     hist = mh_rank_survey(s, trials=10, seed=0)
     assert hist == {24: 10}
     assert mh_rank_survey(s, trials=10, seed=0) == hist
+
+
+def _dense_survey(s, trials, seed):
+    """The survey as the definition states it: the rank of the assembled
+    m_H(1) in each frame."""
+    hist = {}
+    for trial in range(trials):
+        frame = random_frame(derive_rng(seed, 5, trial), s.prime)
+        r = exactalg.rank(subspace.mh1(s.m.in_frame(frame)), s.prime)
+        hist[r] = hist.get(r, 0) + 1
+    return hist
+
+
+def _as_sample(m):
+    """A PWSample around any presentation, recording its true rank m(1)."""
+    r1 = exactalg.rank(assemble_md(m, 1), m.prime)
+    return PWSample(m.a, m.b, 0, None, m, r1, None, m.prime, 0, 0)
+
+
+def _presentations(p):
+    """A sampled and three random presentations, each also with M_1 = 0
+    and with M_4 = 0, and the zero presentation."""
+    rng = np.random.default_rng(p)
+    out = [sample_pw(3, 8, 1, seed=0, p=p).m]
+    for a, b in ((2, 7), (3, 8), (2, 5)):
+        out.append(SteinerPresentation.random(rng, a, b, p))
+    for m in out[:4]:
+        for k in (0, 3):
+            Ms = list(m.Ms)
+            Ms[k] = np.zeros_like(Ms[k])
+            out.append(SteinerPresentation(m.a, m.b, tuple(Ms), p))
+    zeros = tuple(np.zeros((2, 6), dtype=np.int64) for _ in range(4))
+    out.append(SteinerPresentation(2, 6, zeros, p))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003])
+def test_mh_rank_survey_matches_dense_rank_per_frame(p):
+    # one frame per call: the survey with trials=1 at seed s ranks the
+    # frame of derive_rng(s, 5, 0), as the dense survey does
+    for m in _presentations(p):
+        s = _as_sample(m)
+        for seed in range(12):
+            assert mh_rank_survey(s, 1, seed) == _dense_survey(s, 1, seed)
+
+
+def test_mh_rank_survey_zero_presentation():
+    zeros = tuple(np.zeros((2, 6), dtype=np.int64) for _ in range(4))
+    s = _as_sample(SteinerPresentation(2, 6, zeros, P))
+    assert s.rank_m1 == 0
+    assert mh_rank_survey(s, 5, 0) == {0: 5}
+
+
+def test_mh_rank_survey_injective_m1():
+    # 10a >= 4b: a random m(1) is injective, so K is empty and every
+    # m_H(1) has rank 3b
+    m = SteinerPresentation.random(np.random.default_rng(3), 3, 7, P)
+    s = _as_sample(m)
+    assert s.rank_m1 == 4 * s.b
+    assert mh_rank_survey(s, 8, 0) == {21: 8} == _dense_survey(s, 8, 0)
+
+
+def test_mh_rank_survey_histogram_matches_dense():
+    s = sample_pw(10, 30, 1, seed=0)
+    hist = mh_rank_survey(s, 30, seed=4)
+    assert hist == _dense_survey(s, 30, seed=4) == {89: 30}
+
+
+def test_mh_rank_survey_rejects_forged_rank():
+    s = sample_pw(3, 8, 1, seed=0)
+    with pytest.raises(KernelDimMismatch):
+        mh_rank_survey(dataclasses.replace(s, rank_m1=s.rank_m1 - 1), 3, 0)
 
 
 def test_curve_params_frozen_invariants():

@@ -30,6 +30,7 @@ from steinerlab.subspace import (
     mh1,
     read_fform,
     transport_check,
+    transport_trial,
     vstar_rank,
     witness_z,
     write_fform,
@@ -225,6 +226,39 @@ def test_fstar_shape_and_dependent_extras(rng):
         fstar_ZT(hs, [hs.rows[0]])
 
 
+
+def test_fstar_without_extras_reads_the_slice_echelon(rng, monkeypatch):
+    # the rows' rank comes from the cached echelon form, not a new rank
+    phi = FFormQuotient.random(rng, 3, 2, P)
+    sl, hs = zslice(phi), zslice(phi, random_frame(rng, P))
+
+    def no_rank(*args):
+        raise AssertionError("rows ranked again")
+
+    monkeypatch.setattr(exactalg, "rank", no_rank)
+    assert fstar_ZT(sl).shape == (8, 12)
+    assert fstar_ZT(hs).shape == (8, 12)
+    # dependent quotient rows are still rejected
+    t = np.concatenate([phi.t[:1], phi.t[:1]])
+    with pytest.raises(ValueError):
+        fstar_ZT(zslice(FFormQuotient(3, 2, t, P)))
+
+
+@pytest.mark.parametrize("variant", ["full", "hyper", "combined"])
+def test_transport_trial_builds_one_slice(variant, monkeypatch):
+    built = []
+    orig = subspace.zslice
+
+    def record(*args):
+        built.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(subspace, "zslice", record)
+    for trial in range(3):
+        assert transport_trial(variant, trial, seed=1, p=P)
+    assert len(built) == 3
+
+
 def hcols_by_loops(u_rows, a):
     """The H-column matrix of an e-row covector family on A(x)H.V written
     out entry by entry: row (s, p) for p in 1..3, column (j, q) holding the
@@ -315,13 +349,13 @@ def test_transport_full_constructed_positive(rng):
     a, f, b = 3, 1, 5
     phi = FFormQuotient.random(rng, a, f, P)
     m = presentation_in_span(zstar_basis(phi), b, rng, P)
-    assert transport_check(m, phi) == (True, True)
+    assert transport_check(m, zslice(phi)) == (True, True)
 
 
 def test_transport_full_random_negative(rng):
     phi = FFormQuotient.random(rng, 3, 1, P)
     m = SteinerPresentation.random(rng, 3, 5, P)
-    lhs, rhs = transport_check(m, phi)
+    lhs, rhs = transport_check(m, zslice(phi))
     assert lhs == rhs
     assert not lhs
 
@@ -339,9 +373,9 @@ def test_transport_framed_positive(rng):
     m = SteinerPresentation(
         a, b, transform_presentation(mf.Ms, frame.P, P), P
     )
-    assert transport_check(m, phi, frame, extra) == (True, True)
+    assert transport_check(m, hs, extra) == (True, True)
     # and without the extra covector the equivalence still holds
-    lhs, rhs = transport_check(m, phi, frame)
+    lhs, rhs = transport_check(m, hs)
     assert lhs == rhs
 
 
@@ -349,7 +383,7 @@ def test_transport_framed_random_negative(rng):
     phi = FFormQuotient.random(rng, 3, 1, P)
     frame = random_frame(rng, P)
     m = SteinerPresentation.random(rng, 3, 5, P)
-    lhs, rhs = transport_check(m, phi, frame)
+    lhs, rhs = transport_check(m, zslice(phi, frame))
     assert lhs == rhs
     assert not lhs
 
