@@ -12,6 +12,7 @@ STEINERLAB_DMAX, then built-ins (32003 / 0 / 50 / 5).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -116,12 +117,6 @@ def cmd_table(args, cfg):
     if args.which == "jordan4":
         rows = strata.jordan4_table(p)
         row = {r.label: r for r in rows}
-        payload = [
-            {"label": r.label, "O_ref": r.O_ref, "O_computed": r.O_computed,
-             "S_ref": r.S_ref, "S_computed": r.S_computed,
-             "flags": list(r.flags)}
-            for r in rows
-        ]
         checks.append(_check("types enumerated", 14, len(rows)))
         checks.append(_check(
             "O column matches reference outside flagged rows", True,
@@ -145,14 +140,6 @@ def cmd_table(args, cfg):
         ))
     else:
         rows = strata.jordan3x4_table(p)
-        payload = [
-            {"label": r.label, "c_class": r.c_class,
-             "r_ref": r.r_ref, "r_computed": r.r_computed,
-             "S_ref": r.S_ref, "S_computed": r.S_computed,
-             "O_computed": r.O_computed, "O_ref_display": r.O_ref_display,
-             "flags": list(r.flags)}
-            for r in rows
-        ]
         checks.append(_check(
             "(r, S) columns match reference on every row", True,
             all("ref_mismatch" not in r.flags for r in rows),
@@ -162,6 +149,7 @@ def cmd_table(args, cfg):
             any("pair_map_not_onto" in r.flags and r.r_computed == 0
                 for r in rows),
         ))
+    payload = [dict(dataclasses.asdict(r), flags=list(r.flags)) for r in rows]
     return checks, {"rows": payload}
 
 

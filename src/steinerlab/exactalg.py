@@ -60,13 +60,13 @@ def rref(M, p=DEFAULT_PRIME):
 
 
 def kernel_basis(M, p=DEFAULT_PRIME):
-    """Basis of {v : M v = 0}, as a list of 1-D int64 vectors.
+    """Basis of {v : M v = 0}, as a k x n int64 matrix with one basis vector
+    per row (k = 0 when M is injective).
 
     The basis is canonical (read off the reduced echelon form), so repeated
-    calls give identical vectors.
+    calls give identical rows.
     """
-    ns = backend.nullspace(M, p)
-    return [ns[:, j].copy() for j in range(ns.shape[1])]
+    return np.ascontiguousarray(backend.nullspace(M, p).T)
 
 
 def cokernel_dim(M, p=DEFAULT_PRIME):
@@ -87,8 +87,6 @@ def matmul_mod(A, B, p=DEFAULT_PRIME):
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     inner = A.shape[-1]
-    if inner == 0:
-        return np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
     step = max(1, (2**53 - 1) // (p * p))
     if inner <= step:
         return (np.mod(A.astype(np.float64) @ B.astype(np.float64), p)).astype(

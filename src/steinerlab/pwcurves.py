@@ -12,7 +12,6 @@ number of times and never silently patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -186,23 +185,6 @@ def mh_rank_survey(sample, trials, seed):
 # curve invariants
 
 
-def _poly_mul(p1, p2):
-    out = [Fraction(0)] * (len(p1) + len(p2) - 1)
-    for i, x in enumerate(p1):
-        for j, y in enumerate(p2):
-            out[i + j] += x * y
-    return out
-
-
-def _chi3_poly(shift):
-    """Coefficients (ascending) of chi3(t - shift) as a cubic in t."""
-    u = -shift
-    poly = [Fraction(1)]
-    for c in (u + 1, u + 2, u + 3):
-        poly = _poly_mul(poly, [Fraction(c), Fraction(1)])
-    return [q / 6 for q in poly]
-
-
 @dataclass(frozen=True)
 class CurveParams:
     a: int
@@ -225,8 +207,8 @@ def curve_params(a, b):
     0 -> a.O(-s-2) -> b.O(-s-1) -> c.O(-s) -> ideal sheaf -> 0 with s = b-2a,
     c = b-a+1 determines the Hilbert polynomial
     P(t) = chi3(t) - c chi3(t-s) + b chi3(t-s-1) - a chi3(t-s-2),
-    whose cubic and quadratic coefficients vanish identically; the linear
-    coefficient is the degree and the constant term is 1 - genus.
+    a cubic in t whose cubic and quadratic coefficients vanish identically,
+    so P(t) = degree * t + 1 - genus; it is evaluated exactly at t = 0..3.
     """
     if b < 2 * a:
         raise InadmissibleParams(f"need b >= 2a, got a={a}, b={b}")
@@ -234,14 +216,13 @@ def curve_params(a, b):
     c = b - a + 1
     f = 9 * a - 3 * b + 1
     delta = 3 * b - 9 * a + f
-    P = [Fraction(0)] * 4
-    for coefmul, shift in ((1, 0), (-c, s), (b, s + 1), (-a, s + 2)):
-        for i, q in enumerate(_chi3_poly(shift)):
-            P[i] += coefmul * q
-    assert P[3] == 0 and P[2] == 0, "resolution bookkeeping is off"
-    assert P[1].denominator == 1 and P[0].denominator == 1
-    degree = int(P[1])
-    genus = 1 - int(P[0])
+    P = [chi3(t) - c * chi3(t - s) + b * chi3(t - s - 1) - a * chi3(t - s - 2)
+         for t in range(4)]
+    # a cubic is linear exactly when its second and third differences vanish
+    d2, d3 = P[2] - 2 * P[1] + P[0], P[3] - 3 * P[2] + 3 * P[1] - P[0]
+    assert d2 == 0 and d3 == 0, "resolution bookkeeping is off"
+    degree = P[1] - P[0]
+    genus = 1 - P[0]
     flags = (
         ("admissible", 11 * b > 32 * a + 9 and a >= 7),
         ("regime", "b<=3a" if b <= 3 * a else "b>3a"),
@@ -271,7 +252,7 @@ def _kernel_forms(sample, want, name):
         raise KernelDimMismatch(
             f"dim ker m(1) = {len(kern)}, expected {name} = {want}"
         )
-    K = np.array(kern, dtype=np.int64).reshape(len(kern), sample.b, 4)
+    K = kern.reshape(len(kern), sample.b, 4)
     return tuple(np.ascontiguousarray(K[:, :, k]) for k in range(4))
 
 

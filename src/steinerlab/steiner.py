@@ -65,20 +65,13 @@ class SteinerPresentation:
 
     @classmethod
     def from_columns(cls, cols, a, p=exactalg.DEFAULT_PRIME):
-        """Build from b column vectors in A(x)V coordinates
-        (index j*4 + (k-1)); accepts a sequence of vectors or a 4a x b
-        matrix as produced by columns()."""
-        if isinstance(cols, np.ndarray) and cols.ndim == 2:
-            cols = [cols[:, i] for i in range(cols.shape[1])]
-        cols = [np.asarray(c, dtype=np.int64) % p for c in cols]
-        b = len(cols)
-        Ms = [np.zeros((a, b), dtype=np.int64) for _ in range(4)]
-        for i, w in enumerate(cols):
-            if w.shape != (4 * a,):
-                raise ValueError("column vectors must live in A(x)V")
-            for k in range(4):
-                Ms[k][:, i] = w[k::4]
-        return cls(a, b, tuple(Ms), p)
+        """Build from the 4a x b matrix of columns in A(x)V coordinates
+        (row j*4 + (k-1)), as produced by columns()."""
+        cols = np.mod(np.asarray(cols, dtype=np.int64), p)
+        if cols.ndim != 2 or cols.shape[0] != 4 * a:
+            raise ValueError("columns must form a 4a x b matrix over A(x)V")
+        Ms = tuple(np.ascontiguousarray(cols[k::4]) for k in range(4))
+        return cls(a, cols.shape[1], Ms, p)
 
     def columns(self):
         """The b columns of m as vectors in A(x)V coordinates."""
@@ -101,14 +94,13 @@ class SteinerPresentation:
 
 
 def presentation_in_span(basis, b, rng, p=exactalg.DEFAULT_PRIME):
-    """Presentation whose b columns are random combinations of `basis`, a
-    nonempty list of vectors in A(x)V coordinates.
+    """Presentation whose b columns are random combinations of the rows of
+    `basis`, a k x 4a kernel basis in A(x)V coordinates.
 
-    Draws one len(basis) x b coefficient matrix from rng."""
-    K = np.column_stack(basis)
+    Draws one k x b coefficient matrix from rng."""
     coeff = rng.integers(0, p, size=(len(basis), b), dtype=np.int64)
     return SteinerPresentation.from_columns(
-        exactalg.matmul_mod(K, coeff, p), K.shape[0] // 4, p
+        exactalg.matmul_mod(basis.T, coeff, p), basis.shape[1] // 4, p
     )
 
 

@@ -247,22 +247,18 @@ class PairStrataRow:
     flags: tuple = field(default_factory=tuple)
 
 
-# (partitions of C0's Jordan type, c_class, c, r_ref, S_ref,
-#  O_computed_expected parts, O_ref_display); C0 is the representative of
-# the Jordan type, and O_computed = (9 - centralizer) + #eigenvalues + dim
-# of the c-class
+# (partitions of C0's Jordan type, c_class, c, r_ref, S_ref, dimension of
+# the c-class, O_ref_display); C0 is the representative of the Jordan type
 _JORDAN3X4_ROWS = [
-    (((1,), (1,), (1,)), "generic", (1, 1, 1), 3, 7, (9 - 3) + 3 + 3, "12"),
-    (((1, 1), (1,)), "c in the simple eigenspace", (0, 0, 1), 2, 8,
-     (9 - 5) + 2 + 1, "7"),
-    (((1, 1), (1,)), "other c", (1, 0, 0), 3, 7, (9 - 5) + 2 + 3, "<12"),
-    (((1, 1, 1),), "c nonzero", (0, 0, 1), 2, 8, (9 - 9) + 1 + 3, "7"),
-    (((1, 1, 1),), "c zero", (0, 0, 0), 0, 10, (9 - 9) + 1 + 0, "-"),
-    (((2,), (1,)), "generic", (1, 1, 1), 3, 7, (9 - 3) + 2 + 3, "<12"),
-    (((2, 1),), "c in the big block's eigenline", (1, 0, 0), 2, 8,
-     (9 - 5) + 1 + 1, "6"),
-    (((2, 1),), "other c", (0, 0, 1), 3, 7, (9 - 5) + 1 + 3, "<12"),
-    (((3,),), "generic", (1, 1, 1), 3, 7, (9 - 3) + 1 + 3, "<12"),
+    (((1,), (1,), (1,)), "generic", (1, 1, 1), 3, 7, 3, "12"),
+    (((1, 1), (1,)), "c in the simple eigenspace", (0, 0, 1), 2, 8, 1, "7"),
+    (((1, 1), (1,)), "other c", (1, 0, 0), 3, 7, 3, "<12"),
+    (((1, 1, 1),), "c nonzero", (0, 0, 1), 2, 8, 3, "7"),
+    (((1, 1, 1),), "c zero", (0, 0, 0), 0, 10, 0, "-"),
+    (((2,), (1,)), "generic", (1, 1, 1), 3, 7, 3, "<12"),
+    (((2, 1),), "c in the big block's eigenline", (1, 0, 0), 2, 8, 1, "6"),
+    (((2, 1),), "other c", (0, 0, 1), 3, 7, 3, "<12"),
+    (((3,),), "generic", (1, 1, 1), 3, 7, 3, "<12"),
 ]
 
 
@@ -270,13 +266,15 @@ def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
     """The 9-row pair table: (r, S) recomputed from explicit representatives.
 
     The O column mixes strata of different kinds in the reference, so it is
-    recomputed as orbit + eigenvalue-count + c-class dimension and reported
-    as informational only; the degenerate scalar row with c = 0 has r = 0
-    (the pair map is not onto) and is flagged.
+    recomputed as the stratum dimension of C0's Jordan type (9 - centralizer
+    + eigenvalue count) plus the c-class dimension and reported as
+    informational only; the degenerate scalar row with c = 0 has r = 0 (the
+    pair map is not onto) and is flagged.
     """
     rows = []
-    for parts, c_class, c, r_ref, S_ref, O_comp, O_disp in _JORDAN3X4_ROWS:
+    for parts, c_class, c, r_ref, S_ref, c_dim, O_disp in _JORDAN3X4_ROWS:
         jt = JordanType(parts)
+        O_comp = stratum_dim(jt) + c_dim
         C0 = jt.representative(p)
         r, S = solution_dim_3x4(C0, c, p)
         flags = []
@@ -309,8 +307,6 @@ def find_rank0(sl):
     and None is honest.
     """
     a, f, p = sl.phi.a, sl.phi.f, sl.phi.prime
-    if f == 0:
-        return None
     n, t = sl.n, sl.t
     # unknowns c[pp, rr, s] for pp in 1..n, rr in 1..4, flattened row-major;
     # for each j and pp < qq <= n:
@@ -323,14 +319,14 @@ def find_rank0(sl):
         system[:, k, v] -= T[:, u]
     system = np.mod(system.reshape(a * len(pairs), n * 4 * f), p)
     kernel = exactalg.kernel_basis(system, p)
-    if not kernel:
-        return None
+    k = len(kernel)
     # induced covectors g[j, (p, q)] = sum_{r,s} c[p,r,s] t[s,j,q,r], one per
     # kernel vector, read on the slice's coordinates; the symmetry system
     # makes the (p,q) and (q,p) readings agree
-    C = np.stack(kernel).reshape(len(kernel), n, 4, f)
-    G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(len(kernel), a, n * 4)
-    G = np.mod(G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(len(kernel), -1), p)
+    C = kernel.reshape(k, n, 4, f)
+    G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(k, a, n * 4)
+    G = G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(k, sl.rows.shape[1])
+    G = np.mod(G, p)
     R, r, pivots = sl.echelon
     rest = np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
     hits = np.flatnonzero(rest.any(axis=1))

@@ -38,12 +38,18 @@ from .multilin import (
     HV_MONO_INDICES,
     MONO_PQ,
     HyperplaneFrame,
+    mono_basis,
     random_frame,
     transform_fform_tensor,
     transform_presentation,
 )
 from .seeding import derive_rng
-from .steiner import SteinerPresentation, assemble_md, presentation_in_span
+from .steiner import (
+    SteinerPresentation,
+    _scatter_md,
+    assemble_md,
+    presentation_in_span,
+)
 
 
 class NonTransverse(Exception):
@@ -57,6 +63,8 @@ class SamplingFailed(Exception):
 # block positions (p's, q's) of the coordinates of A(x)S^2V and of A(x)H.V
 _S2V = np.array(MONO_PQ).T
 _HV = _S2V[:, list(HV_MONO_INDICES)]
+# the nine degree-2 monomials spanning H.V, in basis order
+_HV_MONOS = tuple(mono_basis(2)[i] for i in HV_MONO_INDICES)
 
 
 def _coords(t, pq=_S2V):
@@ -102,7 +110,7 @@ class FFormQuotient:
     def from_tensor(cls, t, p=exactalg.DEFAULT_PRIME):
         t = np.mod(np.asarray(t, dtype=np.int64), p)
         q = cls(t.shape[1], t.shape[0], t, p)
-        if q.f and q.echelon[1] != q.f:
+        if q.echelon[1] != q.f:
             raise ValueError("quotient covectors are linearly dependent")
         return q
 
@@ -121,7 +129,7 @@ class FFormQuotient:
             raw = rng.integers(0, p, size=(f, a, 4, 4), dtype=np.int64)
             t = np.mod(raw + raw.transpose(0, 1, 3, 2), p)
             q = cls(a, f, t, p)
-            if f == 0 or q.echelon[1] == f:
+            if q.echelon[1] == f:
                 return q
         raise SamplingFailed(
             f"no rank-{f} quotient of A(x)S^2V with a={a} in 8 draws")
@@ -142,8 +150,6 @@ def gstar(phi):
 
 
 def vstar_rank(phi):
-    if phi.f == 0:
-        return 0
     return exactalg.rank(gstar(phi), phi.prime)
 
 
@@ -161,10 +167,8 @@ def witness_z(a, f, p=exactalg.DEFAULT_PRIME):
 
 
 def zstar_basis(phi):
-    """Kernel basis of gstar, i.e. the subspace Z* of A(x)V; list of
-    4a-vectors of length 4a - vstar_rank."""
-    if phi.f == 0:
-        return [v for v in np.eye(4 * phi.a, dtype=np.int64)]
+    """Kernel basis of gstar, i.e. the subspace Z* of A(x)V: a
+    (4a - vstar_rank) x 4a matrix, one basis vector per row."""
     return exactalg.kernel_basis(gstar(phi), phi.prime)
 
 
@@ -214,12 +218,11 @@ def zslice(phi, frame=None):
         return ZSlice(phi, phi.t, _S2V, phi.phi_matrix())
     t = transform_fform_tensor(phi.t, frame)
     sl = ZSlice(phi, t, _HV, _coords(t, _HV), frame)
-    if phi.f:
-        r = sl.echelon[1]
-        if r < phi.f:
-            raise NonTransverse(
-                f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}"
-            )
+    r = sl.echelon[1]
+    if r < phi.f:
+        raise NonTransverse(
+            f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}"
+        )
     return sl
 
 
@@ -250,7 +253,7 @@ def fstar_ZT(sl, extra=()):
         u = np.vstack([sl.rows, extra])
         independent = exactalg.rank(u, sl.phi.prime) == len(u)
     else:
-        independent = not sl.phi.f or sl.echelon[1] == sl.phi.f
+        independent = sl.echelon[1] == sl.phi.f
     if not independent:
         raise ValueError("extra covectors are dependent on the quotient's rows")
     return _system(sl, extra)
@@ -270,11 +273,10 @@ def mh1(mf):
     """Matrix of m_H(1): B(x)H -> A(x)H.V, shape 9a x 3b, for a presentation
     mf in the coordinates of a frame (m.in_frame(frame)), where H = {x4 = 0}.
 
-    Assembled by deleting the columns with a v4 factor and the x4^2 row of
+    The block of m(1) from the columns x1, x2, x3 to the nine rows of H.V,
+    that is m(1) without its columns with a v4 factor and the x4^2 row of
     each A-block."""
-    full = assemble_md(mf, 1).reshape(mf.a, 10, mf.b, 4)
-    mh = full[:, list(HV_MONO_INDICES), :, :3]
-    return np.ascontiguousarray(mh.reshape(9 * mf.a, 3 * mf.b))
+    return _scatter_md(mf, mono_basis(1)[:3], _HV_MONOS)
 
 
 def transport_check(m, sl, extra=()):

@@ -109,6 +109,18 @@ def test_env_defaults_are_read_on_every_call(monkeypatch):
     assert json.loads(out)["config"]["seed"] == 0
 
 
+@pytest.mark.parametrize("context", [[], ["--hyperplane"]],
+                         ids=["full", "hyperplane"])
+def test_rank0_zero_row_quotient(context):
+    # f = 0 runs the general path on 0-row matrices: no witness, as the
+    # threshold predicts, and every check passes
+    code, out = run_cli(["--json", "verify", "rank0", "-a", "2", "-f", "0"]
+                        + context)
+    assert code == 0
+    report = json.loads(out)
+    assert [c["got"] for c in report["checks"]] == [False]
+
+
 def test_cohomology_rows_match_library():
     from steinerlab import pwcurves
 

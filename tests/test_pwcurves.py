@@ -222,23 +222,28 @@ def test_curve_params_frozen_invariants():
 
 
 def test_curve_degree_genus_independent_oracle():
-    # chi of the structure sheaf from the resolution with c = 21 sections in
-    # degree s = 10: expand symbolically and read off degree and genus
+    # chi of the structure sheaf from the resolution with c sections in
+    # degree s: expand symbolically, read off degree and genus, and compare
+    # them with curve_params
     t = sympy.Symbol("t")
-    s, c, b, a = 10, 21, 30, 10
 
     def chi3s(arg):
         return (arg + 1) * (arg + 2) * (arg + 3) / 6
 
-    ideal = c * chi3s(t - s) - b * chi3s(t - s - 1) + a * chi3s(t - s - 2)
-    curve = sympy.expand(chi3s(t) - ideal)
-    poly = sympy.Poly(curve, t)
-    assert poly.degree() == 1
-    deg = poly.coeff_monomial(t)
-    const = poly.coeff_monomial(1)
-    assert deg == 45
-    assert 1 - const == 186
-    # same numbers through exact finite differences at s and s + 1
+    oracle = {}
+    for a, b in ((7, 21), (7, 22), (8, 24), (9, 30), (10, 30)):
+        s, c = b - 2 * a, b - a + 1
+        ideal = c * chi3s(t - s) - b * chi3s(t - s - 1) + a * chi3s(t - s - 2)
+        poly = sympy.Poly(sympy.expand(chi3s(t) - ideal), t)
+        assert poly.degree() == 1
+        deg, const = poly.coeff_monomial(t), poly.coeff_monomial(1)
+        oracle[a, b] = (deg, 1 - const)
+        cp = curve_params(a, b)
+        assert (cp.s, cp.c) == (s, c)
+        assert (cp.degree, cp.genus) == oracle[a, b]
+    assert oracle[10, 30] == (45, 186)
+    # the (10, 30) numbers through exact finite differences at s and s + 1
+    s, c, b = 10, 21, 30
     Ps = Fraction(int(chi3(s) - c))
     Ps1 = Fraction(int(chi3(s + 1) - (4 * c - b)))
     degree = Ps1 - Ps

@@ -21,6 +21,7 @@ from steinerlab.steiner import (
     assemble_md,
     presentation_in_span,
 )
+from steinerlab.strata import find_rank0
 from steinerlab.subspace import (
     FFormQuotient,
     NonTransverse,
@@ -102,6 +103,12 @@ def test_zero_row_quotient_round_trip(rng):
     assert hs.rows.shape == (0, 27)
     assert fstar_ZT(hs).shape == (0, 12)
     assert z_rank(hs) == 0
+    # the general path on 0-row matrices: Z* is all of A(x)V, and no
+    # covector has a rank-0 symmetry witness
+    assert np.array_equal(zstar_basis(phi), np.eye(12, dtype=np.int64))
+    assert vstar_rank(phi) == 0
+    assert find_rank0(zslice(phi)) is None
+    assert find_rank0(hs) is None
 
 
 def test_phi_matrix_layout(rng):
@@ -368,7 +375,7 @@ def test_transport_framed_positive(rng):
     extra = [rng.integers(0, P, size=9 * a, dtype=np.int64)]
     stacked = fstar_ZT(hs, extra)
     kern = exactalg.kernel_basis(stacked, P)
-    assert kern
+    assert len(kern)
     mf = presentation_in_span(kern, b, rng, P)
     m = SteinerPresentation(
         a, b, transform_presentation(mf.Ms, frame.P, P), P
