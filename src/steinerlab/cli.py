@@ -56,17 +56,20 @@ def _positive_int(text):
 
 
 def _check(name, expected, got):
-    if isinstance(expected, (np.integer,)):
-        expected = int(expected)
-    if isinstance(got, (np.integer,)):
-        got = int(got)
     return {"name": name, "expected": expected, "got": got,
             "pass": expected == got}
 
 
 def _check_at_least(name, minimum, got):
-    return {"name": name, "expected": f">={minimum}", "got": int(got),
+    return {"name": name, "expected": f">={minimum}", "got": got,
             "pass": got >= minimum}
+
+
+def _match_loaded(flag, given, actual):
+    """Reject a flag value that a loaded file contradicts."""
+    if given is not None and given != actual:
+        raise ValueError(
+            f"{flag} {given} contradicts the loaded file ({actual})")
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +84,12 @@ def cmd_cohomology(args, cfg):
             m = steiner.read_presentation(fh)
         for flag, given, actual in (("-a", args.a, m.a), ("-b", args.b, m.b),
                                     ("--prime", p, m.prime)):
-            if given is not None and given != actual:
-                raise ValueError(
-                    f"{flag} {given} contradicts the loaded file ({actual})"
-                )
+            _match_loaded(flag, given, actual)
         cert = steiner.surjectivity_certificate(m, cfg["dmax"])
         f1 = cert.checked[0][1]  # coker m(1); m(1) has 10a rows
+        _match_loaded("-f", args.f, f1)
         sample = pwcurves.PWSample(
-            m.a, m.b, f1, None, m, 10 * m.a - f1, cert, m.prime, seed, 0
+            m.a, m.b, f1, None, m, 10 * m.a - f1, cert, m.prime, 0
         )
     else:
         if args.a is None or args.b is None:
@@ -101,12 +102,9 @@ def cmd_cohomology(args, cfg):
     if args.export:
         with open(args.export, "w") as fh:
             steiner.write_presentation(fh, sample.m)
-    rows = [
-        {k: int(v) for k, v in row.items()} for row in tab.as_dicts()
-    ]
-    return checks, {"rows": rows, "params": {
+    return checks, {"rows": tab.as_dicts(), "params": {
         "a": sample.a, "b": sample.b, "f": sample.f,
-        "rank_m1": int(sample.rank_m1),
+        "rank_m1": sample.rank_m1,
         "d0": sample.cert.d0,
     }}
 
@@ -196,7 +194,7 @@ def cmd_verify_mh(args, cfg):
         _check_at_least(
             f"hyperplane restriction has rank {expected_rank}", need, hits)
     ]
-    return checks, {"histogram": {str(k): int(v) for k, v in sorted(hist.items())}}
+    return checks, {"histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
 def cmd_verify_rank0(args, cfg):

@@ -100,21 +100,6 @@ def matmul_mod(A, B, p=DEFAULT_PRIME):
     return out
 
 
-def inv_matrix(M, p=DEFAULT_PRIME):
-    """Inverse of a square matrix mod p, via elimination on [M | I]."""
-    M = np.asarray(M, dtype=np.int64)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("inv_matrix needs a square matrix")
-    aug = np.hstack([np.mod(M, p), np.eye(n, dtype=np.int64)])
-    R, _, pivots = rref(aug, p)
-    # [M | I] always has full row rank; M is invertible exactly when all n
-    # pivots sit in the left block
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return R[:, n:].copy()
-
-
 def random_matrix(rng, rows, cols, p=DEFAULT_PRIME):
     return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
 
@@ -124,7 +109,7 @@ def random_matrix(rng, rows, cols, p=DEFAULT_PRIME):
 #
 # A matrix block is a line "rows cols p", then one line of space-separated
 # residues per row.  The tagged formats put a line "tag d1 d2 p" in front of
-# a fixed number of matrix blocks over the same prime.
+# a fixed number of d1 x d2 matrix blocks over the same prime.
 
 
 def _read_header(fh, tag=None):
@@ -170,20 +155,19 @@ def write_blocks(fh, tag, d1, d2, blocks, p=DEFAULT_PRIME):
         write_matrix(fh, M, p)
 
 
-def read_blocks(fh, tag, count, shape=lambda d1, d2: (d1, d2)):
+def read_blocks(fh, tag, count):
     """Read a "tag d1 d2 p" header and `count` matrix blocks.
 
-    Every block must be over the header's prime and of shape
-    shape(d1, d2).  Returns (d1, d2, p, blocks)."""
+    Every block must be d1 x d2 over the header's prime.  Returns
+    (d1, d2, p, blocks)."""
     d1, d2, p = _read_header(fh, tag)
-    want = shape(d1, d2)
     blocks = []
     for _ in range(count):
         M, mp = read_matrix(fh)
-        if mp != p or M.shape != want:
+        if mp != p or M.shape != (d1, d2):
             raise ValueError(
                 f"{tag} block of shape {M.shape} mod {mp} does not match the "
-                f"header (shape {want} mod {p})"
+                f"header (shape {(d1, d2)} mod {p})"
             )
         blocks.append(M)
     return d1, d2, p, blocks

@@ -51,25 +51,6 @@ def mono_basis(d):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _mono_pos(d):
-    return {m: i for i, m in enumerate(mono_basis(d))}
-
-
-def mono_index(mono):
-    """Index of an exponent tuple within its degree's basis."""
-    d = sum(mono)
-    return _mono_pos(d)[tuple(mono)]
-
-
-def pair_index(p, q):
-    """Index of x_p x_q (1-based p, q) in the degree-2 basis."""
-    e = [0, 0, 0, 0]
-    e[p - 1] += 1
-    e[q - 1] += 1
-    return _mono_pos(2)[tuple(e)]
-
-
 # x4^2 is the one degree-2 monomial outside H.V in the normalized frame; all
 # nine others, in basis order, index the coordinates of A (x) H.V
 HV_MONO_INDICES = tuple(i for i in range(10) if mono_basis(2)[i] != (0, 0, 0, 2))
@@ -128,11 +109,6 @@ def random_frame(rng, p=exactalg.DEFAULT_PRIME):
         h = rng.integers(0, p, size=4, dtype=np.int64)
         if h.any():
             return HyperplaneFrame.from_covector(h, p)
-
-
-def frame_x4():
-    """The standard frame H = {x4 = 0} (identity change of basis)."""
-    return HyperplaneFrame.from_covector((0, 0, 0, 1))
 
 
 def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):

@@ -40,7 +40,6 @@ class PWSample:
     rank_m1: int
     cert: steiner.SurjectivityCertificate
     prime: int
-    seed: int
     attempts: int
 
 
@@ -81,7 +80,7 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
         if r1 != want:
             last = f"rank m(1) = {r1}, expected {want}"
             continue
-        return PWSample(a, b, f, phi, m, r1, cert, p, seed, attempt + 1)
+        return PWSample(a, b, f, phi, m, r1, cert, p, attempt + 1)
     raise SamplingFailed(
         f"no valid sample for (a,b,f)=({a},{b},{f}) in {retries} attempts; "
         f"last failure: {last}"

@@ -133,10 +133,6 @@ def assemble_md(m, d):
     return _scatter_md(m, mono_basis(d), mono_basis(d + 1))
 
 
-def rank_md(m, d):
-    return exactalg.rank(assemble_md(m, d), m.prime)
-
-
 def corank_md(m, d):
     """min(kernel, cokernel) dimension of m(d)."""
     return exactalg.corank(assemble_md(m, d), m.prime)
@@ -267,7 +263,7 @@ def cohomology_table(m, k_min=-6, k_max=4, cert=None):
             h1 = nrows - r
         else:
             h0 = 0
-            h1 = a * dim_sym(k + 1) if k >= -4 else 0
+            h1 = a * dim_sym(k + 1)
         h2 = 0
         h3 = h0 - h1 + h2 - chi
         assert h3 >= 0

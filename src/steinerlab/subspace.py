@@ -107,23 +107,6 @@ class FFormQuotient:
             raise ValueError("coefficient tensor must be symmetric in (p, q)")
 
     @classmethod
-    def from_tensor(cls, t, p=exactalg.DEFAULT_PRIME):
-        t = np.mod(np.asarray(t, dtype=np.int64), p)
-        q = cls(t.shape[1], t.shape[0], t, p)
-        if q.echelon[1] != q.f:
-            raise ValueError("quotient covectors are linearly dependent")
-        return q
-
-    @classmethod
-    def from_phi_matrix(cls, mat, a, p=exactalg.DEFAULT_PRIME):
-        """Inverse of phi_matrix: rows are covectors on A(x)S^2V."""
-        mat = np.mod(np.asarray(mat, dtype=np.int64), p)
-        f = mat.shape[0]
-        if mat.shape != (f, 10 * a):
-            raise ValueError("phi matrix must be f x 10a")
-        return cls.from_tensor(_tensor(mat, a), p)
-
-    @classmethod
     def random(cls, rng, a, f, p=exactalg.DEFAULT_PRIME):
         for _ in range(8):
             raw = rng.integers(0, p, size=(f, a, 4, 4), dtype=np.int64)
@@ -333,17 +316,3 @@ def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
     lhs, rhs = transport_check(m, sl, extra)
     return lhs == rhs
 
-
-# ---------------------------------------------------------------------------
-# interchange
-
-
-def write_fform(fh, phi):
-    exactalg.write_blocks(fh, "fform", phi.a, phi.f, [phi.phi_matrix()],
-                          phi.prime)
-
-
-def read_fform(fh):
-    a, _, p, (mat,) = exactalg.read_blocks(
-        fh, "fform", 1, shape=lambda a, f: (f, 10 * a))
-    return FFormQuotient.from_phi_matrix(mat, a, p)

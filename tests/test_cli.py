@@ -150,6 +150,22 @@ def test_export_and_load_round_trip(tmp_path):
     assert r2["params"]["f"] == 1
 
 
+def test_load_checks_given_f(tmp_path, capsys):
+    # the loaded file's f is the cokernel of m(1), known only after the
+    # certificate; a given -f must match it like -a, -b and --prime
+    path = tmp_path / "m.txt"
+    code, _ = run_cli(["cohomology", "-a", "3", "-b", "8", "-f", "1",
+                       "--export", str(path)])
+    assert code == 0
+    _assert_one_line_error(
+        capsys, ["--json", "cohomology", "--load", str(path), "-f", "2"],
+        "-f 2 contradicts the loaded file (1)")
+    code, out = run_cli(["--json", "cohomology", "--load", str(path),
+                         "-f", "1"])
+    assert code == 0
+    assert json.loads(out)["params"]["f"] == 1
+
+
 def test_cohomology_requires_dims_when_sampling(capsys):
     assert cli.main(["cohomology", "-f", "1"]) == 2
     assert "-a and -b are required" in capsys.readouterr().err

@@ -153,7 +153,7 @@ def _dense_survey(s, trials, seed):
 def _as_sample(m):
     """A PWSample around any presentation, recording its true rank m(1)."""
     r1 = exactalg.rank(assemble_md(m, 1), m.prime)
-    return PWSample(m.a, m.b, 0, None, m, r1, None, m.prime, 0, 0)
+    return PWSample(m.a, m.b, 0, None, m, r1, None, m.prime, 0)
 
 
 def _presentations(p):
@@ -285,7 +285,7 @@ def test_h1_ic_edge_cases():
         [np.zeros((1, 5), dtype=np.int64)] * 4, P
     )
     cert = surjectivity_certificate(zero, 2)
-    s = PWSample(1, 5, 0, None, zero, 0, cert, P, 0, 0)
+    s = PWSample(1, 5, 0, None, zero, 0, cert, P, 0)
     assert h1_ic_vanishing(s) is False
     # the x1-split cannot certify m(0), so the dense rank decides
     assert steiner.horace_surjective(zero, 0) is None

@@ -7,9 +7,11 @@ of the commutation system X J = J X solved over F_p for a representative J.
 
 import numpy as np
 import pytest
+from test_exactalg import inv_matrix
+from test_multilin import pair_index
 
 from steinerlab import exactalg, subspace
-from steinerlab.multilin import HV_MONO_INDICES, pair_index, random_frame
+from steinerlab.multilin import HV_MONO_INDICES, random_frame
 from steinerlab.strata import (
     JordanType,
     centralizer_dim,
@@ -87,7 +89,7 @@ def test_solution_dim_similarity_invariant(rng):
                 if exactalg.rank(Q, P) == 4:
                     break
             C = exactalg.matmul_mod(
-                exactalg.matmul_mod(Q, J, P), exactalg.inv_matrix(Q, P), P
+                exactalg.matmul_mod(Q, J, P), inv_matrix(Q, P), P
             )
             assert solution_dim_4x4(C, P) == base
 

@@ -2,17 +2,15 @@
 of subspaces, hyperplane restriction, and the transport of annihilation
 conditions between the two pictures."""
 
-import io
-
 import numpy as np
 import pytest
+from test_multilin import pair_index
 
 from steinerlab import exactalg, subspace
 from steinerlab.multilin import (
     HV_MONO_INDICES,
     MONO_PQ,
-    frame_x4,
-    pair_index,
+    HyperplaneFrame,
     random_frame,
     transform_presentation,
 )
@@ -29,12 +27,10 @@ from steinerlab.subspace import (
     fstar_ZT,
     gstar,
     mh1,
-    read_fform,
     transport_check,
     transport_trial,
     vstar_rank,
     witness_z,
-    write_fform,
     z_rank,
     zslice,
     zstar_basis,
@@ -46,7 +42,7 @@ P = exactalg.DEFAULT_PRIME
 def _diag_quadric(diag):
     t = np.zeros((1, 1, 4, 4), dtype=np.int64)
     t[0, 0] = np.diag(np.asarray(diag, dtype=np.int64))
-    return FFormQuotient.from_tensor(t, P)
+    return FFormQuotient(1, 1, t, P)
 
 
 def test_quadric_gram():
@@ -77,19 +73,10 @@ def test_from_tensor_rank_check():
     t = np.zeros((2, 1, 4, 4), dtype=np.int64)
     t[0, 0] = np.eye(4, dtype=np.int64)
     t[1, 0] = np.eye(4, dtype=np.int64)
-    with pytest.raises(ValueError):
-        FFormQuotient.from_tensor(t, P)
-    # the dataclass constructor checks only shape and symmetry
+    # the dataclass constructor checks only shape and symmetry, not that
+    # the covectors are independent
     q = FFormQuotient(1, 2, t, P)
     assert (q.a, q.f) == (1, 2)
-
-
-def test_phi_matrix_round_trip(rng):
-    phi = FFormQuotient.random(rng, 3, 2, P)
-    mat = phi.phi_matrix()
-    assert mat.shape == (2, 30)
-    phi2 = FFormQuotient.from_phi_matrix(mat, 3, P)
-    assert np.array_equal(phi.t, phi2.t)
 
 
 def test_zero_row_quotient_round_trip(rng):
@@ -97,8 +84,6 @@ def test_zero_row_quotient_round_trip(rng):
     phi = FFormQuotient.random(rng, 3, 0, P)
     mat = phi.phi_matrix()
     assert mat.shape == (0, 30)
-    phi2 = FFormQuotient.from_phi_matrix(mat, 3, P)
-    assert phi2.t.shape == (0, 3, 4, 4)
     hs = zslice(phi, random_frame(rng, P))
     assert hs.rows.shape == (0, 27)
     assert fstar_ZT(hs).shape == (0, 12)
@@ -106,6 +91,8 @@ def test_zero_row_quotient_round_trip(rng):
     # the general path on 0-row matrices: Z* is all of A(x)V, and no
     # covector has a rank-0 symmetry witness
     assert np.array_equal(zstar_basis(phi), np.eye(12, dtype=np.int64))
+    empty = FFormQuotient(2, 0, np.zeros((0, 2, 4, 4), dtype=np.int64), P)
+    assert np.array_equal(zstar_basis(empty), np.eye(8, dtype=np.int64))
     assert vstar_rank(phi) == 0
     assert find_rank0(zslice(phi)) is None
     assert find_rank0(hs) is None
@@ -115,6 +102,7 @@ def test_phi_matrix_layout(rng):
     # coordinate (j, x_p x_q) of A(x)S^2V sits at column j * 10 + pair index
     phi = FFormQuotient.random(rng, 3, 2, P)
     mat = phi.phi_matrix()
+    assert mat.shape == (2, 30)
     for s in range(2):
         for j in range(3):
             for p in range(1, 5):
@@ -141,13 +129,6 @@ def test_zstar_and_subspace_dims(rng):
     phi = FFormQuotient.random(rng, 3, 1, P)
     zs = zstar_basis(phi)
     assert len(zs) == 12 - 4
-
-
-def test_zstar_without_quotient():
-    phi = FFormQuotient(2, 0, np.zeros((0, 2, 4, 4), dtype=np.int64), P)
-    zs = zstar_basis(phi)
-    assert len(zs) == 8
-    assert np.array_equal(np.column_stack(zs), np.eye(8, dtype=np.int64))
 
 
 def test_z_rank_generic_hyperplane():
@@ -199,7 +180,7 @@ def test_restrict_to_h_transversality():
     # the quadric x4^2 restricts to zero on the hyperplane x4 = 0
     phi = _diag_quadric([0, 0, 0, 1])
     with pytest.raises(NonTransverse):
-        zslice(phi, frame_x4())
+        zslice(phi, HyperplaneFrame.from_covector((0, 0, 0, 1)))
 
 
 def test_zh_rank_examples():
@@ -344,7 +325,7 @@ def test_fstar_matches_stacked_reference(rng):
 
 def test_mh1_x4_frame_is_deletion(rng):
     m = SteinerPresentation.random(rng, 2, 5, P)
-    mh = mh1(m.in_frame(frame_x4()))
+    mh = mh1(m.in_frame(HyperplaneFrame.from_covector((0, 0, 0, 1))))
     full = assemble_md(m, 1)
     rows = [j * 10 + i for j in range(2) for i in range(9)]
     cols = [i * 4 + l for i in range(5) for l in (0, 1, 2)]
@@ -394,13 +375,3 @@ def test_transport_framed_random_negative(rng):
     assert lhs == rhs
     assert not lhs
 
-
-def test_fform_interchange(rng):
-    phi = FFormQuotient.random(rng, 2, 1, P)
-    buf = io.StringIO()
-    write_fform(buf, phi)
-    text = buf.getvalue()
-    assert text.splitlines()[0] == f"fform 2 1 {P}"
-    phi2 = read_fform(io.StringIO(text))
-    assert (phi2.a, phi2.f, phi2.prime) == (2, 1, P)
-    assert np.array_equal(phi.t, phi2.t)
