@@ -307,7 +307,7 @@ def _add_global_flags(ap, suppress):
     ap.add_argument("--prime", type=int, **kw)
     ap.add_argument("--seed", type=int, **kw)
     ap.add_argument("--trials", type=_positive_int, **kw)
-    ap.add_argument("--dmax", type=int, **kw)
+    ap.add_argument("--dmax", type=_positive_int, **kw)
     ap.add_argument("--json", action="store_true",
                     help="emit a canonical JSON report", **kw)
 

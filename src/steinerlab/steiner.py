@@ -8,14 +8,18 @@ dimension of m(k) and h1 its cokernel dimension, h2 vanishes, and h3 closes
 the Euler characteristic.  Local freeness of E_m is certified by finite-degree
 surjectivity, which propagates upward in degree.
 
-A single degree can also be certified onto without eliminating m(d): split
-its rows and columns by x1-degree and check the part on the hyperplane
-x1 = 0 together with M1, the methode d'Horace (Hirschowitz, Manuscripta
-Math. 50, 1985); see horace_surjective.
+Whether m(d) is onto is decided by cokernel_dim_md, which first tries to
+certify it without eliminating m(d).  Split the rows and columns of m(d) by
+x1-degree, the methode d'Horace (Hirschowitz, Manuscripta Math. 50, 1985):
+m(d) is onto when rank M1 = a and the degree-d map on the plane x1 = 0 of
+m restricted to B' = ker M1 is onto.  That map is an a x (b - a) Steiner
+map in three variables, and B' is computed once per presentation; see
+horace_surjective.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +96,21 @@ class SteinerPresentation:
         Ms = tuple(np.ascontiguousarray(M.T) for M in self.Ms)
         return SteinerPresentation(self.b, self.a, Ms, self.prime)
 
+    @functools.cached_property
+    def x1_residual(self):
+        """m restricted to B' = ker M1, an a x (b - a) presentation whose
+        first matrix is 0, or None when b <= a or rank M1 < a.
+
+        Its columns are those of m times a kernel basis of M1, so it costs
+        one elimination of the a x b matrix M1, once per presentation."""
+        if self.b <= self.a:
+            return None
+        K = exactalg.kernel_basis(self.Ms[0], self.prime)
+        if len(K) != self.b - self.a:
+            return None
+        cols = exactalg.matmul_mod(self.columns(), K.T, self.prime)
+        return SteinerPresentation.from_columns(cols, self.a, self.prime)
+
 
 def presentation_in_span(basis, b, rng, p=exactalg.DEFAULT_PRIME):
     """Presentation whose b columns are random combinations of the rows of
@@ -139,6 +158,10 @@ def corank_md(m, d):
 
 
 def cokernel_dim_md(m, d):
+    """dim coker m(d): 0 when horace_surjective certifies m(d), else the
+    cokernel of the dense m(d)."""
+    if horace_surjective(m, d):
+        return 0
     return exactalg.cokernel_dim(assemble_md(m, d), m.prime)
 
 
@@ -148,28 +171,36 @@ def horace_surjective(m, d):
     Group the rows and columns of m(d) by their x1-exponent e, and let
     W = span(x2, x3, x4).  Column group e, B(x)x1^e S^{d-e}W, maps to row
     group e by m'(d-e), the degree-(d-e) map of (M2, M3, M4), that is m on
-    the hyperplane x1 = 0, and to row group e+1 by M1(x)id.  So
+    the hyperplane x1 = 0, and to row group e+1 by M1(x)id.  Below column
+    group 0 the rows of groups 2..d+1 against column groups 1..d form a
+    block upper-bidiagonal matrix with diagonal blocks M1(x)id, so m(d) is
+    onto when the stack [X; Y] = [m'(d); M1(x)id] of column group 0 against
+    row groups 0 and 1 has full row rank.  This is the methode d'Horace, a
+    trace on a hyperplane plus a residual (Hirschowitz, "La methode
+    d'Horace pour l'interpolation a plusieurs variables", Manuscripta
+    Math. 50, 1985).
 
-        m(d) = [[m'(d), 0], [C, m(d-1).x1]]
-
-    and the stack [m'(d); M1(x)id] of column group 0 against row groups 0
-    and 1 decides it: when the stack has full row rank, m(d) is onto.  Row
-    group 1 meets column group 0 only through M1(x)id, so a full-rank stack
-    forces rank M1 = a.  Then the rows of groups 2..d+1 against column
-    groups 1..d form a block upper-bidiagonal matrix with diagonal blocks
-    M1(x)id, which is onto, and the stack reaches what is left in row groups
-    0 and 1.  This is the methode d'Horace, a trace on a hyperplane plus a
-    residual (Hirschowitz, "La methode d'Horace pour l'interpolation a
-    plusieurs variables", Manuscripta Math. 50, 1985).  The condition is
-    exact but only sufficient: None says nothing about m(d), and
-    cokernel_dim_md decides.
+    The stack is never formed: [X; Y] has full row rank iff Y is onto and
+    X maps ker Y onto X's rows.  (=>: Y is a block of rows of it, and
+    (x, 0) = [X; Y]v puts v in ker Y with Xv = x.  <=: reach y by some v0,
+    then correct by w in ker Y with Xw = x - Xv0.)  Y is onto iff
+    rank M1 = a, and ker Y = ker M1 (x) S^dW, so the test is the full row
+    rank of the degree-d map on P^2 of the residual m.x1_residual, an
+    a*C(d+3,2) x (b-a)*C(d+2,2) matrix.  Unless it is strictly wider than
+    tall, None is returned before any elimination.  The condition is exact
+    but only sufficient: None says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cols = tuple(mu for mu in mono_basis(d) if mu[0] == 0)
-    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] <= 1)
-    stack = _scatter_md(m, cols, rows)
-    return True if exactalg.rank(stack, m.prime) == stack.shape[0] else None
+    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] == 0)
+    if (m.b - m.a) * len(cols) <= m.a * len(rows):
+        return None
+    res = m.x1_residual
+    if res is None:
+        return None
+    plane = _scatter_md(res, cols, rows)
+    return True if exactalg.rank(plane, m.prime) == plane.shape[0] else None
 
 
 @dataclass(frozen=True)
@@ -183,7 +214,9 @@ class SurjectivityCertificate:
 
 
 def surjectivity_certificate(m, d_max=5):
-    """Search d = 1..d_max for surjective m(d).
+    """Search d = 1..d_max for surjective m(d), each degree by
+    cokernel_dim_md, so a degree the x1-split certifies is recorded as
+    (d, 0) without eliminating m(d).
 
     Surjectivity propagates upward (the image of m(d+1) contains
     image(m(d)).V), so the first hit certifies all larger degrees and the

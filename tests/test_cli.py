@@ -323,6 +323,24 @@ def test_trials_below_one_rejected_by_parser(capsys, argv):
                            "argument --trials: must be at least 1, got 0")
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "rank0", "-a", "2", "-f", "1"],
+    ["table", "jordan4"],
+    ["verify", "pw", "-a", "3", "-b", "8", "-f", "1"],
+], ids=["rank0", "table", "pw"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_dmax_below_one_rejected(monkeypatch, capsys, source, argv, value):
+    # rank0 and table never read dmax, and pw would only fail inside the
+    # certificate after sampling; each is rejected before any work
+    if source == "flag":
+        argv = ["--dmax", value] + argv
+    else:
+        monkeypatch.setenv("STEINERLAB_DMAX", value)
+    _assert_parser_rejects(capsys, argv,
+                           f"argument --dmax: must be at least 1, got {value}")
+
+
 def test_trials_env_below_one_rejected(monkeypatch, capsys):
     monkeypatch.setenv("STEINERLAB_TRIALS", "0")
     _assert_parser_rejects(capsys, ["verify", "transport"],

@@ -109,7 +109,9 @@ def test_verify_thm42_rejects_window_without_rows_it_checks():
 
 def test_each_md_eliminated_once_per_sample(monkeypatch):
     # the certificate ladder eliminates m(1) and m(2) once; rank m(1) and
-    # the table's k = 1 row are read from it, so only m(0) is added
+    # the table's k = 1 row are read from it, so only m(0) is added.  At
+    # (3, 8) the x1-split's plane maps of m(1) and m(2) are 18 x 15 and
+    # 30 x 30, not wider than tall, so ker M1 is never computed
     degrees = []
     orig = steiner.assemble_md
 
@@ -124,6 +126,7 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
     assert degrees == [1, 2]
     verify_thm42(s)
     assert degrees == [1, 2, 0]
+    assert "x1_residual" not in vars(s.m)
 
 
 def test_not_globally_generated():

@@ -1,7 +1,9 @@
 """Presentations of kernel bundles, their degree-d multiplication maps, and
 the cohomology bookkeeping built on top of them."""
 
+import dataclasses
 import io
+from math import comb
 
 import numpy as np
 import pytest
@@ -196,7 +198,7 @@ def test_horace_certificates_have_full_dense_rank():
         certified = [d for d in range(A - 2) if horace_surjective(m, d)]
         assert A - 3 in certified
         for d in certified:
-            assert cokernel_dim_md(m, d) == 0
+            assert exactalg.cokernel_dim(assemble_md(m, d), P) == 0
 
 
 def _deficient(rng, a, b, p):
@@ -231,7 +233,7 @@ def test_horace_never_certifies_a_cokernel(p):
                 m = SteinerPresentation(
                     a, b, (_deficient(rng, a, b, p),) + m.Ms[1:], p)
         cert = horace_surjective(m, d)
-        coker = cokernel_dim_md(m, d)
+        coker = exactalg.cokernel_dim(assemble_md(m, d), p)
         assert cert in (True, None)
         if cert:
             assert coker == 0, (trial, a, m.b, d)
@@ -243,10 +245,100 @@ def test_horace_never_certifies_a_cokernel(p):
 
 
 def test_horace_needs_m1_of_full_rank(rng):
+    # at (3, 8) the plane map of m(2) is 30 x 30, not wider than tall, so
+    # it is not tried and ker M1 is not computed; at d = 3 it is 45 x 50
     m = pwcurves.sample_pw(3, 8, 1, seed=0).m
-    assert horace_surjective(m, 2) is True
+    assert horace_surjective(m, 2) is None
+    assert "x1_residual" not in vars(m)
+    assert horace_surjective(m, 3) is True
     low = SteinerPresentation(3, 8, (_deficient(rng, 3, 8, P),) + m.Ms[1:], P)
-    assert horace_surjective(low, 2) is None
+    assert horace_surjective(low, 3) is None
+    assert low.x1_residual is None
+
+
+def _stack(m, d):
+    """The x1-split as first stated: column group 0 of m(d) against row
+    groups 0 and 1, that is m'(d) on the plane x1 = 0 over M1(x)id."""
+    cols = tuple(mu for mu in mono_basis(d) if mu[0] == 0)
+    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] <= 1)
+    return steiner._scatter_md(m, cols, rows)
+
+
+def _kernel_form_is_wide(m, d):
+    # the plane map of m restricted to ker M1: a*C(d+3,2) x (b-a)*C(d+2,2)
+    return (m.b - m.a) * comb(d + 2, 2) > m.a * comb(d + 3, 2)
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_kernel_form_matches_the_stack(p):
+    # the stack of the split is the oracle: where the kernel form is tried
+    # it certifies exactly when the stack has full row rank, and every
+    # certificate has a dense m(d) that is onto.  The draws are generic, or
+    # have b <= a, M1 = 0, M1 of rank below a, or some M_k = 0 (k >= 2)
+    rng = np.random.default_rng(1000 + p)
+    kinds = ("generic", "b<=a", "M1=0", "M1 deficient", "Mk=0")
+    seen = {(kind, verdict): 0 for kind in kinds for verdict in (True, None)}
+    wide_stack_full = wide_stack_short = 0
+    for trial in range(150):
+        kind = kinds[trial % len(kinds)]
+        a = int(rng.integers(1, 4))
+        b = int(rng.integers(1, a + 1) if kind == "b<=a"
+                else rng.integers(a + 1, 4 * a + 2))
+        d = int(rng.integers(0, 4))
+        Ms = list(SteinerPresentation.random(rng, a, b, p).Ms)
+        if kind == "M1=0":
+            Ms[0] = np.zeros((a, b), dtype=np.int64)
+        elif kind == "M1 deficient":
+            Ms[0] = _deficient(rng, a, b, p)
+        elif kind == "Mk=0":
+            Ms[int(rng.integers(1, 4))] = np.zeros((a, b), dtype=np.int64)
+        m = SteinerPresentation(a, b, tuple(Ms), p)
+        cert = horace_surjective(m, d)
+        assert cert in (True, None)
+        seen[kind, cert] += 1
+        stack = _stack(m, d)
+        full = exactalg.rank(stack, p) == stack.shape[0]
+        if _kernel_form_is_wide(m, d):
+            assert cert is (True if full else None), (trial, kind, a, b, d)
+            wide_stack_full += full
+            wide_stack_short += not full
+        else:
+            assert cert is None
+        if cert:
+            assert exactalg.cokernel_dim(assemble_md(m, d), p) == 0
+            assert cokernel_dim_md(m, d) == 0
+    # with M_k = 0 no row x_k^(d+1) of m(d) is reached, so neither the
+    # split nor the dense m(d) can be onto
+    assert seen["generic", True]
+    assert not any(seen[kind, True] for kind in kinds[1:])
+    assert wide_stack_full and wide_stack_short
+
+
+def test_residual_computed_once_per_presentation(monkeypatch):
+    # a ladder that the split ends at d = 2 and the direct check of
+    # m(s - 3) = m(4) share one kernel basis of M1 and no dense m(d) above
+    # m(1), whose plane map (42 x 42 at (7, 21)) is not tried
+    s = pwcurves.sample_pw(7, 21, 1, seed=0)
+    m = SteinerPresentation(s.a, s.b, s.m.Ms, s.prime)
+    kernels, degrees = [], []
+    kernel_basis, assemble = exactalg.kernel_basis, steiner.assemble_md
+
+    def count_kernel(M, p):
+        kernels.append(M.shape)
+        return kernel_basis(M, p)
+
+    def count_md(m, d):
+        degrees.append(d)
+        return assemble(m, d)
+
+    monkeypatch.setattr(exactalg, "kernel_basis", count_kernel)
+    monkeypatch.setattr(steiner, "assemble_md", count_md)
+    cert = surjectivity_certificate(m, 5)
+    assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
+    sample = dataclasses.replace(s, m=m, cert=cert)
+    assert pwcurves.h1_ic_vanishing(sample, direct=True) is True
+    assert kernels == [(7, 21)]
+    assert degrees == [1]
 
 
 def test_horace_needs_more_than_the_hyperplane():
