@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, exactalg, pwcurves, steiner, strata, subspace
 from .multilin import random_frame
+from .pwcurves import _check
 from .seeding import derive_rng
 from .steiner import chi3
 
@@ -32,7 +33,7 @@ _GLOBAL_DEFAULTS = (
     ("prime", "STEINERLAB_PRIME", exactalg.DEFAULT_PRIME),
     ("seed", "STEINERLAB_SEED", 0),
     ("trials", "STEINERLAB_TRIALS", 50),
-    ("dmax", "STEINERLAB_DMAX", 5),
+    ("dmax", "STEINERLAB_DMAX", steiner.D_MAX),
 )
 
 
@@ -55,14 +56,8 @@ def _positive_int(text):
     return value
 
 
-def _check(name, expected, got):
-    return {"name": name, "expected": expected, "got": got,
-            "pass": expected == got}
-
-
 def _check_at_least(name, minimum, got):
-    return {"name": name, "expected": f">={minimum}", "got": got,
-            "pass": got >= minimum}
+    return {**_check(name, f">={minimum}", got), "pass": got >= minimum}
 
 
 def _match_loaded(flag, given, actual):
@@ -78,25 +73,20 @@ def _match_loaded(flag, given, actual):
 
 def cmd_cohomology(args, cfg):
     p, seed = cfg["prime"], cfg["seed"]
-    f = args.f if args.f is not None else 0
     if args.load:
         with open(args.load) as fh:
             m = steiner.read_presentation(fh)
         for flag, given, actual in (("-a", args.a, m.a), ("-b", args.b, m.b),
                                     ("--prime", p, m.prime)):
             _match_loaded(flag, given, actual)
-        cert = steiner.surjectivity_certificate(m, cfg["dmax"])
-        f1 = cert.checked[0][1]  # coker m(1); m(1) has 10a rows
-        _match_loaded("-f", args.f, f1)
         sample = pwcurves.PWSample(
-            m.a, m.b, f1, None, m, 10 * m.a - f1, cert, m.prime, 0
-        )
+            None, m, steiner.surjectivity_certificate(m, cfg["dmax"]), 0)
+        _match_loaded("-f", args.f, sample.f)
     else:
         if args.a is None or args.b is None:
             raise ValueError("-a and -b are required unless --load is given")
         sample = pwcurves.sample_pw(
-            args.a, args.b, f, seed, p, d_max=cfg["dmax"]
-        )
+            args.a, args.b, args.f or 0, seed, p, d_max=cfg["dmax"])
     checks, tab = pwcurves.verify_thm42(sample, args.kmin, args.kmax)
     # only a sample that got a table is written out
     if args.export:
@@ -111,42 +101,36 @@ def cmd_cohomology(args, cfg):
 
 def cmd_table(args, cfg):
     p = cfg["prime"]
-    checks = []
     if args.which == "jordan4":
         rows = strata.jordan4_table(p)
         row = {r.label: r for r in rows}
-        checks.append(_check("types enumerated", 14, len(rows)))
-        checks.append(_check(
+        checks = [_check("types enumerated", 14, len(rows)), _check(
             "O column matches reference outside flagged rows", True,
             all(r.O_match for r in rows if "o_ref_mismatch" not in r.flags),
-        ))
-        checks.append(_check(
+        ), _check(
             "single O discrepancy flagged at 2|1|1 (computed 15, reference 14)",
             True,
             [r.label for r in rows if "o_ref_mismatch" in r.flags] == ["2|1|1"]
             and (row["2|1|1"].O_computed, row["2|1|1"].O_ref) == (15, 14),
-        ))
-        checks.append(_check(
+        ), _check(
             "S column matches reference outside flagged rows", True,
             all(r.S_match for r in rows if "s_ref_mismatch" not in r.flags),
-        ))
-        checks.append(_check(
+        ), _check(
             "single S discrepancy flagged at 22 (computed 6, reference 7)",
             True,
             [r.label for r in rows if "s_ref_mismatch" in r.flags] == ["22"]
             and (row["22"].S_computed, row["22"].S_ref) == (6, 7),
-        ))
+        )]
     else:
         rows = strata.jordan3x4_table(p)
-        checks.append(_check(
+        checks = [_check(
             "(r, S) columns match reference on every row", True,
             all("ref_mismatch" not in r.flags for r in rows),
-        ))
-        checks.append(_check(
+        ), _check(
             "degenerate scalar row with c = 0 flagged", True,
             any("pair_map_not_onto" in r.flags and r.r_computed == 0
                 for r in rows),
-        ))
+        )]
     payload = [dict(dataclasses.asdict(r), flags=list(r.flags)) for r in rows]
     return checks, {"rows": payload}
 
@@ -165,8 +149,7 @@ def cmd_verify_transport(args, cfg):
 
 
 def cmd_verify_pw(args, cfg):
-    p, seed = cfg["prime"], cfg["seed"]
-    f = args.f if args.f is not None else 0
+    p, seed, f = cfg["prime"], cfg["seed"], args.f
     sample = pwcurves.sample_pw(args.a, args.b, f, seed, p, d_max=cfg["dmax"])
     checks, tab = pwcurves.verify_thm42(sample)
     checks.insert(0, _check(
@@ -184,8 +167,8 @@ def cmd_verify_pw(args, cfg):
 
 def cmd_verify_mh(args, cfg):
     p, seed, trials = cfg["prime"], cfg["seed"], cfg["trials"]
-    f = args.f if args.f is not None else 0
-    sample = pwcurves.sample_pw(args.a, args.b, f, seed, p, d_max=cfg["dmax"])
+    sample = pwcurves.sample_pw(args.a, args.b, args.f, seed, p,
+                                d_max=cfg["dmax"])
     hist = pwcurves.mh_rank_survey(sample, trials, seed)
     expected_rank = min(3 * sample.b, 9 * sample.a - sample.f)
     hits = hist.get(expected_rank, 0)
@@ -235,8 +218,7 @@ def cmd_verify_curve(args, cfg):
             f"polynomial at t={t} matches section count", chi3(t) - ideal_h0,
             lhs))
     sample = pwcurves.sample_pw(a, b, cp.f, seed, p, d_max=cfg["dmax"])
-    h0_e1 = 4 * b - sample.rank_m1
-    checks.append(_check("h0 of E(1) equals c", cp.c, h0_e1))
+    checks.append(_check("h0 of E(1) equals c", cp.c, 4 * b - sample.rank_m1))
     Ns = pwcurves.section_matrix(sample)
     pts = min(cfg["trials"], 20)
     rng = derive_rng(seed, 19)
@@ -245,10 +227,8 @@ def cmd_verify_curve(args, cfg):
         x = rng.integers(0, p, size=4, dtype=np.int64)
         Nx = pwcurves.evaluate_linear(Ns, x, p)
         Mx = pwcurves.evaluate_linear(sample.m.Ms, x, p)
-        if exactalg.rank(Nx, p) == cp.c - 1:
-            rank_hits += 1
-        if not exactalg.matmul_mod(Mx, Nx.T, p).any():
-            prod_zero += 1
+        rank_hits += exactalg.rank(Nx, p) == cp.c - 1
+        prod_zero += not exactalg.matmul_mod(Mx, Nx.T, p).any()
     checks.append(_check(
         f"section matrix has rank c-1 at {pts} points", pts, rank_hits))
     checks.append(_check(
@@ -342,8 +322,8 @@ def build_parser():
     c.add_argument("-a", type=int, default=None)
     c.add_argument("-b", type=int, default=None)
     c.add_argument("-f", type=int, default=None)
-    c.add_argument("--kmin", type=int, default=-6)
-    c.add_argument("--kmax", type=int, default=4)
+    c.add_argument("--kmin", type=int, default=steiner.K_MIN)
+    c.add_argument("--kmax", type=int, default=steiner.K_MAX)
     c.add_argument("--export", metavar="FILE",
                    help="write the sampled presentation in interchange format")
     c.add_argument("--load", metavar="FILE",
@@ -364,13 +344,13 @@ def build_parser():
     vp = vs.add_parser("pw", **par)
     vp.add_argument("-a", type=int, required=True)
     vp.add_argument("-b", type=int, required=True)
-    vp.add_argument("-f", type=int, default=None)
+    vp.add_argument("-f", type=int, default=0)
     vp.set_defaults(func=cmd_verify_pw)
 
     vm = vs.add_parser("mh", **par)
     vm.add_argument("-a", type=int, required=True)
     vm.add_argument("-b", type=int, required=True)
-    vm.add_argument("-f", type=int, default=None)
+    vm.add_argument("-f", type=int, default=0)
     vm.set_defaults(func=cmd_verify_mh)
 
     vr = vs.add_parser("rank0", **par)

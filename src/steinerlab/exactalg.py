@@ -44,12 +44,6 @@ def validate_prime(p):
     return p
 
 
-def as_matrix(rows, p=DEFAULT_PRIME):
-    """Normalize nested-list or array input to an int64 residue matrix."""
-    M = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    return np.mod(M, p)
-
-
 def rank(M, p=DEFAULT_PRIME):
     return backend.rank(M, p)
 
@@ -109,7 +103,8 @@ def random_matrix(rng, rows, cols, p=DEFAULT_PRIME):
 #
 # A matrix block is a line "rows cols p", then one line of space-separated
 # residues per row.  The tagged formats put a line "tag d1 d2 p" in front of
-# a fixed number of d1 x d2 matrix blocks over the same prime.
+# four d1 x d2 matrix blocks over the same prime: the coefficient matrices
+# of x1..x4 in a matrix of linear forms.
 
 
 def _read_header(fh, tag=None):
@@ -129,7 +124,7 @@ def _read_header(fh, tag=None):
 
 
 def write_matrix(fh, M, p=DEFAULT_PRIME):
-    M = as_matrix(M, p)
+    M = np.mod(np.asarray(M, dtype=np.int64), p)
     fh.write(f"{M.shape[0]} {M.shape[1]} {p}\n")
     for row in M:
         fh.write(" ".join(str(int(v)) for v in row) + "\n")
@@ -148,21 +143,21 @@ def read_matrix(fh):
     return np.mod(M, p), p
 
 
-def write_blocks(fh, tag, d1, d2, blocks, p=DEFAULT_PRIME):
-    """Write the header "tag d1 d2 p", then each block as a matrix block."""
-    fh.write(f"{tag} {d1} {d2} {p}\n")
-    for M in blocks:
+def write_blocks(fh, tag, forms, p=DEFAULT_PRIME):
+    """Write a (4, d1, d2) array of linear forms: the header
+    "tag d1 d2 p", then each forms[k] as a matrix block."""
+    fh.write(f"{tag} {forms.shape[1]} {forms.shape[2]} {p}\n")
+    for M in forms:
         write_matrix(fh, M, p)
 
 
-def read_blocks(fh, tag, count):
-    """Read a "tag d1 d2 p" header and `count` matrix blocks.
-
-    Every block must be d1 x d2 over the header's prime.  Returns
-    (d1, d2, p, blocks)."""
+def read_blocks(fh, tag):
+    """Read a "tag d1 d2 p" header and four matrix blocks, each d1 x d2
+    over the header's prime.  Returns (forms, p), forms a (4, d1, d2)
+    array."""
     d1, d2, p = _read_header(fh, tag)
     blocks = []
-    for _ in range(count):
+    for _ in range(4):
         M, mp = read_matrix(fh)
         if mp != p or M.shape != (d1, d2):
             raise ValueError(
@@ -170,4 +165,4 @@ def read_blocks(fh, tag, count):
                 f"header (shape {(d1, d2)} mod {p})"
             )
         blocks.append(M)
-    return d1, d2, p, blocks
+    return np.stack(blocks), p

@@ -112,7 +112,7 @@ def random_frame(rng, p=exactalg.DEFAULT_PRIME):
 
 
 def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):
-    """Rewrite the four coefficient matrices of m under the change of
+    """Rewrite the (4, a, b) coefficient array of m under the change of
     coordinates Q on V: M'_l = sum_k Q[l,k] M_k.
 
     With Q = frame.Pinv this gives m in frame coordinates: if
@@ -121,7 +121,7 @@ def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):
     """
     out = np.einsum("lk,kab->lab", np.asarray(Q, dtype=np.int64),
                     np.asarray(Ms, dtype=np.int64))
-    return tuple(np.mod(out, p))
+    return np.mod(out, p)
 
 
 def transform_fform_tensor(t, frame):

@@ -30,28 +30,57 @@ class KernelDimMismatch(Exception):
     pass
 
 
+# attempts sample_pw makes before it gives up
+RETRIES = 8
+
+
+def _check(name, expected, got):
+    """One entry of a report's checks, passed when got equals expected."""
+    return {"name": name, "expected": expected, "got": got,
+            "pass": expected == got}
+
+
 @dataclass(frozen=True)
 class PWSample:
-    a: int
-    b: int
-    f: int
-    phi: FFormQuotient
+    """A presentation m, the quotient phi it was drawn in (None for a loaded
+    m), its surjectivity certificate and the attempts the draw took.  f is
+    the cokernel of m(1), the certificate's first rung."""
+
+    phi: FFormQuotient | None
     m: SteinerPresentation
-    rank_m1: int
     cert: steiner.SurjectivityCertificate
-    prime: int
     attempts: int
 
+    @property
+    def a(self):
+        return self.m.a
 
-def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
+    @property
+    def b(self):
+        return self.m.b
+
+    @property
+    def prime(self):
+        return self.m.prime
+
+    @property
+    def f(self):
+        return self.cert.checked[0][1]
+
+    @property
+    def rank_m1(self):
+        return 10 * self.a - self.f  # m(1) has 10a rows
+
+
+def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=steiner.D_MAX):
     """Draw a presentation whose m(1) has image the generic codimension-f
     subspace of A(x)S^2V.
 
     Admissibility: a >= 1, 5a <= 2b <= 8a and b <= 4a - 4f (so the kernel
     Z* is big enough to receive B).  Each attempt uses a fresh derived
-    stream; after `retries` failed genericity checks SamplingFailed reports
-    the last diagnostics instead of lowering the bar.  The rank of m(1) is read off
-    the first step of the surjectivity certificate, so an attempt
+    stream; after RETRIES failed genericity checks SamplingFailed reports
+    the last diagnostics instead of lowering the bar.  The rank of m(1) is
+    read off the first step of the surjectivity certificate, so an attempt
     eliminates each m(d) once.
     """
     if a < 1:
@@ -62,11 +91,9 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
         raise InadmissibleParams(f"need 2b <= 8a, got a={a}, b={b}")
     if f < 0 or b > 4 * a - 4 * f:
         raise InadmissibleParams(
-            f"need 0 <= f and b <= 4a - 4f, got a={a}, b={b}, f={f}"
-        )
-    want = 10 * a - f
+            f"need 0 <= f and b <= 4a - 4f, got a={a}, b={b}, f={f}")
     last = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         rng = derive_rng(seed, 3, attempt)
         phi = FFormQuotient.random(rng, a, f, p)
         zs = zstar_basis(phi)
@@ -74,20 +101,18 @@ def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=5, retries=8):
             last = f"zstar dimension {len(zs)} != {4 * a - 4 * f}"
             continue
         m = steiner.presentation_in_span(zs, b, rng, p)
-        cert = steiner.surjectivity_certificate(m, d_max)
-        # the ladder starts at m(1), which has 10a rows
-        r1 = 10 * a - cert.checked[0][1]
-        if r1 != want:
-            last = f"rank m(1) = {r1}, expected {want}"
+        sample = PWSample(phi, m, steiner.surjectivity_certificate(m, d_max),
+                          attempt + 1)
+        if sample.f != f:
+            last = f"rank m(1) = {sample.rank_m1}, expected {10 * a - f}"
             continue
-        return PWSample(a, b, f, phi, m, r1, cert, p, attempt + 1)
+        return sample
     raise SamplingFailed(
-        f"no valid sample for (a,b,f)=({a},{b},{f}) in {retries} attempts; "
-        f"last failure: {last}"
-    )
+        f"no valid sample for (a,b,f)=({a},{b},{f}) in {RETRIES} attempts; "
+        f"last failure: {last}")
 
 
-def verify_thm42(sample, k_min=-6, k_max=4):
+def verify_thm42(sample, k_min=steiner.K_MIN, k_max=steiner.K_MAX):
     """Compare the cohomology table of a sample against the closed forms.
 
     Returns (checks, table): checks is a list of dicts with name, expected,
@@ -98,37 +123,22 @@ def verify_thm42(sample, k_min=-6, k_max=4):
     if not k_min <= -1 or not k_max >= 1:
         raise InadmissibleParams(
             f"the twist window must contain -1, 0 and 1, got "
-            f"[{k_min}, {k_max}]"
-        )
+            f"[{k_min}, {k_max}]")
     a, b, f = sample.a, sample.b, sample.f
     tab = cohomology_table(sample.m, k_min, k_max, sample.cert)
-    checks = []
-
-    def add(name, expected, got):
-        checks.append(
-            {"name": name, "expected": expected, "got": got,
-             "pass": expected == got}
-        )
-
-    add("h1 at k=-1 equals a", a, tab.row(-1)[2])
-    add("h1 at k=0 equals 4a-b", 4 * a - b, tab.row(0)[2])
-    add("h1 at k=1 equals f", f, tab.row(1)[2])
-    add("h0 at k=1 equals 4b-10a+f", 4 * b - 10 * a + f, tab.row(1)[1])
-    add("h2 vanishes everywhere", 0, max(r[3] for r in tab.rows))
-    add(
-        "alternating sum equals chi",
-        True,
-        all(r[1] - r[2] + r[3] - r[4] == r[5] for r in tab.rows),
-    )
-    add(
-        "at most one nonzero h^i per twist away from 1",
-        True,
-        all(
-            sum(1 for h in r[1:5] if h > 0) <= 1
-            for r in tab.rows
-            if r[0] != 1
-        ),
-    )
+    checks = [
+        _check("h1 at k=-1 equals a", a, tab.row(-1)[2]),
+        _check("h1 at k=0 equals 4a-b", 4 * a - b, tab.row(0)[2]),
+        _check("h1 at k=1 equals f", f, tab.row(1)[2]),
+        _check("h0 at k=1 equals 4b-10a+f", 4 * b - 10 * a + f,
+               tab.row(1)[1]),
+        _check("h2 vanishes everywhere", 0, max(r[3] for r in tab.rows)),
+        _check("alternating sum equals chi", True,
+               all(r[1] - r[2] + r[3] - r[4] == r[5] for r in tab.rows)),
+        _check("at most one nonzero h^i per twist away from 1", True,
+               all(sum(h > 0 for h in r[1:5]) <= 1
+                   for r in tab.rows if r[0] != 1)),
+    ]
     return checks, tab
 
 
@@ -139,10 +149,8 @@ def check_not_globally_generated(sample):
     stated on any sample, preconditions are the caller's concern.
     """
     a, b = sample.a, sample.b
-    p = sample.prime
     h0_1 = 4 * b - sample.rank_m1
-    r0 = exactalg.rank(assemble_md(sample.m, 0), p)
-    h1_0 = 4 * a - r0
+    h1_0 = 4 * a - exactalg.rank(assemble_md(sample.m, 0), sample.prime)
     return h0_1 <= b - a + 1 and h1_0 > 0
 
 
@@ -164,14 +172,14 @@ def mh_rank_survey(sample, trials, seed):
 
     exactly, at every prime and for every presentation.  Trial t draws its
     frame from derive_rng(seed, 5, t) and reads only its covector h.  Raises
-    KernelDimMismatch when dim K is not 4b - rank m(1), the rank the sample
-    recorded.
+    KernelDimMismatch when dim K is not 4b - rank m(1), the rank the
+    sample's certificate read.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     b, p = sample.b, sample.prime
     Ns = _kernel_forms(sample, 4 * b - sample.rank_m1, "4b - rank m(1)")
-    dim_k = len(Ns[0])
+    dim_k = Ns.shape[1]
     hist = {}
     for trial in range(trials):
         h = random_frame(derive_rng(seed, 5, trial), p).h
@@ -233,34 +241,32 @@ def curve_params(a, b):
     return CurveParams(a, b, s, c, f, delta, degree, genus, flags)
 
 
-def evaluate_linear(mats, x, p=exactalg.DEFAULT_PRIME):
-    """Evaluate four coefficient matrices at a point x of P^3:
-    sum_k mats[k] * x_k mod p."""
-    acc = np.zeros_like(np.asarray(mats[0], dtype=np.int64))
-    for k in range(4):
-        acc = acc + int(x[k]) * np.asarray(mats[k], dtype=np.int64)
-    return np.mod(acc, p)
+def evaluate_linear(forms, x, p=exactalg.DEFAULT_PRIME):
+    """Evaluate a (4, r, c) array of linear forms at a point x of P^3:
+    sum_k forms[k] * x_k mod p."""
+    return np.mod(np.einsum("k,kij->ij", x, forms), p)
 
 
 def _kernel_forms(sample, want, name):
-    """The kernel basis K_1..K_c of m(1), read as the four c x b matrices
-    N_k[r, i] = K_r[4i + k] (coefficient of x_k); raises KernelDimMismatch
-    unless c equals `want`, the value of the expression `name`."""
+    """The kernel basis K_1..K_c of m(1), read as the (4, c, b) array of
+    linear forms N[k, r, i] = K_r[4i + k] (coefficient of x_k); raises
+    KernelDimMismatch unless c equals `want`, the value of the expression
+    `name`."""
     kern = exactalg.kernel_basis(assemble_md(sample.m, 1), sample.prime)
     if len(kern) != want:
         raise KernelDimMismatch(
             f"dim ker m(1) = {len(kern)}, expected {name} = {want}"
         )
     K = kern.reshape(len(kern), sample.b, 4)
-    return tuple(np.ascontiguousarray(K[:, :, k]) for k in range(4))
+    return np.ascontiguousarray(K.transpose(2, 0, 1))
 
 
 def section_matrix(sample):
-    """The c x b matrix of linear forms whose rows span ker m(1) in B(x)V.
+    """The c x b matrix of linear forms whose rows span ker m(1) in B(x)V,
+    as a (4, c, b) array like a presentation's.
 
-    Returns four c x b scalar matrices N_k (coefficient of x_k).  At any
-    point x, every row of N(x) lies in ker M(x); at a generic point N(x) has
-    rank c - 1."""
+    At any point x, every row of N(x) lies in ker M(x); at a generic point
+    N(x) has rank c - 1."""
     return _kernel_forms(sample, sample.b - sample.a + 1, "c")
 
 
@@ -270,13 +276,9 @@ def h1_ic_vanishing(sample, direct=False):
 
     With direct=False the certified degree is used when it already implies
     surjectivity.  direct=True checks m(s-3) itself, independently of that
-    certificate, by steiner.cokernel_dim_md: first the x1-split of the
-    methode d'Horace (Hirschowitz, Manuscripta Math. 50, 1985), which
-    certifies m(s-3) onto when rank M1 = a and the degree-(s-3) map on the
-    plane x1 = 0 of m restricted to ker M1 is onto; where that does not
-    certify, the rank of the dense m(s-3).  The proof is in
-    steiner.horace_surjective.  At (a, b) = (10, 30) the plane map is
-    450 x 720, against 1650 x 3600 for m(7).
+    certificate, by steiner.cokernel_dim_md (the x1-split of
+    horace_surjective, else the dense rank).  At (a, b) = (10, 30) the
+    split's plane map is 450 x 720, against 1650 x 3600 for m(7).
     """
     s = sample.b - 2 * sample.a
     if s < 3:
@@ -292,10 +294,4 @@ def h1_ic_vanishing(sample, direct=False):
 
 
 def write_linforms(fh, Ns, p=exactalg.DEFAULT_PRIME):
-    c, b = np.asarray(Ns[0]).shape
-    exactalg.write_blocks(fh, "linforms", c, b, Ns, p)
-
-
-def read_linforms(fh):
-    _, _, p, Ns = exactalg.read_blocks(fh, "linforms", 4)
-    return tuple(Ns), p
+    exactalg.write_blocks(fh, "linforms", Ns, p)

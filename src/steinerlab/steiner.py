@@ -20,7 +20,7 @@ horace_surjective.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,31 +41,38 @@ class NotLocallyFree(Exception):
         super().__init__(f"no surjective m(d) found ({detail})")
 
 
+# the default degree cap of the surjectivity certificate and the default
+# twist window of a cohomology table
+D_MAX = 5
+K_MIN, K_MAX = -6, 4
+
+
 @dataclass(frozen=True)
 class SteinerPresentation:
-    a: int
-    b: int
-    Ms: tuple  # four a x b int64 arrays, coefficient of x_k
+    """m = sum_k x_k M_k, stored as one (4, a, b) int64 array Ms whose
+    Ms[k] is the coefficient of x_(k+1)."""
+
+    Ms: np.ndarray
     prime: int = exactalg.DEFAULT_PRIME
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("dimensions a, b must be positive")
-        if len(self.Ms) != 4:
-            raise ValueError("need exactly four coefficient matrices")
-        for M in self.Ms:
-            if M.shape != (self.a, self.b):
-                raise ValueError("coefficient matrices must all be a x b")
+        object.__setattr__(self, "Ms", np.asarray(self.Ms, dtype=np.int64))
+        if self.Ms.ndim != 3 or len(self.Ms) != 4 or 0 in self.Ms.shape:
+            raise ValueError("coefficients must form a (4, a, b) array "
+                             "with a, b positive")
 
-    @classmethod
-    def from_matrices(cls, Ms, p=exactalg.DEFAULT_PRIME):
-        mats = tuple(exactalg.as_matrix(M, p) for M in Ms)
-        return cls(mats[0].shape[0], mats[0].shape[1], mats, p)
+    @property
+    def a(self):
+        return self.Ms.shape[1]
+
+    @property
+    def b(self):
+        return self.Ms.shape[2]
 
     @classmethod
     def random(cls, rng, a, b, p=exactalg.DEFAULT_PRIME):
-        Ms = tuple(exactalg.random_matrix(rng, a, b, p) for _ in range(4))
-        return cls(a, b, Ms, p)
+        Ms = exactalg.random_matrix(rng, 4 * a, b, p)
+        return cls(Ms.reshape(4, a, b), p)
 
     @classmethod
     def from_columns(cls, cols, a, p=exactalg.DEFAULT_PRIME):
@@ -74,27 +81,25 @@ class SteinerPresentation:
         cols = np.mod(np.asarray(cols, dtype=np.int64), p)
         if cols.ndim != 2 or cols.shape[0] != 4 * a:
             raise ValueError("columns must form a 4a x b matrix over A(x)V")
-        Ms = tuple(np.ascontiguousarray(cols[k::4]) for k in range(4))
-        return cls(a, cols.shape[1], Ms, p)
+        return cls(np.ascontiguousarray(
+            cols.reshape(a, 4, cols.shape[1]).transpose(1, 0, 2)), p)
 
     def columns(self):
         """The b columns of m as vectors in A(x)V coordinates."""
-        out = np.zeros((4 * self.a, self.b), dtype=np.int64)
-        for k in range(4):
-            out[k::4, :] = self.Ms[k]
-        return out
+        return self.Ms.transpose(1, 0, 2).reshape(4 * self.a, self.b)
 
     def in_frame(self, frame):
         """The presentation written in the coordinates of a hyperplane
         frame, where H = {x4 = 0}."""
-        Ms = transform_presentation(self.Ms, frame.Pinv, frame.prime)
-        return SteinerPresentation(self.a, self.b, Ms, self.prime)
+        return SteinerPresentation(
+            transform_presentation(self.Ms, frame.Pinv, frame.prime),
+            self.prime)
 
     def transpose(self):
         """The presentation with matrices M_k^T and the roles of A, B
         swapped (used for the Serre-dual route)."""
-        Ms = tuple(np.ascontiguousarray(M.T) for M in self.Ms)
-        return SteinerPresentation(self.b, self.a, Ms, self.prime)
+        return SteinerPresentation(
+            np.ascontiguousarray(self.Ms.transpose(0, 2, 1)), self.prime)
 
     @functools.cached_property
     def x1_residual(self):
@@ -205,15 +210,21 @@ def horace_surjective(m, d):
 
 @dataclass(frozen=True)
 class SurjectivityCertificate:
-    d0: int | None  # smallest checked degree with m(d0) surjective
-    checked: tuple = field(default_factory=tuple)  # (d, cokernel_dim) pairs
+    checked: tuple  # (d, cokernel_dim) pairs, d = 1, 2, ..., never empty
+
+    @property
+    def d0(self):
+        """The surjective degree the ladder stopped at, else None."""
+        if self.checked[-1][1] == 0:
+            return self.checked[-1][0]
+        return None
 
     @property
     def found(self):
         return self.d0 is not None
 
 
-def surjectivity_certificate(m, d_max=5):
+def surjectivity_certificate(m, d_max=D_MAX):
     """Search d = 1..d_max for surjective m(d), each degree by
     cokernel_dim_md, so a degree the x1-split certifies is recorded as
     (d, 0) without eliminating m(d).
@@ -229,8 +240,8 @@ def surjectivity_certificate(m, d_max=5):
         c = cokernel_dim_md(m, d)
         checked.append((d, c))
         if c == 0:
-            return SurjectivityCertificate(d, tuple(checked))
-    return SurjectivityCertificate(None, tuple(checked))
+            break
+    return SurjectivityCertificate(tuple(checked))
 
 
 def chi3(t):
@@ -247,11 +258,15 @@ def euler_char(a, b, k):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    a: int
-    b: int
-    k_min: int
-    k_max: int
-    rows: tuple  # (k, h0, h1, h2, h3, chi)
+    rows: tuple  # (k, h0, h1, h2, h3, chi), k through a nonempty window
+
+    @property
+    def k_min(self):
+        return self.rows[0][0]
+
+    @property
+    def k_max(self):
+        return self.rows[-1][0]
 
     def row(self, k):
         if not self.k_min <= k <= self.k_max:
@@ -265,7 +280,7 @@ class CohomologyTable:
         ]
 
 
-def cohomology_table(m, k_min=-6, k_max=4, cert=None):
+def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
     """Cohomology of E_m(k) for k in [k_min, k_max].
 
     `cert` is the surjectivity certificate of m; when omitted it is computed
@@ -274,6 +289,8 @@ def cohomology_table(m, k_min=-6, k_max=4, cert=None):
     1 <= k <= d0, so those ranks are read from its ladder; for k above d0
     the rank of m(k) is known by propagation without assembling it.
     """
+    if k_min > k_max:
+        raise ValueError(f"empty twist window [{k_min}, {k_max}]")
     if cert is None:
         cert = surjectivity_certificate(m)
     if not cert.found:
@@ -301,7 +318,7 @@ def cohomology_table(m, k_min=-6, k_max=4, cert=None):
         h3 = h0 - h1 + h2 - chi
         assert h3 >= 0
         rows.append((k, h0, h1, h2, h3, chi))
-    return CohomologyTable(a, b, k_min, k_max, tuple(rows))
+    return CohomologyTable(tuple(rows))
 
 
 def dual_h0(m, j):
@@ -327,9 +344,8 @@ def dual_h0(m, j):
 
 
 def write_presentation(fh, m):
-    exactalg.write_blocks(fh, "steiner", m.a, m.b, m.Ms, m.prime)
+    exactalg.write_blocks(fh, "steiner", m.Ms, m.prime)
 
 
 def read_presentation(fh):
-    a, b, p, Ms = exactalg.read_blocks(fh, "steiner", 4)
-    return SteinerPresentation(a, b, tuple(Ms), p)
+    return SteinerPresentation(*exactalg.read_blocks(fh, "steiner"))

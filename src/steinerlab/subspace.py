@@ -95,23 +95,29 @@ def _block_rows(t, n=4):
 
 @dataclass(frozen=True)
 class FFormQuotient:
-    a: int
-    f: int
     t: np.ndarray  # shape (f, a, 4, 4), symmetric in the last two axes
     prime: int = exactalg.DEFAULT_PRIME
 
     def __post_init__(self):
-        if self.t.shape != (self.f, self.a, 4, 4):
+        if self.t.ndim != 4 or self.t.shape[2:] != (4, 4):
             raise ValueError("coefficient tensor must have shape (f, a, 4, 4)")
         if not np.array_equal(self.t, self.t.transpose(0, 1, 3, 2)):
             raise ValueError("coefficient tensor must be symmetric in (p, q)")
+
+    @property
+    def f(self):
+        return self.t.shape[0]
+
+    @property
+    def a(self):
+        return self.t.shape[1]
 
     @classmethod
     def random(cls, rng, a, f, p=exactalg.DEFAULT_PRIME):
         for _ in range(8):
             raw = rng.integers(0, p, size=(f, a, 4, 4), dtype=np.int64)
             t = np.mod(raw + raw.transpose(0, 1, 3, 2), p)
-            q = cls(a, f, t, p)
+            q = cls(t, p)
             if q.echelon[1] == f:
                 return q
         raise SamplingFailed(
@@ -146,7 +152,7 @@ def witness_z(a, f, p=exactalg.DEFAULT_PRIME):
     for s in range(f):
         for pp in range(4):
             t[s, s, pp, pp] = 1
-    return FFormQuotient(a, f, t, p)
+    return FFormQuotient(t, p)
 
 
 def zstar_basis(phi):
@@ -164,21 +170,28 @@ class ZSlice:
     """Z = ker Phi, or its hyperplane slice Z' = Z cap A(x)H.V carried in
     the frame where H = {x4 = 0}; build it with zslice.
 
-    t is the coefficient tensor in slice coordinates, pq the block positions
-    of the slice's coordinates (_S2V on Z, _HV on Z'), rows the quotient's
-    rows on them, and frame the hyperplane frame of Z' (None on Z).
+    t is the coefficient tensor in slice coordinates and frame the
+    hyperplane frame of Z' (None on Z); the rest is read off these.
     """
 
     phi: FFormQuotient
     t: np.ndarray
-    pq: np.ndarray
-    rows: np.ndarray
     frame: HyperplaneFrame | None = None
 
     @property
     def n(self):
         """The number of frame directions: 4, or 3 on H."""
         return 4 if self.frame is None else 3
+
+    @property
+    def pq(self):
+        """The slice's coordinates' block positions: _S2V, or _HV on Z'."""
+        return _S2V if self.frame is None else _HV
+
+    @cached_property
+    def rows(self):
+        """The quotient's rows on the slice's coordinates."""
+        return _coords(self.t, self.pq)
 
     @cached_property
     def vstar(self):
@@ -198,14 +211,12 @@ def zslice(phi, frame=None):
     """The slice Z of phi, or Z' for the hyperplane of `frame`; raises
     NonTransverse when dim Z' exceeds 9a - f (rank of Phi_H below f)."""
     if frame is None:
-        return ZSlice(phi, phi.t, _S2V, phi.phi_matrix())
-    t = transform_fform_tensor(phi.t, frame)
-    sl = ZSlice(phi, t, _HV, _coords(t, _HV), frame)
+        return ZSlice(phi, phi.t)
+    sl = ZSlice(phi, transform_fform_tensor(phi.t, frame), frame)
     r = sl.echelon[1]
     if r < phi.f:
         raise NonTransverse(
-            f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}"
-        )
+            f"dim Z' = {9 * phi.a - r} exceeds 9a - f = {9 * phi.a - phi.f}")
     return sl
 
 
@@ -310,7 +321,7 @@ def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
         m = presentation_in_span(kern, b, rng, p)
         if frame is not None:
             m = SteinerPresentation(
-                a, b, transform_presentation(m.Ms, frame.P, p), p)
+                transform_presentation(m.Ms, frame.P, p), p)
     else:
         m = SteinerPresentation.random(rng, a, b, p)
     lhs, rhs = transport_check(m, sl, extra)

@@ -176,12 +176,11 @@ def test_failing_checks_exit_one(tmp_path):
     # generic closed forms, so the report must go red
     rng = np.random.default_rng(3)
     m = SteinerPresentation.random(rng, 3, 8, P)
-    Ms = [M.copy() for M in m.Ms]
-    for M in Ms:
-        M[:, 7] = M[:, 6]
+    Ms = m.Ms.copy()
+    Ms[:, :, 7] = Ms[:, :, 6]
     path = tmp_path / "degenerate.txt"
     with open(path, "w") as fh:
-        write_presentation(fh, SteinerPresentation.from_matrices(Ms, P))
+        write_presentation(fh, SteinerPresentation(Ms, P))
     code, out = run_cli(["--json", "cohomology", "-a", "3", "-b", "8",
                          "--load", str(path)])
     assert code == 1
@@ -205,8 +204,15 @@ def _presentation_text(p):
     header prime p (entries reduced mod p)."""
     m = SteinerPresentation.random(np.random.default_rng(11), 3, 8, P)
     buf = io.StringIO()
-    write_presentation(buf, SteinerPresentation.from_matrices(m.Ms, p))
+    write_presentation(buf, SteinerPresentation(m.Ms % p, p))
     return buf.getvalue()
+
+
+def _empty_presentation_text(a, b):
+    """A presentation file with a = 0 or b = 0: the header, then four
+    blocks of a header line and a empty rows."""
+    block = f"{a} {b} {P}\n" + "\n" * a
+    return f"steiner {a} {b} {P}\n" + 4 * block
 
 
 def _truncated(text):
@@ -223,8 +229,10 @@ def _truncated(text):
     (_presentation_text(9), "9 is not prime"),
     (_presentation_text((1 << 20) + 7), "prime must be below 2**20"),
     (_presentation_text(5), "--prime 32003 contradicts the loaded file (5)"),
+    (_empty_presentation_text(0, 8), "with a, b positive"),
+    (_empty_presentation_text(3, 0), "with a, b positive"),
 ], ids=["wrong-tag", "truncated-block", "block-shape", "prime-2", "prime-9",
-        "prime-2^20+7", "F5-under-default-prime"])
+        "prime-2^20+7", "F5-under-default-prime", "a-zero", "b-zero"])
 def test_load_rejects_bad_interchange_file(tmp_path, capsys, text, message):
     path = tmp_path / "presentation.txt"
     path.write_text(text)

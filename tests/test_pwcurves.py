@@ -25,7 +25,6 @@ from steinerlab.pwcurves import (
     evaluate_linear,
     h1_ic_vanishing,
     mh_rank_survey,
-    read_linforms,
     sample_pw,
     section_matrix,
     verify_thm42,
@@ -33,7 +32,13 @@ from steinerlab.pwcurves import (
 )
 from steinerlab.multilin import random_frame
 from steinerlab.seeding import derive_rng
-from steinerlab.steiner import SteinerPresentation, assemble_md, chi3
+from steinerlab.steiner import (
+    SteinerPresentation,
+    SurjectivityCertificate,
+    assemble_md,
+    chi3,
+    surjectivity_certificate,
+)
 
 P = exactalg.DEFAULT_PRIME
 
@@ -52,11 +57,10 @@ def test_sample_3_8_1():
 def test_sample_deterministic():
     s1 = sample_pw(3, 8, 1, seed=4)
     s2 = sample_pw(3, 8, 1, seed=4)
-    for M1, M2 in zip(s1.m.Ms, s2.m.Ms):
-        assert np.array_equal(M1, M2)
+    assert np.array_equal(s1.m.Ms, s2.m.Ms)
     assert np.array_equal(s1.phi.t, s2.phi.t)
     s3 = sample_pw(3, 8, 1, seed=5)
-    assert not all(np.array_equal(a, b) for a, b in zip(s1.m.Ms, s3.m.Ms))
+    assert not np.array_equal(s1.m.Ms, s3.m.Ms)
 
 
 def test_sample_1_4_0():
@@ -76,9 +80,10 @@ def test_inadmissible_params():
         sample_pw(3, 8, -1, seed=0)
 
 
-def test_sampling_failed_when_no_attempts():
-    with pytest.raises(SamplingFailed):
-        sample_pw(3, 8, 1, seed=0, retries=0)
+def test_sampling_failed_when_no_attempts(monkeypatch):
+    monkeypatch.setattr(pwcurves, "RETRIES", 0)
+    with pytest.raises(SamplingFailed, match="in 0 attempts"):
+        sample_pw(3, 8, 1, seed=0)
 
 
 def test_verify_thm42_3_8_1():
@@ -154,9 +159,11 @@ def _dense_survey(s, trials, seed):
 
 
 def _as_sample(m):
-    """A PWSample around any presentation, recording its true rank m(1)."""
-    r1 = exactalg.rank(assemble_md(m, 1), m.prime)
-    return PWSample(m.a, m.b, 0, None, m, r1, None, m.prime, 0)
+    """A PWSample around any presentation, with the first rung of its
+    certificate, so its rank m(1) is the true one."""
+    s = PWSample(None, m, surjectivity_certificate(m, 1), 0)
+    assert s.rank_m1 == exactalg.rank(assemble_md(m, 1), m.prime)
+    return s
 
 
 def _presentations(p):
@@ -168,11 +175,10 @@ def _presentations(p):
         out.append(SteinerPresentation.random(rng, a, b, p))
     for m in out[:4]:
         for k in (0, 3):
-            Ms = list(m.Ms)
-            Ms[k] = np.zeros_like(Ms[k])
-            out.append(SteinerPresentation(m.a, m.b, tuple(Ms), p))
-    zeros = tuple(np.zeros((2, 6), dtype=np.int64) for _ in range(4))
-    out.append(SteinerPresentation(2, 6, zeros, p))
+            Ms = m.Ms.copy()
+            Ms[k] = 0
+            out.append(SteinerPresentation(Ms, p))
+    out.append(SteinerPresentation(np.zeros((4, 2, 6), dtype=np.int64), p))
     return out
 
 
@@ -187,8 +193,7 @@ def test_mh_rank_survey_matches_dense_rank_per_frame(p):
 
 
 def test_mh_rank_survey_zero_presentation():
-    zeros = tuple(np.zeros((2, 6), dtype=np.int64) for _ in range(4))
-    s = _as_sample(SteinerPresentation(2, 6, zeros, P))
+    s = _as_sample(SteinerPresentation(np.zeros((4, 2, 6), dtype=np.int64), P))
     assert s.rank_m1 == 0
     assert mh_rank_survey(s, 5, 0) == {0: 5}
 
@@ -209,9 +214,14 @@ def test_mh_rank_survey_histogram_matches_dense():
 
 
 def test_mh_rank_survey_rejects_forged_rank():
+    # a certificate whose first rung claims one more cokernel dimension of
+    # m(1) than the presentation has
     s = sample_pw(3, 8, 1, seed=0)
+    (d, coker), *rest = s.cert.checked
+    forged = SurjectivityCertificate(((d, coker + 1), *rest))
+    assert dataclasses.replace(s, cert=forged).rank_m1 == s.rank_m1 - 1
     with pytest.raises(KernelDimMismatch):
-        mh_rank_survey(dataclasses.replace(s, rank_m1=s.rank_m1 - 1), 3, 0)
+        mh_rank_survey(dataclasses.replace(s, cert=forged), 3, 0)
 
 
 def test_curve_params_frozen_invariants():
@@ -278,17 +288,9 @@ def test_h1_ic_edge_cases():
     # has nothing surjective
     vac = sample_pw(1, 4, 0, seed=0)
     assert h1_ic_vanishing(vac) is True
-    from steinerlab.steiner import (
-        SteinerPresentation,
-        SurjectivityCertificate,
-        surjectivity_certificate,
-    )
-
-    zero = SteinerPresentation.from_matrices(
-        [np.zeros((1, 5), dtype=np.int64)] * 4, P
-    )
-    cert = surjectivity_certificate(zero, 2)
-    s = PWSample(1, 5, 0, None, zero, 0, cert, P, 0)
+    zero = SteinerPresentation(np.zeros((4, 1, 5), dtype=np.int64), P)
+    s = PWSample(None, zero, surjectivity_certificate(zero, 2), 0)
+    assert not s.cert.found and (s.f, s.rank_m1) == (10, 0)
     assert h1_ic_vanishing(s) is False
     # the x1-split cannot certify m(0), so the dense rank decides
     assert steiner.horace_surjective(zero, 0) is None
@@ -298,8 +300,7 @@ def test_h1_ic_edge_cases():
 def test_section_matrix_10_30():
     s = sample_pw(10, 30, 1, seed=0)
     Ns = section_matrix(s)
-    assert len(Ns) == 4
-    assert all(N.shape == (21, 30) for N in Ns)
+    assert Ns.shape == (4, 21, 30)
     rng = np.random.default_rng(99)
     for _ in range(5):
         x = rng.integers(0, P, size=4, dtype=np.int64)
@@ -328,13 +329,14 @@ def test_linforms_interchange():
     write_linforms(buf, Ns, P)
     text = buf.getvalue()
     assert text.splitlines()[0] == f"linforms 21 30 {P}"
-    Ns2, p2 = read_linforms(io.StringIO(text))
+    Ns2, p2 = exactalg.read_blocks(io.StringIO(text), "linforms")
     assert p2 == P
-    for N1, N2 in zip(Ns, Ns2):
-        assert np.array_equal(N1, N2)
+    assert np.array_equal(Ns, Ns2)
 
 
 def test_sample_is_frozen():
     s = sample_pw(1, 4, 0, seed=0)
     with pytest.raises(AttributeError):
         s.a = 2
+    with pytest.raises(AttributeError):
+        s.attempts = 2

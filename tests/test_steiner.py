@@ -92,9 +92,7 @@ def test_generic_1_4(rng):
 
 
 def test_zero_presentation():
-    m = SteinerPresentation.from_matrices(
-        [np.zeros((2, 5), dtype=np.int64)] * 4, P
-    )
+    m = SteinerPresentation(np.zeros((4, 2, 5), dtype=np.int64), P)
     assert corank_md(m, 0) == min(5, 8)
     cert = surjectivity_certificate(m, 3)
     assert not cert.found
@@ -163,6 +161,10 @@ def test_cohomology_rows_well_formed(rng):
     assert dicts[0].keys() == {"k", "h0", "h1", "h2", "h3", "chi"}
     with pytest.raises(KeyError):
         tab.row(99)
+    # the window, k_min and k_max, is read off the rows, so it is never empty
+    assert (tab.k_min, tab.k_max) == (-3, 3)
+    with pytest.raises(ValueError):
+        cohomology_table(m, 3, 2)
 
 
 def test_propagation_matches_direct_rank(rng):
@@ -231,7 +233,8 @@ def test_horace_never_certifies_a_cokernel(p):
             m = SteinerPresentation.random(rng, a, b, p)
             if kind == 1:
                 m = SteinerPresentation(
-                    a, b, (_deficient(rng, a, b, p),) + m.Ms[1:], p)
+                    np.concatenate([[_deficient(rng, a, b, p)], m.Ms[1:]]),
+                    p)
         cert = horace_surjective(m, d)
         coker = exactalg.cokernel_dim(assemble_md(m, d), p)
         assert cert in (True, None)
@@ -251,7 +254,8 @@ def test_horace_needs_m1_of_full_rank(rng):
     assert horace_surjective(m, 2) is None
     assert "x1_residual" not in vars(m)
     assert horace_surjective(m, 3) is True
-    low = SteinerPresentation(3, 8, (_deficient(rng, 3, 8, P),) + m.Ms[1:], P)
+    low = SteinerPresentation(
+        np.concatenate([[_deficient(rng, 3, 8, P)], m.Ms[1:]]), P)
     assert horace_surjective(low, 3) is None
     assert low.x1_residual is None
 
@@ -285,14 +289,14 @@ def test_kernel_form_matches_the_stack(p):
         b = int(rng.integers(1, a + 1) if kind == "b<=a"
                 else rng.integers(a + 1, 4 * a + 2))
         d = int(rng.integers(0, 4))
-        Ms = list(SteinerPresentation.random(rng, a, b, p).Ms)
+        Ms = SteinerPresentation.random(rng, a, b, p).Ms
         if kind == "M1=0":
-            Ms[0] = np.zeros((a, b), dtype=np.int64)
+            Ms[0] = 0
         elif kind == "M1 deficient":
             Ms[0] = _deficient(rng, a, b, p)
         elif kind == "Mk=0":
-            Ms[int(rng.integers(1, 4))] = np.zeros((a, b), dtype=np.int64)
-        m = SteinerPresentation(a, b, tuple(Ms), p)
+            Ms[int(rng.integers(1, 4))] = 0
+        m = SteinerPresentation(Ms, p)
         cert = horace_surjective(m, d)
         assert cert in (True, None)
         seen[kind, cert] += 1
@@ -319,7 +323,7 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     # m(s - 3) = m(4) share one kernel basis of M1 and no dense m(d) above
     # m(1), whose plane map (42 x 42 at (7, 21)) is not tried
     s = pwcurves.sample_pw(7, 21, 1, seed=0)
-    m = SteinerPresentation(s.a, s.b, s.m.Ms, s.prime)
+    m = SteinerPresentation(s.m.Ms, s.prime)
     kernels, degrees = [], []
     kernel_basis, assemble = exactalg.kernel_basis, steiner.assemble_md
 
@@ -346,7 +350,7 @@ def test_horace_needs_more_than_the_hyperplane():
     # identity and onto, but m(0) is 4 x 3 and cannot be
     Ms = [np.array([[1, 2, 3]])] + [np.eye(3, dtype=np.int64)[[k]]
                                      for k in range(3)]
-    m = SteinerPresentation.from_matrices(Ms, P)
+    m = SteinerPresentation(Ms, P)
     assert exactalg.rank(assemble_md(m, 0)[[1, 2, 3]], P) == 3
     assert cokernel_dim_md(m, 0) == 1
     assert horace_surjective(m, 0) is None
@@ -367,15 +371,21 @@ def test_cohomology_table_reads_certificate():
 
 
 def test_bad_shapes_rejected():
+    # a presentation is four a x b matrices with a, b >= 1
+    for shape in ((3, 2, 3), (5, 2, 3), (4, 0, 3), (4, 2, 0), (4, 6)):
+        with pytest.raises(ValueError):
+            SteinerPresentation(np.zeros(shape, dtype=np.int64), P)
     with pytest.raises(ValueError):
-        SteinerPresentation.from_matrices(
-            [np.zeros((2, 3), dtype=np.int64)] * 3, P
-        )
-    with pytest.raises(ValueError):
-        SteinerPresentation.from_matrices(
-            [np.zeros((2, 3), dtype=np.int64)] * 3
-            + [np.zeros((3, 3), dtype=np.int64)], P
-        )
+        SteinerPresentation([np.zeros((2, 3), dtype=np.int64)] * 3
+                            + [np.zeros((3, 3), dtype=np.int64)], P)
+    m = SteinerPresentation(np.zeros((4, 2, 3), dtype=np.int64), P)
+    assert (m.a, m.b) == (2, 3)
+    # a quotient's coefficient tensor is f x a x 4 x 4
+    for shape in ((1, 2, 4, 3), (1, 2, 3, 3), (2, 4, 4), (1, 2, 4, 4, 1)):
+        with pytest.raises(ValueError):
+            subspace.FFormQuotient(np.zeros(shape, dtype=np.int64), P)
+    phi = subspace.FFormQuotient(np.zeros((1, 2, 4, 4), dtype=np.int64), P)
+    assert (phi.f, phi.a) == (1, 2)
 
 
 def test_presentation_interchange(rng):

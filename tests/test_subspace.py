@@ -42,7 +42,7 @@ P = exactalg.DEFAULT_PRIME
 def _diag_quadric(diag):
     t = np.zeros((1, 1, 4, 4), dtype=np.int64)
     t[0, 0] = np.diag(np.asarray(diag, dtype=np.int64))
-    return FFormQuotient(1, 1, t, P)
+    return FFormQuotient(t, P)
 
 
 def test_quadric_gram():
@@ -66,7 +66,7 @@ def test_symmetry_validation():
     t = np.zeros((1, 1, 4, 4), dtype=np.int64)
     t[0, 0, 0, 1] = 1
     with pytest.raises(ValueError):
-        FFormQuotient(1, 1, t, P)
+        FFormQuotient(t, P)
 
 
 def test_from_tensor_rank_check():
@@ -75,7 +75,7 @@ def test_from_tensor_rank_check():
     t[1, 0] = np.eye(4, dtype=np.int64)
     # the dataclass constructor checks only shape and symmetry, not that
     # the covectors are independent
-    q = FFormQuotient(1, 2, t, P)
+    q = FFormQuotient(t, P)
     assert (q.a, q.f) == (1, 2)
 
 
@@ -91,7 +91,7 @@ def test_zero_row_quotient_round_trip(rng):
     # the general path on 0-row matrices: Z* is all of A(x)V, and no
     # covector has a rank-0 symmetry witness
     assert np.array_equal(zstar_basis(phi), np.eye(12, dtype=np.int64))
-    empty = FFormQuotient(2, 0, np.zeros((0, 2, 4, 4), dtype=np.int64), P)
+    empty = FFormQuotient(np.zeros((0, 2, 4, 4), dtype=np.int64), P)
     assert np.array_equal(zstar_basis(empty), np.eye(8, dtype=np.int64))
     assert vstar_rank(phi) == 0
     assert find_rank0(zslice(phi)) is None
@@ -171,7 +171,7 @@ def test_restrict_to_h_drops_x4_squared(rng):
     # Phi_H is the frame quotient on A(x)S^2V without each block's x4^2
     phi = FFormQuotient.random(rng, 3, 2, P)
     hs = zslice(phi, random_frame(rng, P))
-    full = FFormQuotient(3, 2, hs.t, P).phi_matrix()
+    full = FFormQuotient(hs.t, P).phi_matrix()
     cols = [j * 10 + i for j in range(3) for i in HV_MONO_INDICES]
     assert np.array_equal(hs.rows, full[:, cols])
 
@@ -229,7 +229,7 @@ def test_fstar_without_extras_reads_the_slice_echelon(rng, monkeypatch):
     # dependent quotient rows are still rejected
     t = np.concatenate([phi.t[:1], phi.t[:1]])
     with pytest.raises(ValueError):
-        fstar_ZT(zslice(FFormQuotient(3, 2, t, P)))
+        fstar_ZT(zslice(FFormQuotient(t, P)))
 
 
 @pytest.mark.parametrize("variant", ["full", "hyper", "combined"])
@@ -272,7 +272,7 @@ def test_fstar_blocks_match_loop_reference(rng):
                  for _ in range(e)]
         M = fstar_ZT(hs, extra)
         assert M.shape == (4 * f + 3 * e, 4 * a)
-        top = gstar(FFormQuotient(a, f, hs.t, P))
+        top = gstar(FFormQuotient(hs.t, P))
         assert np.array_equal(M[:4 * f], top)
         if e:
             assert np.array_equal(M[4 * f:],
@@ -299,7 +299,7 @@ def stacked_by_loops(t, u, a, framed):
                     bottom[s * n + pp, j * 4 + qq] = u[s, j * k + i]
                 if qq < n:
                     bottom[s * n + qq, j * 4 + pp] = u[s, j * k + i]
-    return np.vstack([gstar(FFormQuotient(a, len(t), t, P)), bottom])
+    return np.vstack([gstar(FFormQuotient(t, P)), bottom])
 
 
 def test_fstar_matches_stacked_reference(rng):
@@ -358,9 +358,7 @@ def test_transport_framed_positive(rng):
     kern = exactalg.kernel_basis(stacked, P)
     assert len(kern)
     mf = presentation_in_span(kern, b, rng, P)
-    m = SteinerPresentation(
-        a, b, transform_presentation(mf.Ms, frame.P, P), P
-    )
+    m = SteinerPresentation(transform_presentation(mf.Ms, frame.P, P), P)
     assert transport_check(m, hs, extra) == (True, True)
     # and without the extra covector the equivalence still holds
     lhs, rhs = transport_check(m, hs)
