@@ -24,6 +24,15 @@ property of the input, so systems of up to 128 rows run the column loop on
 whole panels.  The pivots are the column loop's, and each pivot still adds
 less than p**2 to an entry before the entry is next reduced, so the
 (rank + panel) * p**2 bound holds as it did.
+
+`ranks` is the rank-only sweep over a stack of same-shape matrices.  Small
+matrices spend most of a blocked run in numpy's per-call overhead, so the
+stack is swept column by column with every matrix at once: one broadcast
+rank-1 update per column over the rows still active, each matrix with its
+own first-nonzero pivot row.  As in the core, an entry is reduced only when
+it is read, as part of a pivot column or pivot row; each pivot subtracts
+less than p**2 from it, so it stays below p + min(n, m) * p**2 and the same
+_check_capacity bound covers it.
 """
 
 from __future__ import annotations
@@ -236,3 +245,56 @@ def rref(a, p, full=True):
             _back_eliminate(F, p, rank, np.asarray(pivots, dtype=np.intp))
         a[:, :] = F
     return rank, pivots
+
+
+def ranks(S, p):
+    """Ranks mod p of the matrices of the (T, n, m) int64 stack S, as a list
+    of T ints; S is only read.
+
+    Matrix t keeps its pivot count in cur[t], its pivot rows above cur[t]
+    and its active rows from cur[t] down; `lo` is the smallest cur, and the
+    rows above it are finished in every matrix.  At each column every matrix
+    takes the first nonzero active entry as its pivot, swaps it up to
+    cur[t], and subtracts multiples of its normalized pivot row from the
+    active rows below it.  A rank is also the rank of the transpose, so a
+    wide stack is swept transposed, in at most min(n, m) column steps."""
+    if S.shape[2] > S.shape[1]:
+        S = S.transpose(0, 2, 1)
+    T, n, m = S.shape
+    if T == 0 or n == 0 or m == 0:
+        return [0] * T
+    F = np.empty((T, n, m))
+    np.remainder(S, p, out=F, casting="unsafe")
+    cur = np.zeros(T, dtype=np.intp)
+    t = np.arange(T)
+    rows = np.arange(n)
+    for j in range(m):
+        lo = int(cur.min())
+        if lo == n:
+            break
+        off = cur - lo
+        col = _reduce(F[:, lo:, j], p)
+        # a finished row of matrix t is never a pivot or updated again
+        col[rows[:n - lo] < off[:, None]] = 0.0
+        nz = col != 0
+        r = nz.argmax(1)
+        has = nz[t, r]
+        sw = np.flatnonzero(has & (r != off))
+        if sw.size:
+            i, k = off[sw], r[sw]
+            F[sw, lo + i, j + 1:], F[sw, lo + k, j + 1:] = (
+                F[sw, lo + k, j + 1:], F[sw, lo + i, j + 1:])
+            col[sw, i], col[sw, k] = col[sw, k], col[sw, i]
+        if j + 1 < m:
+            # the pivot entry, 0 exactly where there is none; a matrix whose
+            # rows are all finished reads its last row, whose entry is 0
+            at = np.minimum(off, n - lo - 1)
+            inv = np.array([pow(v, -1, p) if v else 0
+                            for v in col[t, at].astype(np.int64).tolist()],
+                           dtype=np.float64)
+            prow = _reduce(_reduce(F[t, lo + at, j + 1:], p) * inv[:, None],
+                           p)
+            col[t, at] = 0.0
+            F[:, lo:, j + 1:] -= col[:, :, None] * prow[:, None, :]
+        cur += has
+    return cur.tolist()

@@ -2,7 +2,12 @@
 
 Matrices are numpy int64 arrays holding residues in [0, p); rows × cols shape,
 row-major.  Every rank, kernel and cokernel in the package reduces to the
-routines here, which in turn call the elimination core in backend.
+routines here.  A single matrix goes to the blocked elimination core in
+backend.  A stack of same-shape matrices goes to `ranks`, the core's
+rank-only sweep over the whole stack (_core.ranks), which the hyperplane
+survey (pwcurves.mh_rank_survey) and the curve's point check (cli verify
+curve) use; its entries stay below p + min(n, m) * p**2, inside the same
+capacity bound as the blocked core's.
 
 The field is a single configurable prime, default 32003.  Genericity
 statements checked by sampling hold over F_p up to failure probability
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _gfcore_py as _core
 from . import backend
 
 DEFAULT_PRIME = 32003
@@ -21,6 +27,10 @@ DEFAULT_PRIME = 32003
 # the elimination core accumulates sums of products of residues; this cap
 # keeps them exact (see _gfcore_py._check_capacity)
 MAX_PRIME = 1 << 20
+
+# matrices `ranks` sweeps at once, so its float64 work copy and the
+# temporaries of its updates are at most this many matrices deep
+STACK = 64
 
 
 def validate_prime(p):
@@ -46,6 +56,21 @@ def validate_prime(p):
 
 def rank(M, p=DEFAULT_PRIME):
     return backend.rank(M, p)
+
+
+def ranks(stack, p=DEFAULT_PRIME):
+    """Ranks of the matrices of a (T, n, m) stack, as a list of T ints.
+
+    Sweeps at most STACK matrices at a time, so its work memory does not
+    grow with T; a single matrix is faster through `rank`."""
+    arr = np.asarray(stack, dtype=np.int64)
+    if arr.ndim != 3:
+        raise ValueError("expected a 3-D array")
+    _core._check_capacity(arr.shape[1], arr.shape[2], p)
+    out = []
+    for t0 in range(0, len(arr), STACK):
+        out += _core.ranks(arr[t0:t0 + STACK], p)
+    return out
 
 
 def rref(M, p=DEFAULT_PRIME):

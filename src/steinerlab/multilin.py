@@ -104,11 +104,17 @@ class HyperplaneFrame:
         return cls(tuple(int(x) for x in hvec), P, Pinv, p)
 
 
-def random_frame(rng, p=exactalg.DEFAULT_PRIME):
+def random_covector(rng, p=exactalg.DEFAULT_PRIME):
+    """A nonzero covector h on V, drawn as rng.integers(0, p, 4) until one
+    is nonzero."""
     while True:
         h = rng.integers(0, p, size=4, dtype=np.int64)
         if h.any():
-            return HyperplaneFrame.from_covector(h, p)
+            return h
+
+
+def random_frame(rng, p=exactalg.DEFAULT_PRIME):
+    return HyperplaneFrame.from_covector(random_covector(rng, p), p)
 
 
 def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):

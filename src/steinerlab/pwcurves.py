@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg, steiner
-from .multilin import random_frame
+from .multilin import random_covector
 from .seeding import derive_rng
 from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
 from .subspace import FFormQuotient, SamplingFailed, zstar_basis
@@ -155,12 +155,12 @@ def check_not_globally_generated(sample):
 
 
 def mh_rank_survey(sample, trials, seed):
-    """Histogram of rank m_H(1) over random hyperplane frames, each rank read
-    from one kernel basis of m(1).
+    """Histogram of rank m_H(1) over random hyperplanes H = ker h, each rank
+    read from one kernel basis of m(1).
 
-    For H = ker h, B(x)H is the kernel of id_B(x)h inside B(x)V, and m_H(1)
-    is m(1) on B(x)H (in a frame where H = {x4 = 0}, the x4^2 rows it drops
-    are zero on B(x)H).  So, with K = ker m(1), rank-nullity gives
+    B(x)H is the kernel of id_B(x)h inside B(x)V, and m_H(1) is m(1) on
+    B(x)H (in a frame where H = {x4 = 0}, the x4^2 rows it drops are zero
+    on B(x)H).  So, with K = ker m(1), rank-nullity gives
     rank m_H(1) = 3b - dim(K cap B(x)H).
     A vector sum_r c_r K_r of K has B-components w_i = sum_r c_r K_r[4i:4i+4],
     and it lies in B(x)H iff h(w_i) = (c^T N(h))_i = 0 for every i, where
@@ -171,20 +171,29 @@ def mh_rank_survey(sample, trials, seed):
         rank m_H(1) = 3b - dim K + rank N(h),
 
     exactly, at every prime and for every presentation.  Trial t draws its
-    frame from derive_rng(seed, 5, t) and reads only its covector h.  Raises
-    KernelDimMismatch when dim K is not 4b - rank m(1), the rank the
+    covector h from derive_rng(seed, 5, t), as random_frame would.  The
+    N(h) of up to exactalg.STACK trials at a time (all of them at the
+    default 50) form one same-shape stack, built by one einsum and ranked
+    in one call of the stacked sweep exactalg.ranks, whose entries stay
+    below p + min(n, m) * p**2; so memory does not grow with `trials`.
+    Raises KernelDimMismatch when dim K is not 4b - rank m(1), the rank the
     sample's certificate read.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     b, p = sample.b, sample.prime
-    Ns = _kernel_forms(sample, 4 * b - sample.rank_m1, "4b - rank m(1)")
-    dim_k = Ns.shape[1]
+    Ns = section_matrix(sample)
+    dim_k, want = Ns.shape[1], 4 * b - sample.rank_m1
+    if dim_k != want:
+        raise KernelDimMismatch(
+            f"dim ker m(1) = {dim_k}, expected 4b - rank m(1) = {want}")
     hist = {}
-    for trial in range(trials):
-        h = random_frame(derive_rng(seed, 5, trial), p).h
-        r = 3 * b - dim_k + exactalg.rank(evaluate_linear(Ns, h, p), p)
-        hist[r] = hist.get(r, 0) + 1
+    for t0 in range(0, trials, exactalg.STACK):
+        hs = np.array([random_covector(derive_rng(seed, 5, t), p)
+                       for t in range(t0, min(t0 + exactalg.STACK, trials))])
+        for rank in exactalg.ranks(evaluate_linear(Ns, hs, p), p):
+            r = 3 * b - dim_k + rank
+            hist[r] = hist.get(r, 0) + 1
     return hist
 
 
@@ -243,31 +252,23 @@ def curve_params(a, b):
 
 def evaluate_linear(forms, x, p=exactalg.DEFAULT_PRIME):
     """Evaluate a (4, r, c) array of linear forms at a point x of P^3:
-    sum_k forms[k] * x_k mod p."""
-    return np.mod(np.einsum("k,kij->ij", x, forms), p)
-
-
-def _kernel_forms(sample, want, name):
-    """The kernel basis K_1..K_c of m(1), read as the (4, c, b) array of
-    linear forms N[k, r, i] = K_r[4i + k] (coefficient of x_k); raises
-    KernelDimMismatch unless c equals `want`, the value of the expression
-    `name`."""
-    kern = exactalg.kernel_basis(assemble_md(sample.m, 1), sample.prime)
-    if len(kern) != want:
-        raise KernelDimMismatch(
-            f"dim ker m(1) = {len(kern)}, expected {name} = {want}"
-        )
-    K = kern.reshape(len(kern), sample.b, 4)
-    return np.ascontiguousarray(K.transpose(2, 0, 1))
+    sum_k forms[k] * x_k mod p.  A (T, 4) array of points gives the
+    (T, r, c) stack of the values at each."""
+    return np.mod(np.einsum("...k,kij->...ij", x, forms), p)
 
 
 def section_matrix(sample):
-    """The c x b matrix of linear forms whose rows span ker m(1) in B(x)V,
-    as a (4, c, b) array like a presentation's.
+    """The matrix of linear forms whose rows span ker m(1) in B(x)V, as a
+    (4, k, b) array like a presentation's: row r is the kernel basis vector
+    K_r read as N[k, r, i] = K_r[4i + k] (coefficient of x_k).  k is
+    dim ker m(1), whatever its value; callers compare it with the one they
+    expect.
 
-    At any point x, every row of N(x) lies in ker M(x); at a generic point
-    N(x) has rank c - 1."""
-    return _kernel_forms(sample, sample.b - sample.a + 1, "c")
+    At any point x, every row of N(x) lies in ker M(x).  For a curve sample
+    k is c = b - a + 1, and at a generic point N(x) has rank c - 1."""
+    kern = exactalg.kernel_basis(assemble_md(sample.m, 1), sample.prime)
+    K = kern.reshape(len(kern), sample.b, 4)
+    return np.ascontiguousarray(K.transpose(2, 0, 1))
 
 
 def h1_ic_vanishing(sample, direct=False):

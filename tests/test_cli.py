@@ -189,6 +189,24 @@ def test_failing_checks_exit_one(tmp_path):
     assert "h1 at k=0 equals 4a-b" in failed
 
 
+def test_curve_kernel_losing_a_row_fails_h0_check(monkeypatch):
+    # h0 of E(1) is read off the kernel basis of m(1) (10a x 4b), not off
+    # the certificate, so a basis one row short fails the check
+    full = exactalg.kernel_basis
+
+    def short(M, p=P):
+        K = full(M, p)
+        return K[:-1] if M.shape == (70, 84) else K
+
+    monkeypatch.setattr(exactalg, "kernel_basis", short)
+    code, out = run_cli(["--json", "verify", "curve", "-a", "7", "-b", "21"])
+    assert code == 1
+    report = json.loads(out)
+    h0 = next(c for c in report["checks"]
+              if c["name"] == "h0 of E(1) equals c")
+    assert (h0["expected"], h0["got"], h0["pass"]) == (15, 14, False)
+
+
 def test_error_exit_codes(capsys):
     assert cli.main(["verify", "pw", "-a", "4", "-b", "13", "-f", "2"]) == 2
     assert "InadmissibleParams" in capsys.readouterr().err

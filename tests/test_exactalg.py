@@ -214,3 +214,70 @@ def test_rank_product_bound_property(seed):
     B = rng.integers(0, P, size=(4, 6))
     rAB = exactalg.rank(exactalg.matmul_mod(A, B, P), P)
     assert rAB <= min(exactalg.rank(A, P), exactalg.rank(B, P))
+
+
+def _stack_with_varied_pivots(rng, p):
+    """Eleven 7 x 9 matrices mod p, most rank-deficient, whose pivots sit on
+    different rows from member to member, so the stacked sweep swaps
+    different rows of each at each column."""
+    S = rng.integers(0, p, size=(11, 7, 9))
+    for t in range(1, 6):
+        # rows above t vanish: the first pivot is on row t, and the rank
+        # is at most 7 - t
+        S[t, :t] = 0
+    # zeros that move the pivot of column j to a row below the top active
+    # one, differently in each member
+    S[6, np.arange(7), np.arange(7)] = 0
+    S[7, ::2, :4] = 0
+    S[8] = (rng.integers(0, p, size=(7, 3)) @
+            rng.integers(0, p, size=(3, 9))) % p
+    S[9, 5] = (3 * S[9, 1] + S[9, 2]) % p
+    S[9, 6] = S[9, 1]
+    S[10] = p - 1
+    return S
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
+def test_ranks_match_rank_and_oracle(rng, p):
+    S = _stack_with_varied_pivots(rng, p)
+    got = exactalg.ranks(S, p)
+    assert got == [exactalg.rank(M, p) for M in S]
+    assert got == [oracle_rank(M, p) for M in S]
+    assert len(set(got)) > 3
+    # one member alone, and the stack transposed
+    assert exactalg.ranks(S[8:9], p) == [got[8]]
+    assert exactalg.ranks(S.transpose(0, 2, 1), p) == got
+
+
+def test_ranks_over_several_sweeps(rng):
+    # 150 matrices take three sweeps; their ranks run through 0..5
+    S = np.zeros((150, 5, 6), dtype=np.int64)
+    for t in range(150):
+        r = t % 6
+        S[t] = (rng.integers(0, 7, size=(5, r)) @
+                rng.integers(0, 7, size=(r, 6))) % 7
+    assert exactalg.ranks(S, 7) == [exactalg.rank(M, 7) for M in S]
+
+
+def test_ranks_empty_shapes():
+    assert exactalg.ranks(np.zeros((0, 3, 4), dtype=np.int64), P) == []
+    assert exactalg.ranks(np.zeros((3, 0, 4), dtype=np.int64), P) == [0] * 3
+    assert exactalg.ranks(np.zeros((2, 4, 0), dtype=np.int64), P) == [0] * 2
+    assert exactalg.ranks(np.zeros((1, 4, 5), dtype=np.int64), P) == [0]
+    with pytest.raises(ValueError):
+        exactalg.ranks(np.zeros((4, 5), dtype=np.int64), P)
+
+
+def test_ranks_capacity_guard():
+    # past the exactness bound the stack is refused as a single matrix is,
+    # before any work array is made
+    big = 1073741789
+    S = np.ones((2, 3, 3), dtype=np.int64)
+    with pytest.raises(ValueError) as single:
+        exactalg.rank(S[0], big)
+    with pytest.raises(ValueError) as stacked:
+        exactalg.ranks(S, big)
+    assert str(stacked.value) == str(single.value)
+    huge = np.broadcast_to(np.int64(0), (1, 8100, 8100))
+    with pytest.raises(ValueError, match="too large"):
+        exactalg.ranks(huge, 1048573)

@@ -213,6 +213,14 @@ def test_mh_rank_survey_histogram_matches_dense():
     assert hist == _dense_survey(s, 30, seed=4) == {89: 30}
 
 
+def test_mh_rank_survey_past_one_sweep():
+    # 130 trials are three sweeps of at most 64 matrices
+    s = sample_pw(3, 8, 1, seed=0)
+    hist = mh_rank_survey(s, 130, seed=2)
+    assert hist == _dense_survey(s, 130, seed=2)
+    assert sum(hist.values()) == 130
+
+
 def test_mh_rank_survey_rejects_forged_rank():
     # a certificate whose first rung claims one more cokernel dimension of
     # m(1) than the presentation has
@@ -311,9 +319,16 @@ def test_section_matrix_10_30():
 
 
 def test_section_matrix_kernel_mismatch():
+    # at (1, 4) dim ker m(1) = 4b - 10a = 6 is not c = b - a + 1 = 4; the
+    # section matrix still holds all six kernel rows, and comparing their
+    # count with what is expected is the caller's check
     s = sample_pw(1, 4, 0, seed=0)
-    with pytest.raises(KernelDimMismatch):
-        section_matrix(s)
+    Ns = section_matrix(s)
+    assert Ns.shape == (4, 6, 4)
+    m1 = assemble_md(s.m, 1)
+    K = Ns.transpose(1, 2, 0).reshape(6, 16)
+    assert exactalg.rank(K, P) == 6
+    assert not exactalg.matmul_mod(m1, K.T, P).any()
 
 
 def test_h1_ic_vanishing_routes_agree():
