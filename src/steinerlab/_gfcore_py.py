@@ -195,10 +195,6 @@ def _forward(F, p, full):
         # rank reached the row count: only the pivot rows remain, and the
         # columns never visited still owe every pending update
         _apply_pending(F[:, c0:], L, done, p)
-    if full and cur < n:
-        # rows that never produced a pivot are exact zeros by now; make sure
-        # no float junk survives in the zero block
-        F[cur:, :] = 0.0
     return cur, pivots
 
 

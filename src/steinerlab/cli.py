@@ -3,10 +3,14 @@ verification suites, with reproducible seeds and machine-readable reports.
 
 Every run prints either aligned text or canonical JSON (--json): the JSON is
 dumped with sorted keys and no whitespace, so identical (command, seed,
-prime) invocations are byte-identical.  Exit status is 0 exactly when every
-check in the report passes.  Defaults come from flags, then environment
-variables STEINERLAB_PRIME / STEINERLAB_SEED / STEINERLAB_TRIALS /
-STEINERLAB_DMAX, then built-ins (32003 / 0 / 50 / 5).
+prime) invocations are byte-identical.  The global flags (_GLOBAL_FLAGS)
+are accepted at every level, also between `verify` and its suite, and fall
+back to their STEINERLAB_* environment variables, then to built-ins.
+
+main returns the exit status: 0 when every check in the report passes, 1
+when one fails, 2 on a bad input.  Every rejection, by the parser or by the
+library, leaves through one handler, which prints one stderr line
+`error: <Kind>: <message>`.
 """
 
 from __future__ import annotations
@@ -28,12 +32,33 @@ from .seeding import derive_rng
 from .steiner import chi3
 
 
-# dest, environment variable and built-in default of each global flag
-_GLOBAL_DEFAULTS = (
-    ("prime", "STEINERLAB_PRIME", exactalg.DEFAULT_PRIME),
-    ("seed", "STEINERLAB_SEED", 0),
-    ("trials", "STEINERLAB_TRIALS", 50),
-    ("dmax", "STEINERLAB_DMAX", steiner.D_MAX),
+def _int_flag(check):
+    """The argparse type of an integer flag that `check` validates.  Its
+    ValueError becomes an ArgumentTypeError, whose message argparse prints
+    (in place of a bare "invalid value")."""
+    def parse(text):
+        try:
+            return check(int(text))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
+
+
+def _at_least(minimum):
+    def check(value):
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    return _int_flag(check)
+
+
+# dest, type, environment variable and built-in default of each global flag
+_GLOBAL_FLAGS = (
+    ("prime", _int_flag(exactalg.validate_prime), "STEINERLAB_PRIME",
+     exactalg.DEFAULT_PRIME),
+    ("seed", _at_least(0), "STEINERLAB_SEED", 0),
+    ("trials", _at_least(1), "STEINERLAB_TRIALS", 50),
+    ("dmax", _at_least(1), "STEINERLAB_DMAX", steiner.D_MAX),
 )
 
 
@@ -42,22 +67,7 @@ def _env_defaults():
     the built-in.  Kept as text so that each flag's type parses and checks
     it like a command-line value."""
     return {dest: os.environ.get(env, "").strip() or str(default)
-            for dest, env, default in _GLOBAL_DEFAULTS}
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _check_at_least(name, minimum, got):
-    return {**_check(name, f">={minimum}", got), "pass": got >= minimum}
+            for dest, _, env, default in _GLOBAL_FLAGS}
 
 
 def _match_loaded(flag, given, actual):
@@ -71,22 +81,21 @@ def _match_loaded(flag, given, actual):
 # subcommands
 
 
-def cmd_cohomology(args, cfg):
-    p, seed = cfg["prime"], cfg["seed"]
+def cmd_cohomology(args):
     if args.load:
         with open(args.load) as fh:
             m = steiner.read_presentation(fh)
         for flag, given, actual in (("-a", args.a, m.a), ("-b", args.b, m.b),
-                                    ("--prime", p, m.prime)):
+                                    ("--prime", args.prime, m.prime)):
             _match_loaded(flag, given, actual)
         sample = pwcurves.PWSample(
-            None, m, steiner.surjectivity_certificate(m, cfg["dmax"]), 0)
+            None, m, steiner.surjectivity_certificate(m, args.dmax), 0)
         _match_loaded("-f", args.f, sample.f)
     else:
         if args.a is None or args.b is None:
             raise ValueError("-a and -b are required unless --load is given")
-        sample = pwcurves.sample_pw(
-            args.a, args.b, args.f or 0, seed, p, d_max=cfg["dmax"])
+        sample = pwcurves.sample_pw(args.a, args.b, args.f or 0, args.seed,
+                                    args.prime, d_max=args.dmax)
     checks, tab = pwcurves.verify_thm42(sample, args.kmin, args.kmax)
     # only a sample that got a table is written out
     if args.export:
@@ -99,10 +108,9 @@ def cmd_cohomology(args, cfg):
     }}
 
 
-def cmd_table(args, cfg):
-    p = cfg["prime"]
+def cmd_table(args):
     if args.which == "jordan4":
-        rows = strata.jordan4_table(p)
+        rows = strata.jordan4_table(args.prime)
         row = {r.label: r for r in rows}
         checks = [_check("types enumerated", 14, len(rows)), _check(
             "O column matches reference outside flagged rows", True,
@@ -122,7 +130,7 @@ def cmd_table(args, cfg):
             and (row["22"].S_computed, row["22"].S_ref) == (6, 7),
         )]
     else:
-        rows = strata.jordan3x4_table(p)
+        rows = strata.jordan3x4_table(args.prime)
         checks = [_check(
             "(r, S) columns match reference on every row", True,
             all("ref_mismatch" not in r.flags for r in rows),
@@ -135,25 +143,29 @@ def cmd_table(args, cfg):
     return checks, {"rows": payload}
 
 
-def cmd_verify_transport(args, cfg):
-    p, seed, trials = cfg["prime"], cfg["seed"], cfg["trials"]
+def cmd_verify_transport(args):
     checks = []
     for variant in ("full", "hyper", "combined"):
         agree = sum(
-            1 for t in range(trials)
-            if subspace.transport_trial(variant, t, seed, p)
+            1 for t in range(args.trials)
+            if subspace.transport_trial(variant, t, args.seed, args.prime)
         )
         checks.append(_check(
-            f"both sides agree on every {variant} instance", trials, agree))
+            f"both sides agree on every {variant} instance", args.trials,
+            agree))
     return checks, {}
 
 
-def cmd_verify_pw(args, cfg):
-    p, seed, f = cfg["prime"], cfg["seed"], args.f
-    sample = pwcurves.sample_pw(args.a, args.b, f, seed, p, d_max=cfg["dmax"])
+def _sample(args):
+    return pwcurves.sample_pw(args.a, args.b, args.f, args.seed, args.prime,
+                              d_max=args.dmax)
+
+
+def cmd_verify_pw(args):
+    sample = _sample(args)
     checks, tab = pwcurves.verify_thm42(sample)
     checks.insert(0, _check(
-        "rank of m(1) is 10a - f", 10 * args.a - f, sample.rank_m1))
+        "rank of m(1) is 10a - f", 10 * args.a - args.f, sample.rank_m1))
     checks.insert(1, _check(
         "surjectivity certificate found", True, sample.cert.found))
     lhs, rhs = subspace.transport_check(sample.m,
@@ -165,30 +177,26 @@ def cmd_verify_pw(args, cfg):
                                "d0": sample.cert.d0}}
 
 
-def cmd_verify_mh(args, cfg):
-    p, seed, trials = cfg["prime"], cfg["seed"], cfg["trials"]
-    sample = pwcurves.sample_pw(args.a, args.b, args.f, seed, p,
-                                d_max=cfg["dmax"])
-    hist = pwcurves.mh_rank_survey(sample, trials, seed)
+def cmd_verify_mh(args):
+    sample = _sample(args)
+    hist = pwcurves.mh_rank_survey(sample, args.trials, args.seed)
     expected_rank = min(3 * sample.b, 9 * sample.a - sample.f)
     hits = hist.get(expected_rank, 0)
-    need = math.ceil(0.99 * trials)
-    checks = [
-        _check_at_least(
-            f"hyperplane restriction has rank {expected_rank}", need, hits)
-    ]
-    return checks, {"histogram": {str(k): v for k, v in sorted(hist.items())}}
+    need = math.ceil(0.99 * args.trials)
+    check = _check(f"hyperplane restriction has rank {expected_rank}",
+                   f">={need}", hits)
+    return [{**check, "pass": hits >= need}], {
+        "histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
-def cmd_verify_rank0(args, cfg):
-    p, seed = cfg["prime"], cfg["seed"]
-    a, f = args.a, args.f
+def cmd_verify_rank0(args):
+    a, f, p = args.a, args.f, args.prime
     if a < 1 or not 0 <= f <= 10 * a:
         # A(x)S^2V has dimension 10a, so it has no rank-f quotient
         raise pwcurves.InadmissibleParams(
             f"need a >= 1 and 0 <= f <= 10a, got a={a}, f={f}"
         )
-    rng = derive_rng(seed, 17, a, f)
+    rng = derive_rng(args.seed, 17, a, f)
     phi = subspace.FFormQuotient.random(rng, a, f, p)
     if args.hyperplane:
         frame, want, rule = random_frame(rng, p), 11 * f > 3 * a, "11f vs 3a"
@@ -205,9 +213,8 @@ def cmd_verify_rank0(args, cfg):
                                "context": "hyperplane" if args.hyperplane else "full"}}
 
 
-def cmd_verify_curve(args, cfg):
-    p, seed = cfg["prime"], cfg["seed"]
-    a, b = args.a, args.b
+def cmd_verify_curve(args):
+    a, b, p = args.a, args.b, args.prime
     cp = pwcurves.curve_params(a, b)
     checks = []
     # independent consistency of degree/genus: evaluate the polynomial and
@@ -217,12 +224,12 @@ def cmd_verify_curve(args, cfg):
         checks.append(_check(
             f"polynomial at t={t} matches section count", chi3(t) - ideal_h0,
             lhs))
-    sample = pwcurves.sample_pw(a, b, cp.f, seed, p, d_max=cfg["dmax"])
+    sample = pwcurves.sample_pw(a, b, cp.f, args.seed, p, d_max=args.dmax)
     # h0 of E(1) is dim ker m(1), read off the full elimination of m(1)
     Ns = pwcurves.section_matrix(sample)
     checks.append(_check("h0 of E(1) equals c", cp.c, Ns.shape[1]))
-    pts = min(cfg["trials"], 20)
-    rng = derive_rng(seed, 19)
+    pts = min(args.trials, 20)
+    rng = derive_rng(args.seed, 19)
     xs = np.array([rng.integers(0, p, size=4, dtype=np.int64)
                    for _ in range(pts)])
     Nxs = pwcurves.evaluate_linear(Ns, xs, p)
@@ -285,20 +292,19 @@ def _print_text(report):
 
 def _add_global_flags(ap, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
-    ap.add_argument("--prime", type=int, **kw)
-    ap.add_argument("--seed", type=int, **kw)
-    ap.add_argument("--trials", type=_positive_int, **kw)
-    ap.add_argument("--dmax", type=_positive_int, **kw)
+    for dest, kind, _, _ in _GLOBAL_FLAGS:
+        ap.add_argument(f"--{dest}", type=kind, **kw)
     ap.add_argument("--json", action="store_true",
                     help="emit a canonical JSON report", **kw)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose rejections exit 2 with one line on stderr,
-    like every other bad input; subparsers are built from this class too."""
+    """An argument parser that raises its rejections, for main's one
+    handler, instead of printing usage and exiting; subparsers are built
+    from this class too."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise argparse.ArgumentError(None, message)
 
 
 @functools.cache
@@ -311,8 +317,8 @@ def build_parser():
                     "of linear forms on P^3",
     )
     _add_global_flags(ap, suppress=False)
-    # the same flags are accepted after the subcommand; suppressed defaults
-    # keep the subparser from clobbering values parsed at the top level
+    # the same flags are accepted at every lower level; suppressed defaults
+    # keep a subparser from clobbering values parsed above it
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, suppress=True)
     par = {"parents": [common]}
@@ -336,23 +342,17 @@ def build_parser():
     t.add_argument("which", choices=("jordan4", "jordan3x4"))
     t.set_defaults(func=cmd_table)
 
-    v = sub.add_parser("verify", help="verification suites")
+    v = sub.add_parser("verify", help="verification suites", **par)
     vs = v.add_subparsers(dest="suite", required=True)
 
-    vt = vs.add_parser("transport", **par)
-    vt.set_defaults(func=cmd_verify_transport)
+    vs.add_parser("transport", **par).set_defaults(func=cmd_verify_transport)
 
-    vp = vs.add_parser("pw", **par)
-    vp.add_argument("-a", type=int, required=True)
-    vp.add_argument("-b", type=int, required=True)
-    vp.add_argument("-f", type=int, default=0)
-    vp.set_defaults(func=cmd_verify_pw)
-
-    vm = vs.add_parser("mh", **par)
-    vm.add_argument("-a", type=int, required=True)
-    vm.add_argument("-b", type=int, required=True)
-    vm.add_argument("-f", type=int, default=0)
-    vm.set_defaults(func=cmd_verify_mh)
+    dims = argparse.ArgumentParser(add_help=False)  # a sample's (a, b, f)
+    dims.add_argument("-a", type=int, required=True)
+    dims.add_argument("-b", type=int, required=True)
+    dims.add_argument("-f", type=int, default=0)
+    for name, func in (("pw", cmd_verify_pw), ("mh", cmd_verify_mh)):
+        vs.add_parser(name, parents=[common, dims]).set_defaults(func=func)
 
     vr = vs.add_parser("rank0", **par)
     vr.add_argument("-a", type=int, required=True)
@@ -369,30 +369,27 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit status: 0 when every check
+    passed, 1 when one failed, 2 on a bad input (one line on stderr).
+    Only --help leaves by SystemExit."""
     ap = build_parser()
     # the parser outlives this call and the environment may change between
     # calls, so the global flags' defaults are set anew each time
     ap.set_defaults(**_env_defaults())
-    args = ap.parse_args(argv)
     try:
-        prime = exactalg.validate_prime(args.prime)
-        if args.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {args.seed}")
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        args = ap.parse_args(argv)
+        checks, payload = args.func(args)
+    # the library's exceptions are ValueErrors; the last two are the
+    # backstop for inputs too large to hold
+    except (argparse.ArgumentError, ValueError, OSError, MemoryError,
+            OverflowError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     command = args.command
     if command == "verify":
         command = f"verify {args.suite}"
-    cfg = {"command": command, "prime": prime, "seed": args.seed,
+    cfg = {"command": command, "prime": args.prime, "seed": args.seed,
            "trials": args.trials, "dmax": args.dmax}
-    try:
-        checks, payload = args.func(args, cfg)
-    except (pwcurves.InadmissibleParams, pwcurves.SamplingFailed,
-            pwcurves.KernelDimMismatch, steiner.NotLocallyFree,
-            subspace.NonTransverse, ValueError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
     report = {"tool_version": __version__, "config": cfg, "checks": checks}
     report.update(payload)
     if args.json:

@@ -156,14 +156,19 @@ def write_matrix(fh, M, p=DEFAULT_PRIME):
 
 
 def read_matrix(fh):
-    """Read one matrix block; returns (matrix, p)."""
+    """Read one matrix block; returns (matrix, p).  Entries may be any
+    integers that fit int64, negative ones included; they are reduced mod p."""
     n, m, p = _read_header(fh)
     rows = []
-    for _ in range(n):
+    for i in range(n):
         vals = fh.readline().split()
         if len(vals) != m:
             raise ValueError(f"expected {m} entries per row, got {len(vals)}")
-        rows.append([int(v) for v in vals])
+        try:
+            rows.append(np.array([int(v) for v in vals], dtype=np.int64))
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"row {i}: expected {m} integers that fit int64") from None
     M = np.array(rows, dtype=np.int64).reshape(n, m)
     return np.mod(M, p), p
 

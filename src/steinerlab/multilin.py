@@ -73,7 +73,6 @@ class HyperplaneFrame:
     frame coordinates.
     """
 
-    h: tuple
     P: np.ndarray
     Pinv: np.ndarray
     prime: int
@@ -101,7 +100,7 @@ class HyperplaneFrame:
             Pinv[i, f] = 1
         P[j, 3] = 1
         Pinv[3] = hvec * hj_inv % p
-        return cls(tuple(int(x) for x in hvec), P, Pinv, p)
+        return cls(P, Pinv, p)
 
 
 def random_covector(rng, p=exactalg.DEFAULT_PRIME):

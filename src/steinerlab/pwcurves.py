@@ -22,11 +22,11 @@ from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
 from .subspace import FFormQuotient, SamplingFailed, zstar_basis
 
 
-class InadmissibleParams(Exception):
+class InadmissibleParams(ValueError):
     pass
 
 
-class KernelDimMismatch(Exception):
+class KernelDimMismatch(ValueError):
     pass
 
 

@@ -28,7 +28,7 @@ from . import exactalg
 from .multilin import dim_sym, mono_basis, transform_presentation
 
 
-class NotLocallyFree(Exception):
+class NotLocallyFree(ValueError):
     """No surjectivity certificate within the degree cap; the cokernel sheaf
     may have positive-dimensional support and the table would be meaningless.
 

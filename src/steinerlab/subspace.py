@@ -52,11 +52,11 @@ from .steiner import (
 )
 
 
-class NonTransverse(Exception):
+class NonTransverse(ValueError):
     """Z fails to meet A(x)H.V in the expected codimension f."""
 
 
-class SamplingFailed(Exception):
+class SamplingFailed(ValueError):
     """A random draw missed a generic property on every allowed attempt."""
 
 

@@ -5,13 +5,19 @@ what a shell user sees."""
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerlab import cli, exactalg
+import steinerlab
+from steinerlab import cli, exactalg, pwcurves
 from steinerlab.steiner import SteinerPresentation, write_presentation
 
 P = exactalg.DEFAULT_PRIME
@@ -65,9 +71,12 @@ def test_json_byte_identical():
 def test_flag_placement_equivalent():
     _, before = run_cli(["--json", "--seed", "5", "verify", "rank0",
                          "-a", "2", "-f", "2"])
+    _, between = run_cli(["verify", "--json", "--seed", "5", "rank0",
+                          "-a", "2", "-f", "2"])
     _, after = run_cli(["--json", "verify", "rank0", "-a", "2", "-f", "2",
                         "--seed", "5"])
-    assert before == after
+    assert before == between == after
+    assert json.loads(before)["config"]["seed"] == 5
 
 
 def test_seed_changes_sample_but_not_schema():
@@ -122,8 +131,6 @@ def test_rank0_zero_row_quotient(context):
 
 
 def test_cohomology_rows_match_library():
-    from steinerlab import pwcurves
-
     code, out = run_cli(["--json", "cohomology", "-a", "3", "-b", "8",
                          "-f", "1", "--kmin", "-2", "--kmax", "2"])
     assert code == 0
@@ -237,6 +244,13 @@ def _truncated(text):
     return "".join(text.splitlines(keepends=True)[:-2])
 
 
+def _with_entry(text, entry):
+    """text with the first entry of the first block's first row replaced."""
+    lines = text.splitlines(keepends=True)
+    lines[2] = " ".join([entry] + lines[2].split()[1:]) + "\n"
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("text, message", [
     (_presentation_text(P).replace("steiner", "fform", 1),
      "bad steiner header"),
@@ -249,17 +263,23 @@ def _truncated(text):
     (_presentation_text(5), "--prime 32003 contradicts the loaded file (5)"),
     (_empty_presentation_text(0, 8), "with a, b positive"),
     (_empty_presentation_text(3, 0), "with a, b positive"),
+    (_presentation_text(P).replace("steiner 3 8", "steiner 3 x", 1),
+     "bad steiner header"),
+    (_presentation_text(P).replace(f"\n3 8 {P}", f"\n-3 8 {P}", 1),
+     "bad matrix header"),
+    (_with_entry(_presentation_text(P), str(10**29)),
+     "row 0: expected 8 integers that fit int64"),
+    (_with_entry(_presentation_text(P), "1.5"),
+     "row 0: expected 8 integers that fit int64"),
 ], ids=["wrong-tag", "truncated-block", "block-shape", "prime-2", "prime-9",
-        "prime-2^20+7", "F5-under-default-prime", "a-zero", "b-zero"])
+        "prime-2^20+7", "F5-under-default-prime", "a-zero", "b-zero",
+        "header-not-int", "block-rows-negative", "entry-10^29",
+        "entry-not-int"])
 def test_load_rejects_bad_interchange_file(tmp_path, capsys, text, message):
     path = tmp_path / "presentation.txt"
     path.write_text(text)
-    assert cli.main(["--json", "cohomology", "--load", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
-    assert message in captured.err
+    _assert_one_line_error(
+        capsys, ["--json", "cohomology", "--load", str(path)], message)
 
 
 def test_load_accepts_matching_prime(tmp_path):
@@ -281,6 +301,18 @@ def test_verify_curve_end_to_end():
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_curve_exports_its_section_matrix(tmp_path):
+    path = tmp_path / "sections.txt"
+    code, _ = run_cli(["--json", "--trials", "2", "verify", "curve",
+                       "-a", "5", "-b", "15", "--export-sections", str(path)])
+    assert code == 0
+    with open(path) as fh:
+        Ns, p = exactalg.read_blocks(fh, "linforms")
+    sample = pwcurves.sample_pw(5, 15, pwcurves.curve_params(5, 15).f, seed=0)
+    assert p == P
+    assert np.array_equal(Ns, pwcurves.section_matrix(sample))
+
+
 def test_text_output_readable():
     code, out = run_cli(["table", "jordan4"])
     assert code == 0
@@ -292,6 +324,7 @@ def test_text_output_readable():
 
 
 def _assert_one_line_error(capsys, argv, message):
+    # parser and library rejections alike: exit 2, one line, no usage
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -328,24 +361,12 @@ def test_dmax_reaches_the_table(capsys, argv):
     _assert_one_line_error(capsys, argv, "NotLocallyFree")
 
 
-def _assert_parser_rejects(capsys, argv, message):
-    # argparse leaves through SystemExit; its message is one line, no usage
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
-    assert message in captured.err
-
-
 @pytest.mark.parametrize("argv", [
     ["--trials", "0", "verify", "transport"],
     ["verify", "curve", "-a", "7", "-b", "21", "--trials", "0"],
 ], ids=["transport", "curve"])
 def test_trials_below_one_rejected_by_parser(capsys, argv):
-    _assert_parser_rejects(capsys, argv,
+    _assert_one_line_error(capsys, argv,
                            "argument --trials: must be at least 1, got 0")
 
 
@@ -363,13 +384,13 @@ def test_dmax_below_one_rejected(monkeypatch, capsys, source, argv, value):
         argv = ["--dmax", value] + argv
     else:
         monkeypatch.setenv("STEINERLAB_DMAX", value)
-    _assert_parser_rejects(capsys, argv,
+    _assert_one_line_error(capsys, argv,
                            f"argument --dmax: must be at least 1, got {value}")
 
 
 def test_trials_env_below_one_rejected(monkeypatch, capsys):
     monkeypatch.setenv("STEINERLAB_TRIALS", "0")
-    _assert_parser_rejects(capsys, ["verify", "transport"],
+    _assert_one_line_error(capsys, ["verify", "transport"],
                            "must be at least 1")
 
 
@@ -380,7 +401,7 @@ def test_trials_env_below_one_rejected(monkeypatch, capsys):
      "the following arguments are required: -b"),
 ], ids=["a-not-int", "b-missing"])
 def test_parser_rejections_print_one_line(capsys, argv, message):
-    _assert_parser_rejects(capsys, argv, message)
+    _assert_one_line_error(capsys, argv, message)
 
 
 def test_verify_pw_without_quotient():
@@ -403,13 +424,13 @@ def test_rank0_rejects_negative_f(capsys):
 def test_seed_flag_rejects_negative(capsys):
     _assert_one_line_error(
         capsys, ["--seed", "-1", "verify", "pw", "-a", "3", "-b", "8",
-                 "-f", "1"], "seed must be non-negative, got -1")
+                 "-f", "1"], "argument --seed: must be at least 0, got -1")
 
 
 def test_seed_env_rejects_negative(monkeypatch, capsys):
     monkeypatch.setenv("STEINERLAB_SEED", "-2")
     _assert_one_line_error(capsys, ["verify", "transport"],
-                           "seed must be non-negative, got -2")
+                           "argument --seed: must be at least 0, got -2")
 
 
 class _ZeroRng:
@@ -423,6 +444,27 @@ def test_quotient_sampler_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "derive_rng", lambda *key: _ZeroRng())
     _assert_one_line_error(capsys, ["verify", "rank0", "-a", "2", "-f", "1"],
                            "SamplingFailed: no rank-1 quotient")
+
+
+def test_out_of_memory_exits_two():
+    # m(1) at a = 1000 is 10000 x 12000, whose float64 work copy does not fit
+    # beside it under a 1.5 GB address-space limit set on the child only
+    limit = 1_500_000 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(steinerlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinerlab", "verify", "pw", "-a", "1000",
+         "-b", "3000"], capture_output=True, text=True, env=env,
+        preexec_fn=cap, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "MemoryError" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -446,45 +488,74 @@ _COMMANDS = st.one_of(
         lambda c: ["verify", "curve", "-a", c[0], "-b", c[1]]),
 )
 
+# a valid value of each global flag, or None to leave the flag out
+_FLAGS = ("--prime", "--seed", "--trials", "--dmax")
 _GLOBALS = st.tuples(
-    st.sampled_from(["5", "7", "11", "97", "32003"]),
-    st.integers(1, 3).map(str),
-    st.integers(0, 3).map(str),
+    st.sampled_from([None, "5", "7", "97", "32003"]),
+    st.sampled_from([None, "0", "1", "3"]),
+    st.sampled_from([None, "1", "2", "3"]),
+    st.sampled_from([None, "3", "5"]),
     st.booleans(),
-).map(lambda g: ["--prime", g[0], "--trials", g[1], "--seed", g[2]]
-      + ["--json"] * g[3])
+).map(lambda g: [x for flag, v in zip(_FLAGS, g) if v is not None
+                 for x in (flag, v)] + ["--json"] * g[4])
+
+# valid defaults from the environment; STEINERLAB_TRIALS is always set, so
+# that no run falls back to the built-in 50 trials
+_ENV = st.fixed_dictionaries(
+    {"STEINERLAB_TRIALS": st.sampled_from(["1", "2", "3"])},
+    optional={"STEINERLAB_PRIME": st.sampled_from(["7", "32003"]),
+              "STEINERLAB_SEED": st.sampled_from(["1", "2"]),
+              "STEINERLAB_DMAX": st.sampled_from(["4", "5"])})
+
+# at most one rejected value: a flag's, an environment variable's, or a
+# dropped required option
+_BAD = st.sampled_from([None] * 6 + [
+    ("--prime", "15"), ("--prime", "2"), ("--prime", "x"), ("--seed", "-1"),
+    ("--trials", "0"), ("--dmax", "0"), ("-a", "x"), ("drop", None),
+    ("STEINERLAB_PRIME", "9"), ("STEINERLAB_SEED", "-2"),
+    ("STEINERLAB_TRIALS", "0"), ("STEINERLAB_DMAX", "0")])
 
 
-def _broken(argv, how):
-    """argv with one value argparse rejects: a zero trial count, a
-    non-integer -a, or a dropped -b (else -f) with its value."""
-    argv = list(argv)
-    if how == "trials":
-        argv[argv.index("--trials") + 1] = "0"
-    elif how == "int":
-        argv += ["-a", "x"] if "-a" not in argv else []
-        argv[argv.index("-a") + 1] = "x"
-    elif how == "drop":
+def _placed(flags, command, where):
+    """The global flags before the command, after its first word (between
+    `verify` and its suite), or at the end."""
+    i = {"before": 0, "between": 1, "after": len(command)}[where]
+    return command[:i] + flags + command[i:]
+
+
+def _broken(argv, env, bad):
+    """argv and env with the value `bad` put in: a flag's value appended to
+    argv (the last occurrence wins), an environment variable set, or the
+    first of -b and -f dropped with its value."""
+    argv, env = list(argv), dict(env)
+    if bad is None:
+        return argv, env
+    name, value = bad
+    if name.startswith("STEINERLAB_"):
+        env[name] = value
+    elif name != "drop":
+        argv += [name, value]
+    else:
         for flag in ("-b", "-f"):
             if flag in argv:
                 i = argv.index(flag)
-                return argv[:i] + argv[i + 2:]
-    return argv
+                return argv[:i] + argv[i + 2:], env
+    return argv, env
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_GLOBALS, _COMMANDS,
-       st.sampled_from([None, None, None, "trials", "int", "drop"]))
-def test_every_argv_reports_or_fails_in_one_line(flags, command, how):
-    argv = _broken(flags + command, how)
+@given(_GLOBALS, _COMMANDS, st.sampled_from(["before", "between", "after"]),
+       _ENV, _BAD)
+def test_every_argv_reports_or_fails_in_one_line(flags, command, where, env,
+                                                  bad):
+    argv, env = _broken(_placed(flags, command, where), env, bad)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:
-            code = e.code
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
+        assert out.getvalue() == "", argv
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
         assert err.getvalue().startswith("error: ")
     elif "--json" in argv:

@@ -148,6 +148,16 @@ def test_matmul_mod_matches_object_arithmetic(rng):
     assert np.array_equal(got, want.astype(np.int64))
 
 
+def test_matmul_mod_chunks_a_long_inner_dimension(rng):
+    # at p = 1048573 a chunk is 8192 terms, the most whose sum of products
+    # stays below 2**53; entries near p bring the 8193-term sums past it
+    p = 1048573
+    A = rng.integers(p - 8, p, size=(2, 8193))
+    B = rng.integers(p - 8, p, size=(8193, 3))
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert np.array_equal(exactalg.matmul_mod(A, B, p), want.astype(np.int64))
+
+
 def test_inv_matrix(rng):
     for _ in range(5):
         while True:
@@ -180,6 +190,10 @@ def test_matrix_interchange_round_trip(rng):
     M2, p2 = exactalg.read_matrix(io.StringIO(text))
     assert p2 == P
     assert np.array_equal(M, M2)
+    # entries outside [0, p) that fit int64 load reduced mod p
+    M3, _ = exactalg.read_matrix(
+        io.StringIO(f"1 3 {P}\n-1 {P + 2} {-2**63}\n"))
+    assert M3.tolist() == [[P - 1, 2, -2**63 % P]]
 
 
 def test_small_prime_field():

@@ -86,6 +86,29 @@ def test_sampling_failed_when_no_attempts(monkeypatch):
         sample_pw(3, 8, 1, seed=0)
 
 
+def _short_zstar(mp):
+    # Z* one vector short of 4a - 4f = 8
+    full = pwcurves.zstar_basis
+    mp.setattr(pwcurves, "zstar_basis", lambda phi: full(phi)[:-1])
+
+
+def _corank_one_more(mp):
+    # a certificate whose first rung has cokernel f + 1
+    cert = SurjectivityCertificate(((1, 2),))
+    mp.setattr(steiner, "surjectivity_certificate", lambda m, d_max: cert)
+
+
+@pytest.mark.parametrize("patch, failure", [
+    (_short_zstar, "zstar dimension 7 != 8"),
+    (_corank_one_more, "rank m(1) = 28, expected 29"),
+], ids=["zstar", "rank-m1"])
+def test_sampling_failed_names_last_failure(monkeypatch, patch, failure):
+    patch(monkeypatch)
+    with pytest.raises(SamplingFailed) as exc:
+        sample_pw(3, 8, 1, seed=0)
+    assert str(exc.value).endswith(f"last failure: {failure}")
+
+
 def test_verify_thm42_3_8_1():
     s = sample_pw(3, 8, 1, seed=1)
     checks, tab = verify_thm42(s)
