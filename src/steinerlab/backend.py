@@ -18,11 +18,8 @@ it the caller's array when that is already int64.  Every elimination of
 a single matrix goes through the attribute call `_core.rref(...)`, so a
 profiler can wrap that one attribute.  The one other entry into the core
 is `_core.ranks(...)`, the rank-only sweep over a stack of same-shape
-matrices, which exactalg.ranks calls for the hyperplane survey
-(pwcurves.mh_rank_survey) and the curve's point check (cli verify curve);
-it reduces an entry only when it reads it as a pivot, so entries stay below
-p + min(n, m) * p**2.  The capacity guard that keeps all these sums exact
-lives with the core, as _core._check_capacity.
+matrices, which exactalg.ranks_at calls.  The capacity guard that keeps all
+these sums exact lives with the core, as _core._check_capacity.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, exactalg, pwcurves, steiner, strata, subspace
-from .multilin import random_frame
+from .multilin import random_covector, random_frame
 from .pwcurves import _check
 from .seeding import derive_rng
 from .steiner import chi3
@@ -191,11 +191,12 @@ def cmd_verify_mh(args):
 
 def cmd_verify_rank0(args):
     a, f, p = args.a, args.f, args.prime
-    if a < 1 or not 0 <= f <= 10 * a:
-        # A(x)S^2V has dimension 10a, so it has no rank-f quotient
+    # Z has dimension 10a - f and Z' 9a - f; a slice that is 0 has no
+    # hyperplane, so no witness
+    k = 9 if args.hyperplane else 10
+    if a < 1 or not 0 <= f < k * a:
         raise pwcurves.InadmissibleParams(
-            f"need a >= 1 and 0 <= f <= 10a, got a={a}, f={f}"
-        )
+            f"need a >= 1 and 0 <= f < {k}a, got a={a}, f={f}")
     rng = derive_rng(args.seed, 17, a, f)
     phi = subspace.FFormQuotient.random(rng, a, f, p)
     if args.hyperplane:
@@ -224,17 +225,21 @@ def cmd_verify_curve(args):
         checks.append(_check(
             f"polynomial at t={t} matches section count", chi3(t) - ideal_h0,
             lhs))
+    if cp.s < 5:
+        # sample_pw admits s <= 4 only at (4, 12), where m(s - 3) = m(1)
+        # has the cokernel f = 1
+        raise pwcurves.InadmissibleParams(
+            f"need b >= 2a + 5 for m(b - 2a - 3) to be onto, got a={a}, "
+            f"b={b}")
     sample = pwcurves.sample_pw(a, b, cp.f, args.seed, p, d_max=args.dmax)
     # h0 of E(1) is dim ker m(1), read off the full elimination of m(1)
     Ns = pwcurves.section_matrix(sample)
     checks.append(_check("h0 of E(1) equals c", cp.c, Ns.shape[1]))
     pts = min(args.trials, 20)
     rng = derive_rng(args.seed, 19)
-    xs = np.array([rng.integers(0, p, size=4, dtype=np.int64)
-                   for _ in range(pts)])
-    Nxs = pwcurves.evaluate_linear(Ns, xs, p)
-    Mxs = pwcurves.evaluate_linear(sample.m.Ms, xs, p)
-    rank_hits = sum(r == cp.c - 1 for r in exactalg.ranks(Nxs, p))
+    xs = np.array([random_covector(rng, p) for _ in range(pts)])
+    rank_hits = sum(r == cp.c - 1 for r in exactalg.ranks_at(Ns, xs, p))
+    Nxs, Mxs = (exactalg.evaluate_linear(F, xs, p) for F in (Ns, sample.m.Ms))
     prod_zero = sum(not exactalg.matmul_mod(Mx, Nx.T, p).any()
                     for Mx, Nx in zip(Mxs, Nxs))
     checks.append(_check(

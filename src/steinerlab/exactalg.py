@@ -3,33 +3,36 @@
 Matrices are numpy int64 arrays holding residues in [0, p); rows × cols shape,
 row-major.  Every rank, kernel and cokernel in the package reduces to the
 routines here.  A single matrix goes to the blocked elimination core in
-backend.  A stack of same-shape matrices goes to `ranks`, the core's
-rank-only sweep over the whole stack (_core.ranks), which the hyperplane
-survey (pwcurves.mh_rank_survey) and the curve's point check (cli verify
-curve) use; its entries stay below p + min(n, m) * p**2, inside the same
-capacity bound as the blocked core's.
+backend.  A matrix of linear forms on P^3 is a (4, r, c) array whose entry
+[k] is the coefficient of x_(k+1); `evaluate_linear` reads it at points, and
+`ranks_at` ranks its values at many points, a chunk at a time, through the
+core's rank-only sweep over a stack of same-shape matrices (_core.ranks).
 
-The field is a single configurable prime, default 32003.  Genericity
-statements checked by sampling hold over F_p up to failure probability
-O(dim/p), and exact arithmetic keeps every reported rank a theorem about the
-sampled instance rather than a numerical estimate.
+The field is one prime p, which every routine takes as an argument; the
+command line's default is 32003.  Genericity statements checked by sampling
+hold over F_p up to failure probability O(dim/p), and exact arithmetic keeps
+every reported rank a theorem about the sampled instance rather than a
+numerical estimate.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from . import _gfcore_py as _core
 from . import backend
 
+# the command line's default prime; no library routine defaults to it
 DEFAULT_PRIME = 32003
 
 # the elimination core accumulates sums of products of residues; this cap
 # keeps them exact (see _gfcore_py._check_capacity)
 MAX_PRIME = 1 << 20
 
-# matrices `ranks` sweeps at once, so its float64 work copy and the
-# temporaries of its updates are at most this many matrices deep
+# points `ranks_at` evaluates and sweeps at once, so its float64 work copy
+# and the temporaries of its updates are at most this many matrices deep
 STACK = 64
 
 
@@ -54,31 +57,42 @@ def validate_prime(p):
     return p
 
 
-def rank(M, p=DEFAULT_PRIME):
+def rank(M, p):
     return backend.rank(M, p)
 
 
-def ranks(stack, p=DEFAULT_PRIME):
-    """Ranks of the matrices of a (T, n, m) stack, as a list of T ints.
+def evaluate_linear(forms, x, p):
+    """Evaluate a (4, r, c) array of linear forms at a point x of F_p^4:
+    sum_k x_k forms[k] mod p.  A (T, 4) array of points gives the (T, r, c)
+    stack of the values at each; with the rows of a change of coordinates Q
+    as the points, it gives the forms in the new coordinates."""
+    return np.mod(np.einsum("...k,kij->...ij", x, forms), p)
 
-    Sweeps at most STACK matrices at a time, so its work memory does not
-    grow with T; a single matrix is faster through `rank`."""
-    arr = np.asarray(stack, dtype=np.int64)
-    if arr.ndim != 3:
-        raise ValueError("expected a 3-D array")
-    _core._check_capacity(arr.shape[1], arr.shape[2], p)
-    out = []
-    for t0 in range(0, len(arr), STACK):
-        out += _core.ranks(arr[t0:t0 + STACK], p)
+
+def ranks_at(forms, points, p):
+    """Ranks mod p of a (4, n, m) array of linear forms at each of an
+    iterable of points, as a list.
+
+    The capacity is checked on the forms' shape before any point is read;
+    then the points are read STACK at a time, and each chunk's values are
+    ranked in one stacked sweep, so work memory does not grow with the
+    number of points.  A single matrix is faster through `rank`."""
+    forms = np.asarray(forms, dtype=np.int64)
+    if forms.ndim != 3 or len(forms) != 4:
+        raise ValueError("expected a (4, n, m) array of linear forms")
+    _core._check_capacity(forms.shape[1], forms.shape[2], p)
+    out, points = [], iter(points)
+    while chunk := list(islice(points, STACK)):
+        out += _core.ranks(evaluate_linear(forms, np.array(chunk), p), p)
     return out
 
 
-def rref(M, p=DEFAULT_PRIME):
+def rref(M, p):
     """Reduced row echelon form: returns (R, rank, pivot columns)."""
     return backend.rref(M, p)
 
 
-def kernel_basis(M, p=DEFAULT_PRIME):
+def kernel_basis(M, p):
     """Basis of {v : M v = 0}, as a k x n int64 matrix with one basis vector
     per row (k = 0 when M is injective).
 
@@ -88,19 +102,19 @@ def kernel_basis(M, p=DEFAULT_PRIME):
     return np.ascontiguousarray(backend.nullspace(M, p).T)
 
 
-def cokernel_dim(M, p=DEFAULT_PRIME):
+def cokernel_dim(M, p):
     M = np.asarray(M, dtype=np.int64)
     return M.shape[0] - backend.rank(M, p)
 
 
-def corank(M, p=DEFAULT_PRIME):
+def corank(M, p):
     """min(dim kernel, dim cokernel)."""
     M = np.asarray(M, dtype=np.int64)
     r = backend.rank(M, p)
     return min(M.shape[1] - r, M.shape[0] - r)
 
 
-def matmul_mod(A, B, p=DEFAULT_PRIME):
+def matmul_mod(A, B, p):
     """Exact (A @ B) mod p using float64 BLAS, chunking the inner dimension
     when sums could reach 2**53."""
     A = np.asarray(A, dtype=np.int64) % p
@@ -119,7 +133,7 @@ def matmul_mod(A, B, p=DEFAULT_PRIME):
     return out
 
 
-def random_matrix(rng, rows, cols, p=DEFAULT_PRIME):
+def random_matrix(rng, rows, cols, p):
     return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
 
 
@@ -148,7 +162,7 @@ def _read_header(fh, tag=None):
     return d1, d2, validate_prime(p)
 
 
-def write_matrix(fh, M, p=DEFAULT_PRIME):
+def write_matrix(fh, M, p):
     M = np.mod(np.asarray(M, dtype=np.int64), p)
     fh.write(f"{M.shape[0]} {M.shape[1]} {p}\n")
     for row in M:
@@ -173,7 +187,7 @@ def read_matrix(fh):
     return np.mod(M, p), p
 
 
-def write_blocks(fh, tag, forms, p=DEFAULT_PRIME):
+def write_blocks(fh, tag, forms, p):
     """Write a (4, d1, d2) array of linear forms: the header
     "tag d1 d2 p", then each forms[k] as a matrix block."""
     fh.write(f"{tag} {forms.shape[1]} {forms.shape[2]} {p}\n")

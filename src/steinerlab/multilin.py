@@ -27,8 +27,6 @@ from math import comb
 
 import numpy as np
 
-from . import exactalg
-
 
 def dim_sym(d):
     """dim S^dV for dim V = 4."""
@@ -78,7 +76,7 @@ class HyperplaneFrame:
     prime: int
 
     @classmethod
-    def from_covector(cls, h, p=exactalg.DEFAULT_PRIME):
+    def from_covector(cls, h, p):
         """The frame of ker h, in closed form.
 
         With j the first nonzero entry of h and f running over the other
@@ -103,7 +101,7 @@ class HyperplaneFrame:
         return cls(P, Pinv, p)
 
 
-def random_covector(rng, p=exactalg.DEFAULT_PRIME):
+def random_covector(rng, p):
     """A nonzero covector h on V, drawn as rng.integers(0, p, 4) until one
     is nonzero."""
     while True:
@@ -112,21 +110,8 @@ def random_covector(rng, p=exactalg.DEFAULT_PRIME):
             return h
 
 
-def random_frame(rng, p=exactalg.DEFAULT_PRIME):
+def random_frame(rng, p):
     return HyperplaneFrame.from_covector(random_covector(rng, p), p)
-
-
-def transform_presentation(Ms, Q, p=exactalg.DEFAULT_PRIME):
-    """Rewrite the (4, a, b) coefficient array of m under the change of
-    coordinates Q on V: M'_l = sum_k Q[l,k] M_k.
-
-    With Q = frame.Pinv this gives m in frame coordinates: if
-    m(e_i) = sum_k M_k[j,i] alpha_j (x) x_k, then M'_l is the coefficient of
-    v_l.  Q = frame.P goes back from frame to standard coordinates.
-    """
-    out = np.einsum("lk,kab->lab", np.asarray(Q, dtype=np.int64),
-                    np.asarray(Ms, dtype=np.int64))
-    return np.mod(out, p)
 
 
 def transform_fform_tensor(t, frame):

@@ -11,6 +11,7 @@ number of times and never silently patched.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class PWSample:
         return 10 * self.a - self.f  # m(1) has 10a rows
 
 
-def sample_pw(a, b, f, seed, p=exactalg.DEFAULT_PRIME, d_max=steiner.D_MAX):
+def sample_pw(a, b, f, seed, p, d_max=steiner.D_MAX):
     """Draw a presentation whose m(1) has image the generic codimension-f
     subspace of A(x)S^2V.
 
@@ -171,13 +172,10 @@ def mh_rank_survey(sample, trials, seed):
         rank m_H(1) = 3b - dim K + rank N(h),
 
     exactly, at every prime and for every presentation.  Trial t draws its
-    covector h from derive_rng(seed, 5, t), as random_frame would.  The
-    N(h) of up to exactalg.STACK trials at a time (all of them at the
-    default 50) form one same-shape stack, built by one einsum and ranked
-    in one call of the stacked sweep exactalg.ranks, whose entries stay
-    below p + min(n, m) * p**2; so memory does not grow with `trials`.
-    Raises KernelDimMismatch when dim K is not 4b - rank m(1), the rank the
-    sample's certificate read.
+    covector h from derive_rng(seed, 5, t), as random_frame would, and the
+    N(h) of all trials are ranked by exactalg.ranks_at, a chunk at a time,
+    so memory does not grow with `trials`.  Raises KernelDimMismatch when
+    dim K is not 4b - rank m(1), the rank the sample's certificate read.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -187,14 +185,8 @@ def mh_rank_survey(sample, trials, seed):
     if dim_k != want:
         raise KernelDimMismatch(
             f"dim ker m(1) = {dim_k}, expected 4b - rank m(1) = {want}")
-    hist = {}
-    for t0 in range(0, trials, exactalg.STACK):
-        hs = np.array([random_covector(derive_rng(seed, 5, t), p)
-                       for t in range(t0, min(t0 + exactalg.STACK, trials))])
-        for rank in exactalg.ranks(evaluate_linear(Ns, hs, p), p):
-            r = 3 * b - dim_k + rank
-            hist[r] = hist.get(r, 0) + 1
-    return hist
+    hs = (random_covector(derive_rng(seed, 5, t), p) for t in range(trials))
+    return Counter(3 * b - dim_k + r for r in exactalg.ranks_at(Ns, hs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +242,6 @@ def curve_params(a, b):
     return CurveParams(a, b, s, c, f, delta, degree, genus, flags)
 
 
-def evaluate_linear(forms, x, p=exactalg.DEFAULT_PRIME):
-    """Evaluate a (4, r, c) array of linear forms at a point x of P^3:
-    sum_k forms[k] * x_k mod p.  A (T, 4) array of points gives the
-    (T, r, c) stack of the values at each."""
-    return np.mod(np.einsum("...k,kij->...ij", x, forms), p)
-
-
 def section_matrix(sample):
     """The matrix of linear forms whose rows span ker m(1) in B(x)V, as a
     (4, k, b) array like a presentation's: row r is the kernel basis vector
@@ -294,5 +279,5 @@ def h1_ic_vanishing(sample, direct=False):
 # interchange
 
 
-def write_linforms(fh, Ns, p=exactalg.DEFAULT_PRIME):
+def write_linforms(fh, Ns, p):
     exactalg.write_blocks(fh, "linforms", Ns, p)

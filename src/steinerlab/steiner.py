@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg
-from .multilin import dim_sym, mono_basis, transform_presentation
+from .multilin import dim_sym, mono_basis
 
 
 class NotLocallyFree(ValueError):
@@ -53,7 +53,7 @@ class SteinerPresentation:
     Ms[k] is the coefficient of x_(k+1)."""
 
     Ms: np.ndarray
-    prime: int = exactalg.DEFAULT_PRIME
+    prime: int
 
     def __post_init__(self):
         object.__setattr__(self, "Ms", np.asarray(self.Ms, dtype=np.int64))
@@ -70,12 +70,12 @@ class SteinerPresentation:
         return self.Ms.shape[2]
 
     @classmethod
-    def random(cls, rng, a, b, p=exactalg.DEFAULT_PRIME):
+    def random(cls, rng, a, b, p):
         Ms = exactalg.random_matrix(rng, 4 * a, b, p)
         return cls(Ms.reshape(4, a, b), p)
 
     @classmethod
-    def from_columns(cls, cols, a, p=exactalg.DEFAULT_PRIME):
+    def from_columns(cls, cols, a, p):
         """Build from the 4a x b matrix of columns in A(x)V coordinates
         (row j*4 + (k-1)), as produced by columns()."""
         cols = np.mod(np.asarray(cols, dtype=np.int64), p)
@@ -90,9 +90,10 @@ class SteinerPresentation:
 
     def in_frame(self, frame):
         """The presentation written in the coordinates of a hyperplane
-        frame, where H = {x4 = 0}."""
+        frame, where H = {x4 = 0}: M'_l = sum_k Pinv[l, k] M_k, the
+        coefficient of v_l, is m's forms evaluated at row l of Pinv."""
         return SteinerPresentation(
-            transform_presentation(self.Ms, frame.Pinv, frame.prime),
+            exactalg.evaluate_linear(self.Ms, frame.Pinv, frame.prime),
             self.prime)
 
     def transpose(self):
@@ -117,7 +118,7 @@ class SteinerPresentation:
         return SteinerPresentation.from_columns(cols, self.a, self.prime)
 
 
-def presentation_in_span(basis, b, rng, p=exactalg.DEFAULT_PRIME):
+def presentation_in_span(basis, b, rng, p):
     """Presentation whose b columns are random combinations of the rows of
     `basis`, a k x 4a kernel basis in A(x)V coordinates.
 

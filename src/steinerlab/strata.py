@@ -50,7 +50,7 @@ class JordanType:
     def label(self):
         return "|".join("".join(str(b) for b in p) for p in self.partitions)
 
-    def representative(self, p=exactalg.DEFAULT_PRIME):
+    def representative(self, p):
         """Block-diagonal matrix with eigenvalues 1, 2, ... and upper
         bidiagonal Jordan blocks."""
         n = self.n
@@ -146,14 +146,14 @@ def _cx_rows(C, p):
     return np.mod(_antisym_rows(np.einsum("uk,kvc->uvc", C, E)), p)
 
 
-def solution_dim_4x4(C, p=exactalg.DEFAULT_PRIME):
+def solution_dim_4x4(C, p):
     """dim {X symmetric 4x4 : CX symmetric} = 10 - rank of the 6-equation
     system in X's upper-triangle coordinates."""
     C = np.mod(np.asarray(C, dtype=np.int64), p)
     return 10 - exactalg.rank(_cx_rows(C, p), p)
 
 
-def solution_dim_3x4(C0, c, p=exactalg.DEFAULT_PRIME):
+def solution_dim_3x4(C0, c, p):
     """Rank r of the 3-equation system "C0 X0 + c x^t symmetric" on symmetric
     4x4 X = [[X0, x], [x^t, xi]], and S = 10 - r.
 
@@ -210,7 +210,7 @@ _JORDAN4_REF = {
 }
 
 
-def jordan4_table(p=exactalg.DEFAULT_PRIME):
+def jordan4_table(p):
     """The 14-row stratification table with recomputed O and S columns.
 
     Two rows are flagged: the reference O for "2|1|1" is one less than the
@@ -262,7 +262,7 @@ _JORDAN3X4_ROWS = [
 ]
 
 
-def jordan3x4_table(p=exactalg.DEFAULT_PRIME):
+def jordan3x4_table(p):
     """The 9-row pair table: (r, S) recomputed from explicit representatives.
 
     The O column mixes strata of different kinds in the reference, so it is

@@ -41,7 +41,6 @@ from .multilin import (
     mono_basis,
     random_frame,
     transform_fform_tensor,
-    transform_presentation,
 )
 from .seeding import derive_rng
 from .steiner import (
@@ -96,7 +95,7 @@ def _block_rows(t, n=4):
 @dataclass(frozen=True)
 class FFormQuotient:
     t: np.ndarray  # shape (f, a, 4, 4), symmetric in the last two axes
-    prime: int = exactalg.DEFAULT_PRIME
+    prime: int
 
     def __post_init__(self):
         if self.t.ndim != 4 or self.t.shape[2:] != (4, 4):
@@ -113,7 +112,7 @@ class FFormQuotient:
         return self.t.shape[1]
 
     @classmethod
-    def random(cls, rng, a, f, p=exactalg.DEFAULT_PRIME):
+    def random(cls, rng, a, f, p):
         for _ in range(8):
             raw = rng.integers(0, p, size=(f, a, 4, 4), dtype=np.int64)
             t = np.mod(raw + raw.transpose(0, 1, 3, 2), p)
@@ -142,7 +141,7 @@ def vstar_rank(phi):
     return exactalg.rank(gstar(phi), phi.prime)
 
 
-def witness_z(a, f, p=exactalg.DEFAULT_PRIME):
+def witness_z(a, f, p):
     """Deterministic quotient with maximal V*-rank 4f: a coordinate
     surjection A -> F tensored with a nondegenerate symmetric form on V,
     so t[s,j,p,q] = [s == j][p == q]."""
@@ -300,7 +299,7 @@ def transport_check(m, sl, extra=()):
     return lhs, rhs
 
 
-def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
+def transport_trial(variant, trial, seed, p):
     """One transport-equivalence instance of `variant` ("full", "hyper" or
     "combined"); returns True when both sides of the check agree.  Every
     third trial is a constructed positive, the rest are random (almost
@@ -321,7 +320,7 @@ def transport_trial(variant, trial, seed, p=exactalg.DEFAULT_PRIME):
         m = presentation_in_span(kern, b, rng, p)
         if frame is not None:
             m = SteinerPresentation(
-                transform_presentation(m.Ms, frame.P, p), p)
+                exactalg.evaluate_linear(m.Ms, frame.P, p), p)
     else:
         m = SteinerPresentation.random(rng, a, b, p)
     lhs, rhs = transport_check(m, sl, extra)

@@ -175,7 +175,7 @@ def test_criterion_05_pw_cohomology():
     t0 = time.monotonic()
     ok = True
     for seed in SEEDS:
-        s = pwcurves.sample_pw(3, 8, 1, seed=seed)
+        s = pwcurves.sample_pw(3, 8, 1, seed=seed, p=P)
         checks, tab = pwcurves.verify_thm42(s, -6, 4)
         ok &= s.rank_m1 == 29
         ok &= corank_md(s.m, 2) == 0
@@ -259,7 +259,7 @@ def test_criterion_08_mh_rank():
     t0 = time.monotonic()
     worst = 100
     for seed in SEEDS:
-        s = pwcurves.sample_pw(10, 30, 1, seed=seed)
+        s = pwcurves.sample_pw(10, 30, 1, seed=seed, p=P)
         hist = pwcurves.mh_rank_survey(s, trials=100, seed=seed)
         worst = min(worst, hist.get(89, 0))
     elapsed = time.monotonic() - t0
@@ -285,14 +285,14 @@ def test_criterion_09_curve():
     sections_ok = True
     h1_ok = True
     for seed in SEEDS:
-        s = pwcurves.sample_pw(10, 30, 1, seed=seed)
+        s = pwcurves.sample_pw(10, 30, 1, seed=seed, p=P)
         sections_ok &= 4 * 30 - s.rank_m1 == 21
         Ns = pwcurves.section_matrix(s)
         rng = derive_rng(seed, 90)
         for _ in range(20):
             x = rng.integers(0, P, size=4, dtype=np.int64)
-            Nx = pwcurves.evaluate_linear(Ns, x, P)
-            Mx = pwcurves.evaluate_linear(s.m.Ms, x, P)
+            Nx = exactalg.evaluate_linear(Ns, x, P)
+            Mx = exactalg.evaluate_linear(s.m.Ms, x, P)
             sections_ok &= exactalg.rank(Nx, P) == 20
             sections_ok &= not exactalg.matmul_mod(Mx, Nx.T, P).any()
         h1_ok &= pwcurves.h1_ic_vanishing(s) is True
@@ -313,8 +313,8 @@ def test_criterion_10_not_globally_generated():
     t0 = time.monotonic()
     ok = True
     for seed in SEEDS:
-        big = pwcurves.sample_pw(10, 30, 1, seed=seed)
-        small = pwcurves.sample_pw(1, 4, 0, seed=seed)
+        big = pwcurves.sample_pw(10, 30, 1, seed=seed, p=P)
+        small = pwcurves.sample_pw(1, 4, 0, seed=seed, p=P)
         ok &= pwcurves.check_not_globally_generated(big) is True
         ok &= pwcurves.check_not_globally_generated(small) is False
     elapsed = time.monotonic() - t0

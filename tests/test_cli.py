@@ -135,7 +135,7 @@ def test_cohomology_rows_match_library():
                          "-f", "1", "--kmin", "-2", "--kmax", "2"])
     assert code == 0
     report = json.loads(out)
-    sample = pwcurves.sample_pw(3, 8, 1, seed=0)
+    sample = pwcurves.sample_pw(3, 8, 1, seed=0, p=P)
     _, tab = pwcurves.verify_thm42(sample, -2, 2)
     assert report["rows"] == [
         {k: int(v) for k, v in row.items()} for row in tab.as_dicts()
@@ -308,7 +308,8 @@ def test_curve_exports_its_section_matrix(tmp_path):
     assert code == 0
     with open(path) as fh:
         Ns, p = exactalg.read_blocks(fh, "linforms")
-    sample = pwcurves.sample_pw(5, 15, pwcurves.curve_params(5, 15).f, seed=0)
+    f = pwcurves.curve_params(5, 15).f
+    sample = pwcurves.sample_pw(5, 15, f, 0, P)
     assert p == P
     assert np.array_equal(Ns, pwcurves.section_matrix(sample))
 
@@ -337,10 +338,25 @@ def _assert_one_line_error(capsys, argv, message):
     ["verify", "rank0", "-a", "1", "-f", "20"],
     ["verify", "rank0", "-a", "1", "-f", "11"],
     ["verify", "rank0", "-a", "0", "-f", "1"],
+    ["verify", "rank0", "-a", "1", "-f", "10"],
+    ["verify", "rank0", "-a", "1", "-f", "9", "--hyperplane"],
+    ["verify", "curve", "-a", "4", "-b", "12"],
     ["cohomology", "-a", "3", "-b", "8", "--kmin", "5", "--kmax", "2"],
-], ids=["rank0-f20", "rank0-f11", "rank0-a0", "cohomology-window"])
+], ids=["rank0-f20", "rank0-f11", "rank0-a0", "rank0-f10a", "rank0-hyper-f9a",
+        "curve-s4", "cohomology-window"])
 def test_inadmissible_parameters_exit_two(capsys, argv):
+    # f = 10a leaves Z = 0 and f = 9a leaves Z' = 0, neither with a
+    # hyperplane; at (4, 12), s = 4 and m(s - 3) = m(1) has a cokernel
     _assert_one_line_error(capsys, argv, "InadmissibleParams")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rank0", "-a", "1", "-f", "9"],
+    ["verify", "rank0", "-a", "1", "-f", "8", "--hyperplane"],
+    ["verify", "curve", "-a", "5", "-b", "15"],
+], ids=["rank0-f9", "rank0-hyper-f8", "curve-s5"])
+def test_admissible_boundaries_pass(argv):
+    assert run_cli(["--trials", "3"] + argv)[0] == 0
 
 
 def test_rejected_window_exports_nothing(tmp_path, capsys):
@@ -418,7 +434,7 @@ def test_mh_rejects_empty_source(capsys):
 
 def test_rank0_rejects_negative_f(capsys):
     _assert_one_line_error(capsys, ["verify", "rank0", "-a", "2", "-f", "-1"],
-                           "need a >= 1 and 0 <= f <= 10a, got a=2, f=-1")
+                           "need a >= 1 and 0 <= f < 10a, got a=2, f=-1")
 
 
 def test_seed_flag_rejects_negative(capsys):
@@ -438,6 +454,36 @@ class _ZeroRng:
 
     def integers(self, low, high, size=None, dtype=np.int64):
         return np.zeros(size, dtype=dtype)
+
+
+class _ZeroFirst:
+    """Draws zeros once, then what the wrapped generator draws."""
+
+    def __init__(self, rng):
+        self.rng, self.fresh = rng, True
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        if self.fresh:
+            self.fresh = False
+            return np.zeros(size, dtype=dtype)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+def test_curve_points_skip_the_zero_vector(monkeypatch):
+    # 0 is no point of P^3, and N(0) = 0 would fail the rank check; the
+    # point stream skips it and reports as if it had not been drawn
+    argv = ["--json", "--trials", "5", "verify", "curve", "-a", "5", "-b",
+            "15"]
+    plain = run_cli(argv)
+    real = cli.derive_rng
+
+    def rng_for(*key):
+        rng = real(*key)
+        return _ZeroFirst(rng) if key[1:] == (19,) else rng
+
+    monkeypatch.setattr(cli, "derive_rng", rng_for)
+    assert run_cli(argv) == plain
+    assert plain[0] == 0
 
 
 def test_quotient_sampler_failure_exits_two(monkeypatch, capsys):

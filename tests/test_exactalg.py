@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from steinerlab import exactalg
+from steinerlab import _gfcore_py, exactalg
 
 P = exactalg.DEFAULT_PRIME
 
@@ -254,44 +254,75 @@ def _stack_with_varied_pivots(rng, p):
 @pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
 def test_ranks_match_rank_and_oracle(rng, p):
     S = _stack_with_varied_pivots(rng, p)
-    got = exactalg.ranks(S, p)
+    got = _gfcore_py.ranks(S, p)
     assert got == [exactalg.rank(M, p) for M in S]
     assert got == [oracle_rank(M, p) for M in S]
     assert len(set(got)) > 3
     # one member alone, and the stack transposed
-    assert exactalg.ranks(S[8:9], p) == [got[8]]
-    assert exactalg.ranks(S.transpose(0, 2, 1), p) == got
+    assert _gfcore_py.ranks(S[8:9], p) == [got[8]]
+    assert _gfcore_py.ranks(S.transpose(0, 2, 1), p) == got
 
 
 def test_ranks_over_several_sweeps(rng):
-    # 150 matrices take three sweeps; their ranks run through 0..5
-    S = np.zeros((150, 5, 6), dtype=np.int64)
+    # forms whose value at x_k e_k has rank k + 1, at 0 rank 0 and at a
+    # random point generically 5; 150 points take three sweeps, and their
+    # ranks run through 0..5
+    forms = np.stack([(rng.integers(0, 7, size=(5, k + 1)) @
+                       rng.integers(0, 7, size=(k + 1, 6))) % 7
+                      for k in range(4)])
+    points = np.zeros((150, 4), dtype=np.int64)
     for t in range(150):
-        r = t % 6
-        S[t] = (rng.integers(0, 7, size=(5, r)) @
-                rng.integers(0, 7, size=(r, 6))) % 7
-    assert exactalg.ranks(S, 7) == [exactalg.rank(M, 7) for M in S]
+        if t % 6 == 5:
+            points[t] = rng.integers(1, 7, size=4)
+        elif t % 6:
+            points[t, t % 6 - 1] = rng.integers(1, 7)
+    got = exactalg.ranks_at(forms, iter(points), 7)
+    values = exactalg.evaluate_linear(forms, points, 7)
+    assert got == [exactalg.rank(M, 7) for M in values]
+    assert set(got) == set(range(6))
+
+
+def test_evaluate_linear_is_the_sum_of_the_forms():
+    forms = np.arange(4 * 2 * 3, dtype=np.int64).reshape(4, 2, 3)
+    x = np.array([1, 2, 0, 5])
+    want = (forms[0] + 2 * forms[1] + 5 * forms[3]) % 11
+    assert np.array_equal(exactalg.evaluate_linear(forms, x, 11), want)
+    # a (T, 4) array of points gives the stack of the values at each
+    xs = np.stack([x, np.eye(4, dtype=np.int64)[2]])
+    assert np.array_equal(exactalg.evaluate_linear(forms, xs, 11),
+                          [want, forms[2] % 11])
 
 
 def test_ranks_empty_shapes():
-    assert exactalg.ranks(np.zeros((0, 3, 4), dtype=np.int64), P) == []
-    assert exactalg.ranks(np.zeros((3, 0, 4), dtype=np.int64), P) == [0] * 3
-    assert exactalg.ranks(np.zeros((2, 4, 0), dtype=np.int64), P) == [0] * 2
-    assert exactalg.ranks(np.zeros((1, 4, 5), dtype=np.int64), P) == [0]
-    with pytest.raises(ValueError):
-        exactalg.ranks(np.zeros((4, 5), dtype=np.int64), P)
+    x = [1, 2, 3, 4]
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.int64)
+
+    assert exactalg.ranks_at(zeros(4, 3, 4), [], P) == []
+    assert exactalg.ranks_at(zeros(4, 0, 4), [x] * 3, P) == [0] * 3
+    assert exactalg.ranks_at(zeros(4, 4, 0), [x] * 2, P) == [0] * 2
+    assert exactalg.ranks_at(zeros(4, 4, 5), [x], P) == [0]
+    for shape in ((4, 5), (3, 4, 5)):
+        with pytest.raises(ValueError):
+            exactalg.ranks_at(zeros(*shape), [x], P)
+
+
+def _unread():
+    raise AssertionError("a point was read")
+    yield
 
 
 def test_ranks_capacity_guard():
-    # past the exactness bound the stack is refused as a single matrix is,
-    # before any work array is made
+    # past the exactness bound the forms are refused as a single matrix is,
+    # before any point is read or any work array is made
     big = 1073741789
-    S = np.ones((2, 3, 3), dtype=np.int64)
+    forms = np.ones((4, 3, 3), dtype=np.int64)
     with pytest.raises(ValueError) as single:
-        exactalg.rank(S[0], big)
+        exactalg.rank(forms[0], big)
     with pytest.raises(ValueError) as stacked:
-        exactalg.ranks(S, big)
+        exactalg.ranks_at(forms, _unread(), big)
     assert str(stacked.value) == str(single.value)
-    huge = np.broadcast_to(np.int64(0), (1, 8100, 8100))
+    huge = np.broadcast_to(np.int64(0), (4, 8100, 8100))
     with pytest.raises(ValueError, match="too large"):
-        exactalg.ranks(huge, 1048573)
+        exactalg.ranks_at(huge, _unread(), 1048573)

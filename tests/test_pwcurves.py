@@ -22,7 +22,6 @@ from steinerlab.pwcurves import (
     SamplingFailed,
     check_not_globally_generated,
     curve_params,
-    evaluate_linear,
     h1_ic_vanishing,
     mh_rank_survey,
     sample_pw,
@@ -44,7 +43,7 @@ P = exactalg.DEFAULT_PRIME
 
 
 def test_sample_3_8_1():
-    s = sample_pw(3, 8, 1, seed=0)
+    s = sample_pw(3, 8, 1, seed=0, p=P)
     assert (s.a, s.b, s.f) == (3, 8, 1)
     assert s.rank_m1 == 29
     assert s.cert.found and s.cert.d0 == 2
@@ -55,35 +54,35 @@ def test_sample_3_8_1():
 
 
 def test_sample_deterministic():
-    s1 = sample_pw(3, 8, 1, seed=4)
-    s2 = sample_pw(3, 8, 1, seed=4)
+    s1 = sample_pw(3, 8, 1, seed=4, p=P)
+    s2 = sample_pw(3, 8, 1, seed=4, p=P)
     assert np.array_equal(s1.m.Ms, s2.m.Ms)
     assert np.array_equal(s1.phi.t, s2.phi.t)
-    s3 = sample_pw(3, 8, 1, seed=5)
+    s3 = sample_pw(3, 8, 1, seed=5, p=P)
     assert not np.array_equal(s1.m.Ms, s3.m.Ms)
 
 
 def test_sample_1_4_0():
-    s = sample_pw(1, 4, 0, seed=0)
+    s = sample_pw(1, 4, 0, seed=0, p=P)
     assert s.rank_m1 == 10
     assert s.cert.d0 == 1
 
 
 def test_inadmissible_params():
     with pytest.raises(InadmissibleParams):
-        sample_pw(4, 13, 2, seed=0)  # b > 4a - 4f
+        sample_pw(4, 13, 2, seed=0, p=P)  # b > 4a - 4f
     with pytest.raises(InadmissibleParams):
-        sample_pw(2, 4, 0, seed=0)  # 5a > 2b
+        sample_pw(2, 4, 0, seed=0, p=P)  # 5a > 2b
     with pytest.raises(InadmissibleParams):
-        sample_pw(3, 20, 0, seed=0)  # 2b > 8a
+        sample_pw(3, 20, 0, seed=0, p=P)  # 2b > 8a
     with pytest.raises(InadmissibleParams):
-        sample_pw(3, 8, -1, seed=0)
+        sample_pw(3, 8, -1, seed=0, p=P)
 
 
 def test_sampling_failed_when_no_attempts(monkeypatch):
     monkeypatch.setattr(pwcurves, "RETRIES", 0)
     with pytest.raises(SamplingFailed, match="in 0 attempts"):
-        sample_pw(3, 8, 1, seed=0)
+        sample_pw(3, 8, 1, seed=0, p=P)
 
 
 def _short_zstar(mp):
@@ -105,12 +104,12 @@ def _corank_one_more(mp):
 def test_sampling_failed_names_last_failure(monkeypatch, patch, failure):
     patch(monkeypatch)
     with pytest.raises(SamplingFailed) as exc:
-        sample_pw(3, 8, 1, seed=0)
+        sample_pw(3, 8, 1, seed=0, p=P)
     assert str(exc.value).endswith(f"last failure: {failure}")
 
 
 def test_verify_thm42_3_8_1():
-    s = sample_pw(3, 8, 1, seed=1)
+    s = sample_pw(3, 8, 1, seed=1, p=P)
     checks, tab = verify_thm42(s)
     assert all(c["pass"] for c in checks)
     assert tab.row(-1)[1:5] == (0, 3, 0, 0)
@@ -122,14 +121,14 @@ def test_verify_thm42_3_8_1():
 
 
 def test_verify_thm42_window():
-    s = sample_pw(3, 8, 1, seed=2)
+    s = sample_pw(3, 8, 1, seed=2, p=P)
     checks, tab = verify_thm42(s, k_min=-2, k_max=2)
     assert [r[0] for r in tab.rows] == [-2, -1, 0, 1, 2]
     assert all(c["pass"] for c in checks)
 
 
 def test_verify_thm42_rejects_window_without_rows_it_checks():
-    s = sample_pw(3, 8, 1, seed=2)
+    s = sample_pw(3, 8, 1, seed=2, p=P)
     for k_min, k_max in ((5, 2), (0, 4), (-6, 0)):
         with pytest.raises(InadmissibleParams):
             verify_thm42(s, k_min, k_max)
@@ -149,7 +148,7 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(steiner, "assemble_md", record)
     monkeypatch.setattr(pwcurves, "assemble_md", record)
-    s = sample_pw(3, 8, 1, seed=1)
+    s = sample_pw(3, 8, 1, seed=1, p=P)
     assert s.attempts == 1 and s.cert.d0 == 2
     assert degrees == [1, 2]
     verify_thm42(s)
@@ -158,13 +157,13 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
 
 
 def test_not_globally_generated():
-    assert check_not_globally_generated(sample_pw(10, 30, 1, seed=0)) is True
-    assert check_not_globally_generated(sample_pw(1, 4, 0, seed=0)) is False
-    assert check_not_globally_generated(sample_pw(4, 13, 0, seed=0)) is False
+    assert check_not_globally_generated(sample_pw(10, 30, 1, 0, P)) is True
+    assert check_not_globally_generated(sample_pw(1, 4, 0, 0, P)) is False
+    assert check_not_globally_generated(sample_pw(4, 13, 0, 0, P)) is False
 
 
 def test_mh_rank_survey():
-    s = sample_pw(3, 8, 1, seed=0)
+    s = sample_pw(3, 8, 1, seed=0, p=P)
     hist = mh_rank_survey(s, trials=10, seed=0)
     assert hist == {24: 10}
     assert mh_rank_survey(s, trials=10, seed=0) == hist
@@ -231,14 +230,14 @@ def test_mh_rank_survey_injective_m1():
 
 
 def test_mh_rank_survey_histogram_matches_dense():
-    s = sample_pw(10, 30, 1, seed=0)
+    s = sample_pw(10, 30, 1, seed=0, p=P)
     hist = mh_rank_survey(s, 30, seed=4)
     assert hist == _dense_survey(s, 30, seed=4) == {89: 30}
 
 
 def test_mh_rank_survey_past_one_sweep():
     # 130 trials are three sweeps of at most 64 matrices
-    s = sample_pw(3, 8, 1, seed=0)
+    s = sample_pw(3, 8, 1, seed=0, p=P)
     hist = mh_rank_survey(s, 130, seed=2)
     assert hist == _dense_survey(s, 130, seed=2)
     assert sum(hist.values()) == 130
@@ -247,7 +246,7 @@ def test_mh_rank_survey_past_one_sweep():
 def test_mh_rank_survey_rejects_forged_rank():
     # a certificate whose first rung claims one more cokernel dimension of
     # m(1) than the presentation has
-    s = sample_pw(3, 8, 1, seed=0)
+    s = sample_pw(3, 8, 1, seed=0, p=P)
     (d, coker), *rest = s.cert.checked
     forged = SurjectivityCertificate(((d, coker + 1), *rest))
     assert dataclasses.replace(s, cert=forged).rank_m1 == s.rank_m1 - 1
@@ -317,7 +316,7 @@ def test_curve_params_regime_flags():
 def test_h1_ic_edge_cases():
     # s < 3 is vacuous; a zero presentation in the smallest s >= 3 shape
     # has nothing surjective
-    vac = sample_pw(1, 4, 0, seed=0)
+    vac = sample_pw(1, 4, 0, seed=0, p=P)
     assert h1_ic_vanishing(vac) is True
     zero = SteinerPresentation(np.zeros((4, 1, 5), dtype=np.int64), P)
     s = PWSample(None, zero, surjectivity_certificate(zero, 2), 0)
@@ -329,14 +328,14 @@ def test_h1_ic_edge_cases():
 
 
 def test_section_matrix_10_30():
-    s = sample_pw(10, 30, 1, seed=0)
+    s = sample_pw(10, 30, 1, seed=0, p=P)
     Ns = section_matrix(s)
     assert Ns.shape == (4, 21, 30)
     rng = np.random.default_rng(99)
     for _ in range(5):
         x = rng.integers(0, P, size=4, dtype=np.int64)
-        Nx = evaluate_linear(Ns, x, P)
-        Mx = evaluate_linear(s.m.Ms, x, P)
+        Nx = exactalg.evaluate_linear(Ns, x, P)
+        Mx = exactalg.evaluate_linear(s.m.Ms, x, P)
         assert exactalg.rank(Nx, P) == 20
         assert not exactalg.matmul_mod(Mx, Nx.T, P).any()
 
@@ -345,7 +344,7 @@ def test_section_matrix_kernel_mismatch():
     # at (1, 4) dim ker m(1) = 4b - 10a = 6 is not c = b - a + 1 = 4; the
     # section matrix still holds all six kernel rows, and comparing their
     # count with what is expected is the caller's check
-    s = sample_pw(1, 4, 0, seed=0)
+    s = sample_pw(1, 4, 0, seed=0, p=P)
     Ns = section_matrix(s)
     assert Ns.shape == (4, 6, 4)
     m1 = assemble_md(s.m, 1)
@@ -355,13 +354,13 @@ def test_section_matrix_kernel_mismatch():
 
 
 def test_h1_ic_vanishing_routes_agree():
-    s = sample_pw(10, 30, 1, seed=0)
+    s = sample_pw(10, 30, 1, seed=0, p=P)
     assert h1_ic_vanishing(s) is True
     assert h1_ic_vanishing(s, direct=True) is True
 
 
 def test_linforms_interchange():
-    s = sample_pw(10, 30, 1, seed=0)
+    s = sample_pw(10, 30, 1, seed=0, p=P)
     Ns = section_matrix(s)
     buf = io.StringIO()
     write_linforms(buf, Ns, P)
@@ -373,7 +372,7 @@ def test_linforms_interchange():
 
 
 def test_sample_is_frozen():
-    s = sample_pw(1, 4, 0, seed=0)
+    s = sample_pw(1, 4, 0, seed=0, p=P)
     with pytest.raises(AttributeError):
         s.a = 2
     with pytest.raises(AttributeError):

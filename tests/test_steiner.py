@@ -185,7 +185,7 @@ def test_propagation_matches_direct_rank(rng):
 def test_md_rank_matches_oracle():
     # from m(3) on the rank reaches the row count before the last panel,
     # so the rank-only sweep stops early there
-    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
     for d in range(6):
         A = assemble_md(m, d)
         assert exactalg.rank(A, P) == oracle_rref(A, P)[1]
@@ -196,7 +196,7 @@ def test_horace_certificates_have_full_dense_rank():
     # certifies up to the critical degree A - 3 has dense rank equal to its
     # row count, and the critical degree itself is certified
     for A in (7, 8, 9, 10):
-        m = pwcurves.sample_pw(A, 3 * A, 1, seed=0).m
+        m = pwcurves.sample_pw(A, 3 * A, 1, seed=0, p=P).m
         certified = [d for d in range(A - 2) if horace_surjective(m, d)]
         assert A - 3 in certified
         for d in certified:
@@ -250,7 +250,7 @@ def test_horace_never_certifies_a_cokernel(p):
 def test_horace_needs_m1_of_full_rank(rng):
     # at (3, 8) the plane map of m(2) is 30 x 30, not wider than tall, so
     # it is not tried and ker M1 is not computed; at d = 3 it is 45 x 50
-    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
     assert horace_surjective(m, 2) is None
     assert "x1_residual" not in vars(m)
     assert horace_surjective(m, 3) is True
@@ -322,7 +322,7 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     # a ladder that the split ends at d = 2 and the direct check of
     # m(s - 3) = m(4) share one kernel basis of M1 and no dense m(d) above
     # m(1), whose plane map (42 x 42 at (7, 21)) is not tried
-    s = pwcurves.sample_pw(7, 21, 1, seed=0)
+    s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
     kernels, degrees = [], []
     kernel_basis, assemble = exactalg.kernel_basis, steiner.assemble_md
@@ -359,7 +359,7 @@ def test_horace_needs_more_than_the_hyperplane():
 
 
 def test_cohomology_table_reads_certificate():
-    m = pwcurves.sample_pw(3, 8, 1, seed=0).m
+    m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
     cert = surjectivity_certificate(m, 5)
     assert cert.checked == ((1, 1), (2, 0))
     tab = cohomology_table(m, -1, cert.d0, cert)

@@ -12,7 +12,6 @@ from steinerlab.multilin import (
     MONO_PQ,
     HyperplaneFrame,
     random_frame,
-    transform_presentation,
 )
 from steinerlab.steiner import (
     SteinerPresentation,
@@ -180,7 +179,7 @@ def test_restrict_to_h_transversality():
     # the quadric x4^2 restricts to zero on the hyperplane x4 = 0
     phi = _diag_quadric([0, 0, 0, 1])
     with pytest.raises(NonTransverse):
-        zslice(phi, HyperplaneFrame.from_covector((0, 0, 0, 1)))
+        zslice(phi, HyperplaneFrame.from_covector((0, 0, 0, 1), P))
 
 
 def test_zh_rank_examples():
@@ -325,7 +324,7 @@ def test_fstar_matches_stacked_reference(rng):
 
 def test_mh1_x4_frame_is_deletion(rng):
     m = SteinerPresentation.random(rng, 2, 5, P)
-    mh = mh1(m.in_frame(HyperplaneFrame.from_covector((0, 0, 0, 1))))
+    mh = mh1(m.in_frame(HyperplaneFrame.from_covector((0, 0, 0, 1), P)))
     full = assemble_md(m, 1)
     rows = [j * 10 + i for j in range(2) for i in range(9)]
     cols = [i * 4 + l for i in range(5) for l in (0, 1, 2)]
@@ -358,7 +357,7 @@ def test_transport_framed_positive(rng):
     kern = exactalg.kernel_basis(stacked, P)
     assert len(kern)
     mf = presentation_in_span(kern, b, rng, P)
-    m = SteinerPresentation(transform_presentation(mf.Ms, frame.P, P), P)
+    m = SteinerPresentation(exactalg.evaluate_linear(mf.Ms, frame.P, P), P)
     assert transport_check(m, hs, extra) == (True, True)
     # and without the extra covector the equivalence still holds
     lhs, rhs = transport_check(m, hs)
