@@ -81,8 +81,9 @@ def sample_pw(a, b, f, seed, p, d_max=steiner.D_MAX):
     Z* is big enough to receive B).  Each attempt uses a fresh derived
     stream; after RETRIES failed genericity checks SamplingFailed reports
     the last diagnostics instead of lowering the bar.  The rank of m(1) is
-    read off the first step of the surjectivity certificate, so an attempt
-    eliminates each m(d) once.
+    read off the first rung of the surjectivity certificate, whose ladder
+    ranks m(0) and then only the small systems of its inverse systems, so
+    an attempt eliminates no dense m(d) with d >= 1.
     """
     if a < 1:
         raise InadmissibleParams(f"need a >= 1, got a={a}")
@@ -147,12 +148,11 @@ def check_not_globally_generated(sample):
     """h0(E(1)) <= b - a + 1 together with h1(E) > 0.
 
     Meaningful for samples with f = 9a - 3b + 1 and b <= 3a; evaluated as
-    stated on any sample, preconditions are the caller's concern.
+    stated on any sample, preconditions are the caller's concern.  h1(E) is
+    dim coker m(0), rung 0 of the sample's certificate.
     """
-    a, b = sample.a, sample.b
-    h0_1 = 4 * b - sample.rank_m1
-    h1_0 = 4 * a - exactalg.rank(assemble_md(sample.m, 0), sample.prime)
-    return h0_1 <= b - a + 1 and h1_0 > 0
+    h0_1 = 4 * sample.b - sample.rank_m1
+    return h0_1 <= sample.b - sample.a + 1 and sample.cert.coker0 > 0
 
 
 def mh_rank_survey(sample, trials, seed):
@@ -261,18 +261,20 @@ def h1_ic_vanishing(sample, direct=False):
     true iff m(s-3) is surjective (vacuous when s < 3).
 
     With direct=False the certified degree is used when it already implies
-    surjectivity.  direct=True checks m(s-3) itself, independently of that
-    certificate, by steiner.cokernel_dim_md (the x1-split of
-    horace_surjective, else the dense rank).  At (a, b) = (10, 30) the
-    split's plane map is 450 x 720, against 1650 x 3600 for m(7).
+    surjectivity.  direct=True checks m(s-3) itself, by a route that shares
+    nothing with the inverse-system ladder of that certificate: the x1-split
+    of steiner.horace_surjective, else the rank of the dense m(s-3).  At
+    (a, b) = (10, 30) the split's plane map is 450 x 720, against
+    1650 x 3600 for m(7).
     """
-    s = sample.b - 2 * sample.a
+    m, s = sample.m, sample.b - 2 * sample.a
     if s < 3:
         return True
     d = s - 3
     if not direct and sample.cert.found and sample.cert.d0 <= d:
         return True
-    return steiner.cokernel_dim_md(sample.m, d) == 0
+    return bool(steiner.horace_surjective(m, d)) or (
+        exactalg.cokernel_dim(assemble_md(m, d), m.prime) == 0)
 
 
 # ---------------------------------------------------------------------------

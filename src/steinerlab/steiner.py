@@ -8,18 +8,32 @@ dimension of m(k) and h1 its cokernel dimension, h2 vanishes, and h3 closes
 the Euler characteristic.  Local freeness of E_m is certified by finite-degree
 surjectivity, which propagates upward in degree.
 
-Whether m(d) is onto is decided by cokernel_dim_md, which first tries to
-certify it without eliminating m(d).  Split the rows and columns of m(d) by
-x1-degree, the methode d'Horace (Hirschowitz, Manuscripta Math. 50, 1985):
-m(d) is onto when rank M1 = a and the degree-d map on the plane x1 = 0 of
-m restricted to B' = ker M1 is onto.  That map is an a x (b - a) Steiner
-map in three variables, and B' is computed once per presentation; see
-horace_surjective.
+The certificate reads the cokernels of m(d) off their annihilators, never
+off a dense m(d) with d >= 1.  Let Ann_d be the annihilator of Im m(d) in
+(A(x)S^{d+1}V)^*, of dimension dim coker m(d), and let x_k _| psi be
+contraction, (x_k _| psi)(alpha (x) nu) = psi(alpha (x) x_k nu).  As m is
+S-linear and S^d = V.S^{d-1}, Im m(d) = V.Im m(d-1), so
+
+    Ann_d = {psi : x_k _| psi in Ann_{d-1} for k = 1..4}.
+
+Four psi_k come from one psi iff x_j _| psi_k = x_k _| psi_j for all j < k,
+and then psi is unique: the dual Koszul complex of x1..x4 is exact in every
+characteristic.  In the dual monomial basis contraction moves the value at
+x_k nu to nu, a gather with no coefficient, so no degree is divided by and
+the ladder is exact at every accepted prime.  This is Macaulay's inverse
+system (The Algebraic Theory of Modular Systems, 1916), built one degree at
+a time as in Mourrain ("Isolated points, duality and residues", J. Pure
+Appl. Algebra 117-118, 1997); see surjectivity_certificate.
+
+horace_surjective, the x1-split of m(d) (methode d'Horace, Hirschowitz,
+Manuscripta Math. 50, 1985), is the independent route of the direct check
+in pwcurves.h1_ic_vanishing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,19 +172,6 @@ def assemble_md(m, d):
     return _scatter_md(m, mono_basis(d), mono_basis(d + 1))
 
 
-def corank_md(m, d):
-    """min(kernel, cokernel) dimension of m(d)."""
-    return exactalg.corank(assemble_md(m, d), m.prime)
-
-
-def cokernel_dim_md(m, d):
-    """dim coker m(d): 0 when horace_surjective certifies m(d), else the
-    cokernel of the dense m(d)."""
-    if horace_surjective(m, d):
-        return 0
-    return exactalg.cokernel_dim(assemble_md(m, d), m.prime)
-
-
 def horace_surjective(m, d):
     """True when the x1-split of m(d) certifies it surjective, else None.
 
@@ -212,6 +213,7 @@ def horace_surjective(m, d):
 @dataclass(frozen=True)
 class SurjectivityCertificate:
     checked: tuple  # (d, cokernel_dim) pairs, d = 1, 2, ..., never empty
+    coker0: int | None = None  # dim coker m(0), None when built by hand
 
     @property
     def d0(self):
@@ -225,10 +227,27 @@ class SurjectivityCertificate:
         return self.d0 is not None
 
 
+@functools.lru_cache(maxsize=None)
+def _lift(d):
+    """(4, dim S^dV) array: entry [k, i] is the index of x_(k+1) mu_i in
+    mono_basis(d + 1), mu_i the i-th monomial of degree d."""
+    pos = {mono: r for r, mono in enumerate(mono_basis(d + 1))}
+    return np.array([[pos[mu[:k] + (mu[k] + 1,) + mu[k + 1:]]
+                      for mu in mono_basis(d)] for k in range(4)])
+
+
 def surjectivity_certificate(m, d_max=D_MAX):
-    """Search d = 1..d_max for surjective m(d), each degree by
-    cokernel_dim_md, so a degree the x1-split certifies is recorded as
-    (d, 0) without eliminating m(d).
+    """Search d = 1..d_max for surjective m(d) by the inverse-system ladder
+    of the module docstring, and record rung 0, dim coker m(0) = h1(E_m),
+    as coker0.
+
+    Rung 0, from m(0), the only m(d) assembled, is a basis phi_1..phi_c of
+    Ann_0, the left kernel of the 4a x b matrix m(0), as a (c, a, 4) array
+    in the row layout of assemble_md.  Rung d >= 1 solves for the
+    psi_k = sum_i c_(k,i) phi_i in Ann_{d-1} with x_j _| psi_k = x_k _| psi_j
+    (j < k): a 6a*C(d+2,3) x 4c system G_d with coker m(d) = dim ker G_d.
+    Each kernel vector is rebuilt on A(x)S^{d+1}V by writing psi_k at the
+    monomials x_k nu; where two writes meet, G_d makes them agree.
 
     Surjectivity propagates upward (the image of m(d+1) contains
     image(m(d)).V), so the first hit certifies all larger degrees and the
@@ -236,13 +255,28 @@ def surjectivity_certificate(m, d_max=D_MAX):
     """
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
+    a, p = m.a, m.prime
+    ann = exactalg.kernel_basis(assemble_md(m, 0).T, p).reshape(-1, a, 4)
+    coker0 = len(ann)
     checked = []
     for d in range(1, d_max + 1):
-        c = cokernel_dim_md(m, d)
-        checked.append((d, c))
-        if c == 0:
+        c, n = len(ann), dim_sym(d - 1)
+        # con[k][:, :, i] is x_(k+1) _| phi_i on A(x)S^{d-1}V
+        con = ann[:, :, _lift(d - 1)].transpose(2, 1, 3, 0)
+        G = np.zeros((6, a, n, 4, c), dtype=np.int64)
+        for row, (j, k) in enumerate(itertools.combinations(range(4), 2)):
+            G[row, :, :, k] = con[j]
+            G[row, :, :, j] = (p - con[k]) % p
+        K = exactalg.kernel_basis(G.reshape(6 * a * n, 4 * c), p)
+        checked.append((d, len(K)))
+        if not len(K) or d == d_max:
             break
-    return SurjectivityCertificate(tuple(checked))
+        psi = exactalg.matmul_mod(K.reshape(-1, c), ann.reshape(c, -1), p)
+        psi = psi.reshape(len(K), 4, a, -1)
+        ann = np.zeros((len(K), a, dim_sym(d + 1)), dtype=np.int64)
+        for k, cols in enumerate(_lift(d)):
+            ann[:, :, cols] = psi[:, k]
+    return SurjectivityCertificate(tuple(checked), coker0)
 
 
 def chi3(t):
@@ -286,8 +320,9 @@ def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
 
     `cert` is the surjectivity certificate of m; when omitted it is computed
     up to the default degree cap.  Raises NotLocallyFree when it found no
-    surjective degree.  The certificate has already eliminated m(k) for
-    1 <= k <= d0, so those ranks are read from its ladder; for k above d0
+    surjective degree.  The certificate's ladder holds the cokernel of m(k)
+    for 0 <= k <= d0, so those ranks are read from it (m(0) is ranked here
+    only for a certificate built by hand, without coker0); for k above d0
     the rank of m(k) is known by propagation without assembling it.
     """
     if k_min > k_max:
@@ -297,6 +332,8 @@ def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
     if not cert.found:
         raise NotLocallyFree(cert.checked)
     coker = dict(cert.checked)
+    if cert.coker0 is not None:
+        coker[0] = cert.coker0
     a, b, p = m.a, m.b, m.prime
     rows = []
     for k in range(k_min, k_max + 1):

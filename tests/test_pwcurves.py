@@ -135,24 +135,37 @@ def test_verify_thm42_rejects_window_without_rows_it_checks():
 
 
 def test_each_md_eliminated_once_per_sample(monkeypatch):
-    # the certificate ladder eliminates m(1) and m(2) once; rank m(1) and
-    # the table's k = 1 row are read from it, so only m(0) is added.  At
-    # (3, 8) the x1-split's plane maps of m(1) and m(2) are 18 x 15 and
-    # 30 x 30, not wider than tall, so ker M1 is never computed
-    degrees = []
-    orig = steiner.assemble_md
+    # the certificate ladder assembles m(0) alone and eliminates its
+    # transpose (8 x 12), then G_1 (18 x 16) and G_2 (72 x 4), after the
+    # 4 x 12 kernel of the draw's quotient; rank m(1) and the table's rows
+    # at k = 0, 1 are read from it, so the table adds no call, no rank is
+    # taken, and ker M1 is never computed
+    degrees, kernels, ranks = [], [], []
+    orig_md, orig_kernel, orig_rank = (steiner.assemble_md,
+                                       exactalg.kernel_basis, exactalg.rank)
 
     def record(m, d):
         degrees.append(d)
-        return orig(m, d)
+        return orig_md(m, d)
+
+    def record_kernel(M, p):
+        kernels.append(M.shape)
+        return orig_kernel(M, p)
+
+    def record_rank(M, p):
+        ranks.append(M.shape)
+        return orig_rank(M, p)
 
     monkeypatch.setattr(steiner, "assemble_md", record)
     monkeypatch.setattr(pwcurves, "assemble_md", record)
+    monkeypatch.setattr(exactalg, "kernel_basis", record_kernel)
+    monkeypatch.setattr(exactalg, "rank", record_rank)
     s = sample_pw(3, 8, 1, seed=1, p=P)
     assert s.attempts == 1 and s.cert.d0 == 2
-    assert degrees == [1, 2]
+    calls = ([0], [(4, 12), (8, 12), (18, 16), (72, 4)], [])
+    assert (degrees, kernels, ranks) == calls
     verify_thm42(s)
-    assert degrees == [1, 2, 0]
+    assert (degrees, kernels, ranks) == calls
     assert "x1_residual" not in vars(s.m)
 
 

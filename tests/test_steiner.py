@@ -12,14 +12,11 @@ from test_backends import oracle_rref
 from steinerlab import exactalg, pwcurves, steiner, subspace
 from steinerlab.multilin import dim_sym, mono_basis
 from steinerlab.steiner import (
-    CohomologyTable,
     NotLocallyFree,
     SteinerPresentation,
     assemble_md,
     chi3,
     cohomology_table,
-    cokernel_dim_md,
-    corank_md,
     dual_h0,
     euler_char,
     horace_surjective,
@@ -88,12 +85,12 @@ def test_generic_1_4(rng):
     assert cert.found and cert.d0 == 1
     # once surjective, stays surjective
     for d in (1, 2, 3):
-        assert corank_md(m, d) == 0
+        assert exactalg.corank(assemble_md(m, d), P) == 0
 
 
 def test_zero_presentation():
     m = SteinerPresentation(np.zeros((4, 2, 5), dtype=np.int64), P)
-    assert corank_md(m, 0) == min(5, 8)
+    assert exactalg.corank(assemble_md(m, 0), P) == min(5, 8)
     cert = surjectivity_certificate(m, 3)
     assert not cert.found
     assert list(cert.checked) == [(1, 2 * dim_sym(2)), (2, 2 * dim_sym(3)),
@@ -310,7 +307,9 @@ def test_kernel_form_matches_the_stack(p):
             assert cert is None
         if cert:
             assert exactalg.cokernel_dim(assemble_md(m, d), p) == 0
-            assert cokernel_dim_md(m, d) == 0
+            # and the ladder finds m(d), or a degree below it, onto
+            ladder = surjectivity_certificate(m, max(d, 1))
+            assert 0 in [ladder.coker0, *dict(ladder.checked).values()][:d + 1]
     # with M_k = 0 no row x_k^(d+1) of m(d) is reached, so neither the
     # split nor the dense m(d) can be onto
     assert seen["generic", True]
@@ -319,9 +318,10 @@ def test_kernel_form_matches_the_stack(p):
 
 
 def test_residual_computed_once_per_presentation(monkeypatch):
-    # a ladder that the split ends at d = 2 and the direct check of
-    # m(s - 3) = m(4) share one kernel basis of M1 and no dense m(d) above
-    # m(1), whose plane map (42 x 42 at (7, 21)) is not tried
+    # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
+    # at (7, 21), then G_1 (42 x 28) and G_2 (168 x 4); the direct check of
+    # m(s - 3) = m(4) then computes the one kernel basis of M1 (7 x 21) and
+    # ranks only the split's plane map, so no dense m(d) above m(0) is built
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
     kernels, degrees = [], []
@@ -341,8 +341,8 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
     sample = dataclasses.replace(s, m=m, cert=cert)
     assert pwcurves.h1_ic_vanishing(sample, direct=True) is True
-    assert kernels == [(7, 21)]
-    assert degrees == [1]
+    assert kernels == [(21, 28), (42, 28), (168, 4), (7, 21)]
+    assert degrees == [0]
 
 
 def test_horace_needs_more_than_the_hyperplane():
@@ -352,7 +352,7 @@ def test_horace_needs_more_than_the_hyperplane():
                                      for k in range(3)]
     m = SteinerPresentation(Ms, P)
     assert exactalg.rank(assemble_md(m, 0)[[1, 2, 3]], P) == 3
-    assert cokernel_dim_md(m, 0) == 1
+    assert surjectivity_certificate(m, 1).coker0 == 1
     assert horace_surjective(m, 0) is None
     with pytest.raises(ValueError):
         horace_surjective(m, -1)
@@ -368,6 +368,66 @@ def test_cohomology_table_reads_certificate():
         assert tab.row(d)[2] == coker
     with pytest.raises(NotLocallyFree):
         cohomology_table(m, -1, 2, surjectivity_certificate(m, 1))
+
+
+def _dense_ladder(m, d_max):
+    """dim coker m(0), and the (d, dim coker m(d)) of d = 1..d_max up to the
+    first surjective m(d), each from the dense m(d)."""
+    rungs = []
+    for d in range(1, d_max + 1):
+        rungs.append((d, exactalg.cokernel_dim(assemble_md(m, d), m.prime)))
+        if not rungs[-1][1]:
+            break
+    return exactalg.cokernel_dim(assemble_md(m, 0), m.prime), tuple(rungs)
+
+
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
+def test_ladder_matches_dense_cokernels(p):
+    # rung 0 and every rung of the inverse-system ladder against the dense
+    # m(d), on generic draws, draws with one M_k = 0 and draws with two
+    # equal columns; small primes make rank drops among the generic ones
+    rng = np.random.default_rng(2000 + p)
+    kinds = ("generic", "Mk=0", "equal columns")
+    full_ladders = late_hits = 0
+    for trial in range(48):
+        kind = kinds[trial % 3]
+        a = int(rng.integers(1, 4))
+        b = int(rng.integers(2 * a, 3 * a + 4))
+        Ms = SteinerPresentation.random(rng, a, b, p).Ms
+        if kind == "Mk=0":
+            Ms[int(rng.integers(0, 4))] = 0
+        elif kind == "equal columns":
+            Ms[:, :, -1] = Ms[:, :, 0]
+        m = SteinerPresentation(Ms, p)
+        cert = surjectivity_certificate(m, 4)
+        assert (cert.coker0, cert.checked) == _dense_ladder(m, 4), (trial, a, b)
+        full_ladders += not cert.found
+        late_hits += cert.found and cert.d0 >= 2
+    assert full_ladders and late_hits
+
+
+def test_ladder_certifies_where_the_split_cannot():
+    # at (3, 8) the split's plane map of m(2) is 30 x 30, not wider than
+    # tall, so horace_surjective says nothing; the ladder finds m(2) onto
+    m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
+    assert horace_surjective(m, 2) is None
+    cert = surjectivity_certificate(m, 5)
+    assert cert.checked == ((1, 1), (2, 0)) and cert.coker0 == 4
+    assert exactalg.cokernel_dim(assemble_md(m, 2), P) == 0
+
+
+def test_loaded_presentation_without_x4_is_not_locally_free():
+    # with M_4 = 0 no row x4^(d+1) of m(d) is reached: a (10, 30, 1) sample
+    # written out with its fourth block zeroed and read back has coker a
+    # at every rung up to the cap, and its table is refused
+    Ms = pwcurves.sample_pw(10, 30, 1, seed=0, p=P).m.Ms.copy()
+    Ms[3] = 0
+    buf = io.StringIO()
+    write_presentation(buf, SteinerPresentation(Ms, P))
+    m = read_presentation(io.StringIO(buf.getvalue()))
+    with pytest.raises(NotLocallyFree) as exc:
+        cohomology_table(m)
+    assert exc.value.checked == [(d, 10) for d in range(1, 6)]
 
 
 def test_bad_shapes_rejected():

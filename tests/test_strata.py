@@ -6,7 +6,6 @@ of the commutation system X J = J X solved over F_p for a representative J.
 """
 
 import numpy as np
-import pytest
 from test_exactalg import inv_matrix
 from test_multilin import pair_index
 
