@@ -18,7 +18,9 @@ S-linear and S^d = V.S^{d-1}, Im m(d) = V.Im m(d-1), so
 
 Four psi_k come from one psi iff x_j _| psi_k = x_k _| psi_j for all j < k,
 and then psi is unique: the dual Koszul complex of x1..x4 is exact in every
-characteristic.  In the dual monomial basis contraction moves the value at
+characteristic.  At a monomial beta these equations ask that the values
+psi_k(beta / x_k), over the x_k dividing beta, be equal, so the pairs whose
+x_j is the first variable dividing beta suffice.  In the dual monomial basis contraction moves the value at
 x_k nu to nu, a gather with no coefficient, so no degree is divided by and
 the ladder is exact at every accepted prime.  This is Macaulay's inverse
 system (The Algebraic Theory of Modular Systems, 1916), built one degree at
@@ -143,22 +145,34 @@ def presentation_in_span(basis, b, rng, p):
     )
 
 
-def _scatter_md(m, cols, rows):
-    """The block of m(d) from the column monomials `cols` (degree d) to the
-    row monomials `rows` (degree d + 1), in the layout of assemble_md:
-    column (i, mu) carries M_k[:, i] to the rows (j, mu*x_k) for each k with
-    mu*x_k among `rows`."""
-    D0, D1 = len(cols), len(rows)
-    pos = {mono: r for r, mono in enumerate(rows)}
-    out = np.zeros((m.a * D1, m.b * D0), dtype=np.int64)
-    for ci, mono in enumerate(cols):
-        for k in range(4):
-            e = list(mono)
-            e[k] += 1
-            tgt = pos.get(tuple(e))
-            if tgt is not None:
-                out[tgt::D1, ci::D0] += m.Ms[k]
-    return out
+@functools.lru_cache(maxsize=None)
+def _lift(d):
+    """(4, dim S^dV) array: entry [k, i] is the index of x_(k+1) mu_i in
+    mono_basis(d + 1), mu_i the i-th monomial of degree d."""
+    pos = {mono: r for r, mono in enumerate(mono_basis(d + 1))}
+    return np.array([[pos[mu[:k] + (mu[k] + 1,) + mu[k + 1:]]
+                      for mu in mono_basis(d)] for k in range(4)])
+
+
+@functools.lru_cache(maxsize=None)
+def _tail(d, k):
+    """Indices in mono_basis(d) of the monomials free of x_1..x_k."""
+    return np.array([i for i, mu in enumerate(mono_basis(d)) if not any(mu[:k])],
+                    dtype=np.intp)
+
+
+def _scatter_md(m, d, cols, rows):
+    """The block of m(d) from the degree-d monomials `cols` to the degree
+    d + 1 monomials `rows` (index arrays into mono_basis): column (i, mu)
+    carries M_k[:, i] to the rows (j, x_k mu) with x_k mu among `rows`."""
+    at = np.full(dim_sym(d + 1), -1)
+    at[rows] = np.arange(len(rows))
+    tgt = at[_lift(d)[:, cols]]
+    out = np.zeros((m.a, len(rows), m.b, len(cols)), dtype=np.int64)
+    for k in range(4):
+        ci = np.flatnonzero(tgt[k] >= 0)
+        out[:, tgt[k, ci], :, ci] = m.Ms[k]
+    return out.reshape(m.a * len(rows), m.b * len(cols))
 
 
 def assemble_md(m, d):
@@ -169,7 +183,7 @@ def assemble_md(m, d):
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    return _scatter_md(m, mono_basis(d), mono_basis(d + 1))
+    return _scatter_md(m, d, np.arange(dim_sym(d)), np.arange(dim_sym(d + 1)))
 
 
 def horace_surjective(m, d):
@@ -199,55 +213,49 @@ def horace_surjective(m, d):
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    cols = tuple(mu for mu in mono_basis(d) if mu[0] == 0)
-    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] == 0)
+    cols, rows = _tail(d, 1), _tail(d + 1, 1)
     if (m.b - m.a) * len(cols) <= m.a * len(rows):
         return None
     res = m.x1_residual
     if res is None:
         return None
-    plane = _scatter_md(res, cols, rows)
+    plane = _scatter_md(res, d, cols, rows)
     return True if exactalg.rank(plane, m.prime) == plane.shape[0] else None
 
 
 @dataclass(frozen=True)
 class SurjectivityCertificate:
     checked: tuple  # (d, cokernel_dim) pairs, d = 1, 2, ..., never empty
-    coker0: int | None = None  # dim coker m(0), None when built by hand
+    coker0: int  # dim coker m(0) = h1(E_m), rung 0 of the ladder
 
     @property
     def d0(self):
         """The surjective degree the ladder stopped at, else None."""
-        if self.checked[-1][1] == 0:
-            return self.checked[-1][0]
-        return None
+        d, coker = self.checked[-1]
+        return d if coker == 0 else None
 
     @property
     def found(self):
         return self.d0 is not None
 
 
-@functools.lru_cache(maxsize=None)
-def _lift(d):
-    """(4, dim S^dV) array: entry [k, i] is the index of x_(k+1) mu_i in
-    mono_basis(d + 1), mu_i the i-th monomial of degree d."""
-    pos = {mono: r for r, mono in enumerate(mono_basis(d + 1))}
-    return np.array([[pos[mu[:k] + (mu[k] + 1,) + mu[k + 1:]]
-                      for mu in mono_basis(d)] for k in range(4)])
-
-
 def surjectivity_certificate(m, d_max=D_MAX):
     """Search d = 1..d_max for surjective m(d) by the inverse-system ladder
-    of the module docstring, and record rung 0, dim coker m(0) = h1(E_m),
-    as coker0.
+    of the module docstring, and record dim coker m(0) = h1(E_m) as coker0.
 
-    Rung 0, from m(0), the only m(d) assembled, is a basis phi_1..phi_c of
-    Ann_0, the left kernel of the 4a x b matrix m(0), as a (c, a, 4) array
-    in the row layout of assemble_md.  Rung d >= 1 solves for the
-    psi_k = sum_i c_(k,i) phi_i in Ann_{d-1} with x_j _| psi_k = x_k _| psi_j
-    (j < k): a 6a*C(d+2,3) x 4c system G_d with coker m(d) = dim ker G_d.
-    Each kernel vector is rebuilt on A(x)S^{d+1}V by writing psi_k at the
-    monomials x_k nu; where two writes meet, G_d makes them agree.
+    Rung 0 is a basis phi_1..phi_c of Ann_0, the left kernel of m(0) (the
+    only m(d) assembled), as a (c, a, 4) array in the row layout of
+    assemble_md, with its unit positions P_i, the kernel's free columns:
+    phi_i is 1 at P_i where every other phi_l is 0, so a psi in Ann_{d-1}
+    is sum_i psi(P_i) phi_i.  Rung d writes each x_k _| psi in Ann_{d-1}
+    so, and solves for the values of psi at the distinct positions x_k P_i
+    (at most 4c of them, and at most the a*C(d+4,3) rows of m(d)) by the
+    equations of the module docstring at first variables:
+    x_j _| psi_k = x_k _| psi_j on the monomials free of x_1..x_(j-1), for
+    j < k.  The kernel dimension of this system G_d is dim coker m(d).
+    Each kernel vector is rebuilt on A(x)S^{d+1}V by writing psi_j at the
+    monomials whose first variable is x_j, and its free column is its unit
+    position on the next rung.
 
     Surjectivity propagates upward (the image of m(d+1) contains
     image(m(d)).V), so the first hit certifies all larger degrees and the
@@ -256,26 +264,35 @@ def surjectivity_certificate(m, d_max=D_MAX):
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     a, p = m.a, m.prime
-    ann = exactalg.kernel_basis(assemble_md(m, 0).T, p).reshape(-1, a, 4)
-    coker0 = len(ann)
-    checked = []
+    K = exactalg.kernel_basis(assemble_md(m, 0).T, p)
+    ann, Q, coker0, checked = K.reshape(-1, a, 4), np.arange(4 * a), len(K), []
     for d in range(1, d_max + 1):
-        c, n = len(ann), dim_sym(d - 1)
-        # con[k][:, :, i] is x_(k+1) _| phi_i on A(x)S^{d-1}V
-        con = ann[:, :, _lift(d - 1)].transpose(2, 1, 3, 0)
-        G = np.zeros((6, a, n, 4, c), dtype=np.int64)
-        for row, (j, k) in enumerate(itertools.combinations(range(4), 2)):
-            G[row, :, :, k] = con[j]
-            G[row, :, :, j] = (p - con[k]) % p
-        K = exactalg.kernel_basis(G.reshape(6 * a * n, 4 * c), p)
+        # ann is Ann_{d-1} on A(x)S^dV and K its values at the positions Q;
+        # the last nonzero of a row of K, a 1, marks the row's unit position
+        free = K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
+        c, (alpha, mu) = len(ann), np.divmod(Q[free], dim_sym(d))
+        # q[k, i] is the unknown psi(x_k P_i), Q[q[k, i]] its position
+        Q, q = np.unique(alpha * dim_sym(d + 1) + _lift(d)[:, mu],
+                         return_inverse=True)
+        q = q.reshape(4, c)
+        # phi[:, mu] holds the phi_i(alpha (x) mu) as an (a, len(mu), c) array
+        phi, down, G = ann.transpose(1, 2, 0), _lift(d - 1), []
+        for j, k in itertools.combinations(range(4), 2):
+            nu = _tail(d - 1, j)
+            g = np.zeros((a * len(nu), len(Q)), dtype=np.int64)
+            g[:, q[k]] = phi[:, down[j, nu]].reshape(len(g), c)
+            g[:, q[j]] -= phi[:, down[k, nu]].reshape(len(g), c)
+            G.append(g)
+        K = exactalg.kernel_basis(np.vstack(G), p)
         checked.append((d, len(K)))
         if not len(K) or d == d_max:
             break
-        psi = exactalg.matmul_mod(K.reshape(-1, c), ann.reshape(c, -1), p)
-        psi = psi.reshape(len(K), 4, a, -1)
         ann = np.zeros((len(K), a, dim_sym(d + 1)), dtype=np.int64)
-        for k, cols in enumerate(_lift(d)):
-            ann[:, :, cols] = psi[:, k]
+        for j in range(4):
+            nu = _tail(d, j)
+            ann[:, :, _lift(d)[j, nu]] = exactalg.matmul_mod(
+                K[:, q[j]], phi[:, nu].reshape(-1, c).T, p
+            ).reshape(len(K), a, len(nu))
     return SurjectivityCertificate(tuple(checked), coker0)
 
 
@@ -321,9 +338,8 @@ def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
     `cert` is the surjectivity certificate of m; when omitted it is computed
     up to the default degree cap.  Raises NotLocallyFree when it found no
     surjective degree.  The certificate's ladder holds the cokernel of m(k)
-    for 0 <= k <= d0, so those ranks are read from it (m(0) is ranked here
-    only for a certificate built by hand, without coker0); for k above d0
-    the rank of m(k) is known by propagation without assembling it.
+    for 0 <= k <= d0, so those ranks are read from it; for k above d0 the
+    rank of m(k) is known by propagation without assembling it.
     """
     if k_min > k_max:
         raise ValueError(f"empty twist window [{k_min}, {k_max}]")
@@ -331,24 +347,15 @@ def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
         cert = surjectivity_certificate(m)
     if not cert.found:
         raise NotLocallyFree(cert.checked)
-    coker = dict(cert.checked)
-    if cert.coker0 is not None:
-        coker[0] = cert.coker0
-    a, b, p = m.a, m.b, m.prime
+    coker = {0: cert.coker0, **dict(cert.checked)}
+    a, b = m.a, m.b
     rows = []
     for k in range(k_min, k_max + 1):
         chi = euler_char(a, b, k)
         if k >= 0:
-            ncols = b * dim_sym(k)
-            nrows = a * dim_sym(k + 1)
-            if k >= cert.d0:
-                r = nrows  # surjective by propagation
-            elif k in coker:
-                r = nrows - coker[k]
-            else:
-                r = exactalg.rank(assemble_md(m, k), p)
-            h0 = ncols - r
-            h1 = nrows - r
+            # m(k) is onto from d0 up, by propagation
+            h1 = 0 if k >= cert.d0 else coker[k]
+            h0 = b * dim_sym(k) - a * dim_sym(k + 1) + h1
         else:
             h0 = 0
             h1 = a * dim_sym(k + 1)

@@ -38,7 +38,6 @@ from .multilin import (
     HV_MONO_INDICES,
     MONO_PQ,
     HyperplaneFrame,
-    mono_basis,
     random_frame,
     transform_fform_tensor,
 )
@@ -62,8 +61,6 @@ class SamplingFailed(ValueError):
 # block positions (p's, q's) of the coordinates of A(x)S^2V and of A(x)H.V
 _S2V = np.array(MONO_PQ).T
 _HV = _S2V[:, list(HV_MONO_INDICES)]
-# the nine degree-2 monomials spanning H.V, in basis order
-_HV_MONOS = tuple(mono_basis(2)[i] for i in HV_MONO_INDICES)
 
 
 def _coords(t, pq=_S2V):
@@ -269,7 +266,7 @@ def mh1(mf):
     The block of m(1) from the columns x1, x2, x3 to the nine rows of H.V,
     that is m(1) without its columns with a v4 factor and the x4^2 row of
     each A-block."""
-    return _scatter_md(mf, mono_basis(1)[:3], _HV_MONOS)
+    return _scatter_md(mf, 1, np.arange(3), np.array(HV_MONO_INDICES))
 
 
 def transport_check(m, sl, extra=()):

@@ -33,7 +33,6 @@ from steinerlab.multilin import random_frame
 from steinerlab.seeding import derive_rng
 from steinerlab.steiner import (
     SteinerPresentation,
-    SurjectivityCertificate,
     assemble_md,
     chi3,
     surjectivity_certificate,
@@ -93,8 +92,9 @@ def _short_zstar(mp):
 
 def _corank_one_more(mp):
     # a certificate whose first rung has cokernel f + 1
-    cert = SurjectivityCertificate(((1, 2),))
-    mp.setattr(steiner, "surjectivity_certificate", lambda m, d_max: cert)
+    full = steiner.surjectivity_certificate
+    mp.setattr(steiner, "surjectivity_certificate", lambda m, d_max:
+               dataclasses.replace(full(m, d_max), checked=((1, 2),)))
 
 
 @pytest.mark.parametrize("patch, failure", [
@@ -136,10 +136,11 @@ def test_verify_thm42_rejects_window_without_rows_it_checks():
 
 def test_each_md_eliminated_once_per_sample(monkeypatch):
     # the certificate ladder assembles m(0) alone and eliminates its
-    # transpose (8 x 12), then G_1 (18 x 16) and G_2 (72 x 4), after the
-    # 4 x 12 kernel of the draw's quotient; rank m(1) and the table's rows
-    # at k = 0, 1 are read from it, so the table adds no call, no rank is
-    # taken, and ker M1 is never computed
+    # transpose (8 x 12), then G_1 (18 x 10: 16 shifted unit positions, 10
+    # of them distinct) and G_2 (60 x 4), after the 4 x 12 kernel of the
+    # draw's quotient; rank m(1) and the table's rows at k = 0, 1 are read
+    # from it, so the table adds no call, no rank is taken, and ker M1 is
+    # never computed
     degrees, kernels, ranks = [], [], []
     orig_md, orig_kernel, orig_rank = (steiner.assemble_md,
                                        exactalg.kernel_basis, exactalg.rank)
@@ -162,7 +163,7 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
     monkeypatch.setattr(exactalg, "rank", record_rank)
     s = sample_pw(3, 8, 1, seed=1, p=P)
     assert s.attempts == 1 and s.cert.d0 == 2
-    calls = ([0], [(4, 12), (8, 12), (18, 16), (72, 4)], [])
+    calls = ([0], [(4, 12), (8, 12), (18, 10), (60, 4)], [])
     assert (degrees, kernels, ranks) == calls
     verify_thm42(s)
     assert (degrees, kernels, ranks) == calls
@@ -261,7 +262,7 @@ def test_mh_rank_survey_rejects_forged_rank():
     # m(1) than the presentation has
     s = sample_pw(3, 8, 1, seed=0, p=P)
     (d, coker), *rest = s.cert.checked
-    forged = SurjectivityCertificate(((d, coker + 1), *rest))
+    forged = dataclasses.replace(s.cert, checked=((d, coker + 1), *rest))
     assert dataclasses.replace(s, cert=forged).rank_m1 == s.rank_m1 - 1
     with pytest.raises(KernelDimMismatch):
         mh_rank_survey(dataclasses.replace(s, cert=forged), 3, 0)

@@ -260,9 +260,8 @@ def test_horace_needs_m1_of_full_rank(rng):
 def _stack(m, d):
     """The x1-split as first stated: column group 0 of m(d) against row
     groups 0 and 1, that is m'(d) on the plane x1 = 0 over M1(x)id."""
-    cols = tuple(mu for mu in mono_basis(d) if mu[0] == 0)
-    rows = tuple(nu for nu in mono_basis(d + 1) if nu[0] <= 1)
-    return steiner._scatter_md(m, cols, rows)
+    rows = [i for i, nu in enumerate(mono_basis(d + 1)) if nu[0] <= 1]
+    return steiner._scatter_md(m, d, steiner._tail(d, 1), np.array(rows))
 
 
 def _kernel_form_is_wide(m, d):
@@ -319,7 +318,7 @@ def test_kernel_form_matches_the_stack(p):
 
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
-    # at (7, 21), then G_1 (42 x 28) and G_2 (168 x 4); the direct check of
+    # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
     # m(s - 3) = m(4) then computes the one kernel basis of M1 (7 x 21) and
     # ranks only the split's plane map, so no dense m(d) above m(0) is built
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
@@ -341,7 +340,7 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
     sample = dataclasses.replace(s, m=m, cert=cert)
     assert pwcurves.h1_ic_vanishing(sample, direct=True) is True
-    assert kernels == [(21, 28), (42, 28), (168, 4), (7, 21)]
+    assert kernels == [(21, 28), (42, 19), (140, 4), (7, 21)]
     assert degrees == [0]
 
 
@@ -404,6 +403,33 @@ def test_ladder_matches_dense_cokernels(p):
         full_ladders += not cert.found
         late_hits += cert.found and cert.d0 >= 2
     assert full_ladders and late_hits
+
+
+@pytest.mark.parametrize("p", [5, P])
+def test_ladder_on_loaded_degenerate_presentations(monkeypatch, p):
+    # zero presentations and columns in a subspace of A(x)V, whose rungs
+    # carry large cokernels: the ladder still matches the dense m(d), and
+    # each G_d has at most dim A(x)S^{d+1}V columns, the rows of m(d), so
+    # it never asks the core for more than the dense route would
+    rng = np.random.default_rng(3000 + p)
+    shapes = []
+    kernel_basis = exactalg.kernel_basis
+
+    def record(M, q):
+        shapes.append(M.shape)
+        return kernel_basis(M, q)
+
+    for a, b, r in ((1, 3, 0), (2, 6, 0), (3, 9, 2), (3, 8, 6), (4, 12, 9)):
+        basis = exactalg.random_matrix(rng, r, 4 * a, p)
+        m = steiner.presentation_in_span(basis, b, rng, p)
+        monkeypatch.setattr(exactalg, "kernel_basis", record)
+        shapes.clear()
+        cert = surjectivity_certificate(m, 4)
+        monkeypatch.undo()
+        assert (cert.coker0, cert.checked) == _dense_ladder(m, 4), (a, b, r)
+        assert len(shapes) == 1 + len(cert.checked)
+        for d, (_, cols) in enumerate(shapes[1:], start=1):
+            assert cols <= a * dim_sym(d + 1)
 
 
 def test_ladder_certifies_where_the_split_cannot():
