@@ -20,12 +20,13 @@ Four psi_k come from one psi iff x_j _| psi_k = x_k _| psi_j for all j < k,
 and then psi is unique: the dual Koszul complex of x1..x4 is exact in every
 characteristic.  At a monomial beta these equations ask that the values
 psi_k(beta / x_k), over the x_k dividing beta, be equal, so the pairs whose
-x_j is the first variable dividing beta suffice.  In the dual monomial basis contraction moves the value at
-x_k nu to nu, a gather with no coefficient, so no degree is divided by and
-the ladder is exact at every accepted prime.  This is Macaulay's inverse
-system (The Algebraic Theory of Modular Systems, 1916), built one degree at
-a time as in Mourrain ("Isolated points, duality and residues", J. Pure
-Appl. Algebra 117-118, 1997); see surjectivity_certificate.
+x_j is the first variable dividing beta suffice.  In the dual monomial
+basis contraction moves the value at x_k nu to nu, a gather with no
+coefficient, so no degree is divided by and the ladder is exact at every
+accepted prime.  This is Macaulay's inverse system (The Algebraic Theory of
+Modular Systems, 1916), built one degree at a time as in Mourrain
+("Isolated points, duality and residues", J. Pure Appl. Algebra 117-118,
+1997); see surjectivity_certificate.
 
 horace_surjective, the x1-split of m(d) (methode d'Horace, Hirschowitz,
 Manuscripta Math. 50, 1985), is the independent route of the direct check
@@ -157,8 +158,7 @@ def _lift(d):
 @functools.lru_cache(maxsize=None)
 def _tail(d, k):
     """Indices in mono_basis(d) of the monomials free of x_1..x_k."""
-    return np.array([i for i, mu in enumerate(mono_basis(d)) if not any(mu[:k])],
-                    dtype=np.intp)
+    return np.flatnonzero(~np.array(mono_basis(d))[:, :k].any(axis=1))
 
 
 def _scatter_md(m, d, cols, rows):
