@@ -122,7 +122,9 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
     (its new pivot rows by W @ X, the rows below them by one product with
     the left half's multipliers), and then factored in turn.  Leaves of at
     most LEAF columns, and every block with at most PANEL rows left, run the
-    column loop: first-nonzero pivot, row swap, rank-1 update of the block.
+    column loop: first-nonzero pivot, row swap, rank-1 update of the block;
+    a leaf whose block below `cur` is exactly zero has no pivot and nothing
+    to clear, so it returns at once.
     """
     n = F.shape[0]
     if c1 - c0 > LEAF and n - cur > PANEL:
@@ -135,6 +137,8 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
             X[:] = _reduce(W @ _reduce(X, p), p)
             F[top:, mid:c1] -= L[top:, cur:top] @ X
         return _factor(F, L, top, mid, c1, p, invs, pivots)
+    if not F[cur:, c0:c1].any():
+        return cur
     for lc in range(c0, c1):
         if cur == n:
             break

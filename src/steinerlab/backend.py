@@ -58,9 +58,10 @@ def rref(a, p):
 
 
 def nullspace(a, p):
-    """Right kernel of a mod p, as columns of an int64 matrix.
+    """Right kernel of a mod p, as a k x m int64 matrix with one basis
+    vector per row.
 
-    Built from the reduced echelon form, so the basis is canonical: column j
+    Built from the reduced echelon form, so the basis is canonical: row j
     of the result corresponds to the j-th free column, carries a 1 there, and
     is supported only on pivot and earlier free coordinates.
     """
@@ -69,7 +70,7 @@ def nullspace(a, p):
     is_free = np.ones(m, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((m, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots, :] = (p - R[:r, free]) % p
+    basis = np.zeros((len(free), m), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ((p - R[:r, free]) % p).T
     return basis

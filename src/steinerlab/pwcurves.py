@@ -256,14 +256,13 @@ def section_matrix(sample):
     return np.ascontiguousarray(K.transpose(2, 0, 1))
 
 
-def h1_ic_vanishing(sample, direct=False):
+def h1_ic_vanishing(sample):
     """Vanishing of h1 of the curve's ideal sheaf in the critical degree:
     true iff m(s-3) is surjective (vacuous when s < 3).
 
-    With direct=False the certified degree is used when it already implies
-    surjectivity.  direct=True checks m(s-3) itself, by a route that shares
-    nothing with the inverse-system ladder of that certificate: the x1-split
-    of steiner.horace_surjective, else the rank of the dense m(s-3).  At
+    m(s-3) is checked itself, by a route that shares nothing with the
+    inverse-system ladder of the sample's certificate: the x1-split of
+    steiner.horace_surjective, else the rank of the dense m(s-3).  At
     (a, b) = (10, 30) the split's plane map is 450 x 720, against
     1650 x 3600 for m(7).
     """
@@ -271,8 +270,6 @@ def h1_ic_vanishing(sample, direct=False):
     if s < 3:
         return True
     d = s - 3
-    if not direct and sample.cert.found and sample.cert.d0 <= d:
-        return True
     return bool(steiner.horace_surjective(m, d)) or (
         exactalg.cokernel_dim(assemble_md(m, d), m.prime) == 0)
 

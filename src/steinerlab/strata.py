@@ -300,13 +300,13 @@ def find_rank0(sl):
     The symmetry constraints on the coefficient family c are linear: solve
     them, then return the first kernel basis vector's induced covector that
     is independent of the quotient's rows.  Every candidate is reduced at
-    once against the slice's reduced echelon form (R, pivots), which the
-    quotient's rank check already computed: the remainder g - g[pivots] R
-    vanishes exactly when g lies in the row span.
+    once by sl.residue against the slice's reduced echelon form, which the
+    quotient's rank check already computed: the residue vanishes exactly
+    when the candidate lies in the row span.
     If every basis vector induces a dependent covector the span does too,
     and None is honest.
     """
-    a, f, p = sl.phi.a, sl.phi.f, sl.phi.prime
+    a, f, p = sl.a, sl.f, sl.prime
     n, t = sl.n, sl.t
     # unknowns c[pp, rr, s] for pp in 1..n, rr in 1..4, flattened row-major;
     # for each j and pp < qq <= n:
@@ -327,9 +327,7 @@ def find_rank0(sl):
     G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(k, a, n * 4)
     G = G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(k, sl.rows.shape[1])
     G = np.mod(G, p)
-    R, r, pivots = sl.echelon
-    rest = np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
-    hits = np.flatnonzero(rest.any(axis=1))
+    hits = np.flatnonzero(sl.residue(G).any(axis=1))
     return G[hits[0]] if hits.size else None
 
 

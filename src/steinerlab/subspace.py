@@ -14,16 +14,19 @@ at row (s,p), column (j,q).  Its rank is the V*-rank of Z = ker Phi, and
 Phi vanishes on the image of m(1) exactly when gstar(Phi) kills every
 column of m.
 
-Rank invariants are taken on a slice, built by zslice: Z itself, or, for a
-hyperplane H of V, Z' = Z cap A(x)H.V in the frame where H = {x4 = 0} (the
-trace on a hyperplane of the methode d'Horace).  The slice carries the
-tensor in its coordinates, the quotient's rows on the ten (resp. nine)
-coordinates of A(x)S^2V (resp. A(x)H.V), its number n of frame directions
-(4, resp. 3), and the V*-rank of Z and the reduced echelon form of the
-rows, each computed at most once.  A subspace T cut out of the slice by
-extra covectors has one stacked system fstar_ZT, gstar in slice coordinates
-over the rows p < n of the extras; its rank excess over the V*-rank,
-z_rank, is the Z-rank of T on Z and its (Z,H)-rank on Z'.
+Rank invariants are taken on a slice, built by zslice: Z itself, whose
+quotient is phi, or, for a hyperplane H of V, Z' = Z cap A(x)H.V, the
+kernel of the quotient Phi_H of A(x)H.V, carried in the frame where
+H = {x4 = 0} (the trace on a hyperplane of the methode d'Horace).  Either
+is one FFormQuotient record: its tensor in its own coordinates, its rows on
+the ten (resp. nine) coordinates of A(x)S^2V (resp. A(x)H.V), its number n
+of frame directions (4, resp. 3), the V*-rank of Z and the reduced echelon
+form of the rows, each computed at most once, and the residue of
+covectors modulo the row span read off that echelon form, which answers
+every "is this covector in the quotient's span" test.  A subspace T cut
+out of the slice by extra covectors has one stacked system fstar_ZT, gstar
+in slice coordinates over the rows p < n of the extras; its rank excess
+over the V*-rank, z_rank, is the Z-rank of T on Z and its (Z,H)-rank on Z'.
 """
 
 from __future__ import annotations
@@ -91,8 +94,15 @@ def _block_rows(t, n=4):
 
 @dataclass(frozen=True)
 class FFormQuotient:
+    """A quotient Phi of A(x)S^2V of dimension f, with kernel Z; or, with a
+    hyperplane frame, the quotient Phi_H of A(x)H.V whose kernel is the
+    slice Z' = Z cap A(x)H.V, carried in the frame where H = {x4 = 0}
+    (build it with zslice).  t is the coefficient tensor in the record's
+    coordinates; the rest is read off t, prime and frame."""
+
     t: np.ndarray  # shape (f, a, 4, 4), symmetric in the last two axes
     prime: int
+    frame: HyperplaneFrame | None = None
 
     def __post_init__(self):
         if self.t.ndim != 4 or self.t.shape[2:] != (4, 4):
@@ -119,15 +129,43 @@ class FFormQuotient:
         raise SamplingFailed(
             f"no rank-{f} quotient of A(x)S^2V with a={a} in 8 draws")
 
-    def phi_matrix(self):
-        """f x 10a matrix on the monomial basis of A(x)S^2V."""
-        return _coords(self.t)
+    @property
+    def n(self):
+        """The number of frame directions: 4, or 3 on H."""
+        return 4 if self.frame is None else 3
+
+    @property
+    def pq(self):
+        """The block positions of the record's coordinates: _S2V, or _HV
+        with a frame."""
+        return _S2V if self.frame is None else _HV
+
+    @cached_property
+    def rows(self):
+        """The f x 10a (with a frame, f x 9a) matrix of the quotient on the
+        monomial basis of A(x)S^2V (resp. A(x)H.V)."""
+        return _coords(self.t, self.pq)
+
+    @cached_property
+    def vstar(self):
+        """The V*-rank of Z, computed at most once; a change of frame does
+        not change it."""
+        return vstar_rank(self)
 
     @cached_property
     def echelon(self):
-        """(R, rank, pivots), the reduced echelon form of phi_matrix,
-        computed at most once."""
-        return exactalg.rref(self.phi_matrix(), self.prime)
+        """(R, rank, pivots), the reduced echelon form of rows, computed at
+        most once."""
+        return exactalg.rref(self.rows, self.prime)
+
+    def residue(self, covectors):
+        """The k x #coordinates matrix of covectors minus their reduction
+        against echelon, mod p: g - g[pivots] R, zero exactly on the rows
+        whose covector lies in the row span."""
+        R, r, pivots = self.echelon
+        G = np.mod(covectors, self.prime)
+        return np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], self.prime),
+                      self.prime)
 
 
 def gstar(phi):
@@ -157,58 +195,14 @@ def zstar_basis(phi):
     return exactalg.kernel_basis(gstar(phi), phi.prime)
 
 
-# ---------------------------------------------------------------------------
-# the slice of Z that rank invariants are taken on
-
-
-@dataclass(frozen=True)
-class ZSlice:
-    """Z = ker Phi, or its hyperplane slice Z' = Z cap A(x)H.V carried in
-    the frame where H = {x4 = 0}; build it with zslice.
-
-    t is the coefficient tensor in slice coordinates and frame the
-    hyperplane frame of Z' (None on Z); the rest is read off these.
-    """
-
-    phi: FFormQuotient
-    t: np.ndarray
-    frame: HyperplaneFrame | None = None
-
-    @property
-    def n(self):
-        """The number of frame directions: 4, or 3 on H."""
-        return 4 if self.frame is None else 3
-
-    @property
-    def pq(self):
-        """The slice's coordinates' block positions: _S2V, or _HV on Z'."""
-        return _S2V if self.frame is None else _HV
-
-    @cached_property
-    def rows(self):
-        """The quotient's rows on the slice's coordinates."""
-        return _coords(self.t, self.pq)
-
-    @cached_property
-    def vstar(self):
-        """The V*-rank of Z, computed at most once per slice."""
-        return vstar_rank(self.phi)
-
-    @cached_property
-    def echelon(self):
-        """(R, rank, pivots), the reduced echelon form of rows, computed at
-        most once; on Z the rows are phi's own, so it is phi.echelon."""
-        if self.frame is None:
-            return self.phi.echelon
-        return exactalg.rref(self.rows, self.phi.prime)
-
-
 def zslice(phi, frame=None):
-    """The slice Z of phi, or Z' for the hyperplane of `frame`; raises
-    NonTransverse when dim Z' exceeds 9a - f (rank of Phi_H below f)."""
+    """The quotient whose kernel rank invariants are taken on: phi itself
+    for Z, or, for the hyperplane of `frame`, Phi_H in frame coordinates
+    for Z'; raises NonTransverse when dim Z' exceeds 9a - f (rank of Phi_H
+    below f)."""
     if frame is None:
-        return ZSlice(phi, phi.t)
-    sl = ZSlice(phi, transform_fform_tensor(phi.t, frame), frame)
+        return phi
+    sl = FFormQuotient(transform_fform_tensor(phi.t, frame), phi.prime, frame)
     r = sl.echelon[1]
     if r < phi.f:
         raise NonTransverse(
@@ -219,13 +213,13 @@ def zslice(phi, frame=None):
 def _extra_rows(sl, extra):
     """The extra covectors as a matrix on the slice's coordinates, mod p."""
     mat = np.asarray(extra, dtype=np.int64)
-    return np.mod(mat.reshape(len(extra), sl.rows.shape[1]), sl.phi.prime)
+    return np.mod(mat.reshape(len(extra), sl.rows.shape[1]), sl.prime)
 
 
 def _system(sl, extra):
     """fstar_ZT for the matrix of extra covectors, unchecked."""
-    bottom = _block_rows(_tensor(extra, sl.phi.a, sl.pq), sl.n)
-    return np.vstack([_block_rows(sl.t), bottom])
+    bottom = _block_rows(_tensor(extra, sl.a, sl.pq), sl.n)
+    return np.vstack([gstar(sl), bottom])
 
 
 def fstar_ZT(sl, extra=()):
@@ -235,16 +229,14 @@ def fstar_ZT(sl, extra=()):
     Top block: gstar in slice coordinates.  Bottom block: row (s, p) for
     p < n and column (j, q) holding extra covector s on alpha_j (x) v_p v_q.
     The quotient's own rows would add nothing: on Z they are the top block,
-    on Z' its rows p < 3.  Rejects extras dependent on the quotient's rows;
-    with no extras, reads the rows' independence off sl.echelon.
+    on Z' its rows p < 3.  Rejects extras dependent on the quotient's rows:
+    the rows must have rank f on sl.echelon, and the extras' residue
+    modulo their span rank e.
     """
     extra = _extra_rows(sl, extra)
-    if len(extra):
-        u = np.vstack([sl.rows, extra])
-        independent = exactalg.rank(u, sl.phi.prime) == len(u)
-    else:
-        independent = sl.echelon[1] == sl.phi.f
-    if not independent:
+    dependent = len(extra) and (
+        exactalg.rank(sl.residue(extra), sl.prime) < len(extra))
+    if sl.echelon[1] < sl.f or dependent:
         raise ValueError("extra covectors are dependent on the quotient's rows")
     return _system(sl, extra)
 
@@ -252,7 +244,7 @@ def fstar_ZT(sl, extra=()):
 def z_rank(sl, extra=()):
     """Rank excess of the subspace T of the slice cut by extra covectors
     over Z: the Z-rank of T on Z, its (Z,H)-rank on Z'."""
-    return exactalg.rank(fstar_ZT(sl, extra), sl.phi.prime) - sl.vstar
+    return exactalg.rank(fstar_ZT(sl, extra), sl.prime) - sl.vstar
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +279,12 @@ def transport_check(m, sl, extra=()):
     if sl.frame is None:
         lhs = not exactalg.matmul_mod(u, assemble_md(m, 1), p).any()
     else:
-        lhs = not exactalg.matmul_mod(sl.phi.phi_matrix(),
-                                      assemble_md(m, 1), p).any()
+        # everything in frame coordinates: the change of frame is
+        # invertible, so Phi kills Im m(1) iff it kills Im m'(1) there
         m = m.in_frame(sl.frame)
-        mh = mh1(m)
-        lhs = lhs and not exactalg.matmul_mod(u, mh, p).any()
+        lhs = not (
+            exactalg.matmul_mod(_coords(sl.t), assemble_md(m, 1), p).any()
+            or exactalg.matmul_mod(u, mh1(m), p).any())
     rhs = not exactalg.matmul_mod(_system(sl, extra), m.columns(), p).any()
     return lhs, rhs
 

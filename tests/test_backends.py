@@ -11,7 +11,7 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from steinerlab import _gfcore_py, backend
+from steinerlab import _gfcore_py, backend, exactalg
 
 P = 32003
 
@@ -168,19 +168,22 @@ def test_core_matches_oracle_leaf_and_half_seams(rng):
     _check_against(M, P, R0, piv0)
 
 
-@pytest.mark.parametrize("half", ["left", "right"])
+@pytest.mark.parametrize("half", ["left", "right", "seam"])
 def test_core_matches_oracle_half_without_pivot(rng, half):
     # one half of the first panel yields no pivot: zero columns on the left,
-    # combinations of the left half's columns on the right
+    # combinations of the left half's columns on the right; or a zero column
+    # block across the seam of the first two panels, whose leaves the sweep
+    # finds exactly zero below the pivot and skips
     n, m = 300, 320
     M = rng.integers(0, P, size=(n, m)).astype(np.int64)
-    if half == "left":
-        M[:, :64] = 0
-    else:
+    cols = {"left": range(0, 64), "right": range(64, 128),
+            "seam": range(100, 160)}[half]
+    if half == "right":
         M[:, 64:128] = (M[:, :64] @ rng.integers(0, 3, size=(64, 64))) % P
+    else:
+        M[:, cols] = 0
     R0, rank0, piv0 = oracle_rref(M, P)
-    assert not set(range(0, 64) if half == "left" else range(64, 128)) \
-        & set(piv0)
+    assert not set(cols) & set(piv0)
     _check_against(M, P, R0, piv0)
 
 
@@ -228,17 +231,20 @@ def test_capacity_guard():
 def test_nullspace_canonical(rng):
     M = rng.integers(0, P, size=(6, 10)).astype(np.int64)
     M[5] = (M[0] + M[1]) % P
+    # one basis vector per row, as exactalg.kernel_basis hands it on
     B = backend.nullspace(M, P)
-    assert B.shape == (10, 10 - backend.rank(M, P))
-    assert not np.mod(M.astype(object) @ B.astype(object), P).astype(int).any()
+    assert B.shape == (10 - backend.rank(M, P), 10)
+    assert B.flags.c_contiguous
+    assert not np.mod(M.astype(object) @ B.T.astype(object), P).astype(int).any()
     R, _, pivots = backend.rref(M, P)
     free = [j for j in range(10) if j not in set(pivots)]
     for idx, fc in enumerate(free):
-        assert B[fc, idx] == 1
+        assert B[idx, fc] == 1
     # the basis read off the reduced form entry by entry
     ref = np.zeros_like(B)
     for idx, fc in enumerate(free):
-        ref[fc, idx] = 1
+        ref[idx, fc] = 1
         for i, pc in enumerate(pivots):
-            ref[pc, idx] = (P - R[i, fc]) % P
+            ref[idx, pc] = (P - R[i, fc]) % P
     assert np.array_equal(B, ref)
+    assert np.array_equal(exactalg.kernel_basis(M, P), ref)

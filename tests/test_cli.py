@@ -301,6 +301,26 @@ def test_verify_curve_end_to_end():
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_curve_below_the_certificate_ranks_the_plane_map_once(monkeypatch):
+    # with the ladder capped at d = 1 the certificate stops short of
+    # s - 3 = 4, so propagation reads the direct check of m(4), whose only
+    # elimination is the rank of the x1-split's 147 x 210 plane map
+    shapes = []
+    rank = exactalg.rank
+
+    def record(M, p):
+        shapes.append(np.shape(M))
+        return rank(M, p)
+
+    monkeypatch.setattr(exactalg, "rank", record)
+    code, out = run_cli(["--json", "--dmax", "1", "verify", "curve",
+                         "-a", "7", "-b", "21"])
+    assert code == 0
+    assert shapes == [(147, 210)]
+    checks = {c["name"]: c["got"] for c in json.loads(out)["checks"]}
+    assert checks["propagation and direct rank agree"] is True
+
+
 def test_curve_exports_its_section_matrix(tmp_path):
     path = tmp_path / "sections.txt"
     code, _ = run_cli(["--json", "--trials", "2", "verify", "curve",

@@ -49,7 +49,7 @@ def test_sample_3_8_1():
     assert s.phi.f == 1
     # the quotient really annihilates the image of m(1)
     m1 = assemble_md(s.m, 1)
-    assert not exactalg.matmul_mod(s.phi.phi_matrix(), m1, P).any()
+    assert not exactalg.matmul_mod(s.phi.rows, m1, P).any()
 
 
 def test_sample_deterministic():
@@ -335,10 +335,9 @@ def test_h1_ic_edge_cases():
     zero = SteinerPresentation(np.zeros((4, 1, 5), dtype=np.int64), P)
     s = PWSample(None, zero, surjectivity_certificate(zero, 2), 0)
     assert not s.cert.found and (s.f, s.rank_m1) == (10, 0)
-    assert h1_ic_vanishing(s) is False
     # the x1-split cannot certify m(0), so the dense rank decides
     assert steiner.horace_surjective(zero, 0) is None
-    assert h1_ic_vanishing(s, direct=True) is False
+    assert h1_ic_vanishing(s) is False
 
 
 def test_section_matrix_10_30():
@@ -368,9 +367,11 @@ def test_section_matrix_kernel_mismatch():
 
 
 def test_h1_ic_vanishing_routes_agree():
+    # propagation: the certificate reaches s - 3 = 7; the direct check of
+    # m(7) agrees
     s = sample_pw(10, 30, 1, seed=0, p=P)
+    assert s.cert.found and s.cert.d0 <= 7
     assert h1_ic_vanishing(s) is True
-    assert h1_ic_vanishing(s, direct=True) is True
 
 
 def test_linforms_interchange():

@@ -339,7 +339,7 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     cert = surjectivity_certificate(m, 5)
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
     sample = dataclasses.replace(s, m=m, cert=cert)
-    assert pwcurves.h1_ic_vanishing(sample, direct=True) is True
+    assert pwcurves.h1_ic_vanishing(sample) is True
     assert kernels == [(21, 28), (42, 19), (140, 4), (7, 21)]
     assert degrees == [0]
 

@@ -206,7 +206,7 @@ def rank0_by_loops(phi, frame=None):
     vectorized symmetry system and induced covectors in find_rank0."""
     a, f, p = phi.a, phi.f, phi.prime
     if frame is None:
-        n, t, quotient, width, target = 4, phi.t, phi.phi_matrix(), 10, int
+        n, t, quotient, width, target = 4, phi.t, phi.rows, 10, int
     else:
         hs = subspace.zslice(phi, frame)
         n, t, quotient = 3, hs.t, hs.rows

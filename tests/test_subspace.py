@@ -22,7 +22,6 @@ from steinerlab.strata import find_rank0
 from steinerlab.subspace import (
     FFormQuotient,
     NonTransverse,
-    ZSlice,
     fstar_ZT,
     gstar,
     mh1,
@@ -81,7 +80,7 @@ def test_from_tensor_rank_check():
 def test_zero_row_quotient_round_trip(rng):
     # f = 0: no covectors, but the layout still has 10a (resp. 9a) columns
     phi = FFormQuotient.random(rng, 3, 0, P)
-    mat = phi.phi_matrix()
+    mat = phi.rows
     assert mat.shape == (0, 30)
     hs = zslice(phi, random_frame(rng, P))
     assert hs.rows.shape == (0, 27)
@@ -100,7 +99,7 @@ def test_zero_row_quotient_round_trip(rng):
 def test_phi_matrix_layout(rng):
     # coordinate (j, x_p x_q) of A(x)S^2V sits at column j * 10 + pair index
     phi = FFormQuotient.random(rng, 3, 2, P)
-    mat = phi.phi_matrix()
+    mat = phi.rows
     assert mat.shape == (2, 30)
     for s in range(2):
         for j in range(3):
@@ -150,7 +149,7 @@ def test_z_rank_monotone_bounded(rng):
 
 def test_stack_quotient_rejects_dependent(rng):
     phi = FFormQuotient.random(rng, 3, 2, P)
-    row = phi.phi_matrix()[0]
+    row = phi.rows[0]
     with pytest.raises(ValueError,
                        match="extra covectors are dependent on the quotient"):
         z_rank(zslice(phi), [row])
@@ -160,17 +159,31 @@ def test_restrict_to_h_generic(rng):
     phi = FFormQuotient.random(rng, 4, 1, P)
     frame = random_frame(rng, P)
     hs = zslice(phi, frame)
-    assert isinstance(hs, ZSlice)
+    assert isinstance(hs, FFormQuotient) and hs.frame is frame
     assert (hs.n, hs.rows.shape) == (3, (1, 36))
     # dim Z' = 9a - rank Phi_H = 9a - f
     assert exactalg.rank(hs.rows, P) == 1
+    # Z is the quotient's own record, and Z' keeps the V*-rank of Z: a
+    # change of frame does not change it, degenerate quotients included
+    assert zslice(phi) is phi
+    for p in (5, 7, P):
+        for r in (1, 2, 4):
+            # t[0, j] = v^T diag(d_j) v for an r x 4 matrix v, so the 4 x 8
+            # matrix gstar factors through v and has rank at most r
+            v = rng.integers(0, p, size=(r, 4), dtype=np.int64)
+            d = rng.integers(0, p, size=(2, r), dtype=np.int64)
+            t = np.mod(np.einsum("jr,rp,rq->jpq", d, v, v), p)[None]
+            phi = FFormQuotient(t, p)
+            want = vstar_rank(phi)
+            assert want <= r
+            assert zslice(phi, random_frame(rng, p)).vstar == want
 
 
 def test_restrict_to_h_drops_x4_squared(rng):
     # Phi_H is the frame quotient on A(x)S^2V without each block's x4^2
     phi = FFormQuotient.random(rng, 3, 2, P)
     hs = zslice(phi, random_frame(rng, P))
-    full = FFormQuotient(hs.t, P).phi_matrix()
+    full = FFormQuotient(hs.t, P).rows
     cols = [j * 10 + i for j in range(3) for i in HV_MONO_INDICES]
     assert np.array_equal(hs.rows, full[:, cols])
 
@@ -211,6 +224,19 @@ def test_fstar_shape_and_dependent_extras(rng):
     assert M.shape == (4 * 1 + 3 * 1, 16)
     with pytest.raises(ValueError):
         fstar_ZT(hs, [hs.rows[0]])
+    # independence is read off the residue modulo the rows' span; an extra
+    # dependent on the rows and the other extras is rejected, independent
+    # ones are accepted, on Z and on Z', in small characteristic too
+    for p in (5, 7, P):
+        phi = FFormQuotient.random(rng, 3, 2, p)
+        for sl in (zslice(phi), zslice(phi, random_frame(rng, p))):
+            g, h = rng.integers(0, p, size=(2, sl.rows.shape[1]))
+            assert exactalg.rank(np.vstack([sl.rows, g, h]), p) == 4
+            assert fstar_ZT(sl, [g, h]).shape == (8 + 2 * sl.n, 12)
+            for dep in ([g, (2 * sl.rows[1] + 3 * g) % p],
+                        [(sl.rows[0] + 4 * sl.rows[1]) % p]):
+                with pytest.raises(ValueError, match="dependent"):
+                    fstar_ZT(sl, dep)
 
 
 
