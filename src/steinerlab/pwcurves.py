@@ -263,8 +263,8 @@ def h1_ic_vanishing(sample):
     m(s-3) is checked itself, by a route that shares nothing with the
     inverse-system ladder of the sample's certificate: the x1-split of
     steiner.horace_surjective, else the rank of the dense m(s-3).  At
-    (a, b) = (10, 30) the split's plane map is 450 x 720, against
-    1650 x 3600 for m(7).
+    (a, b) = (10, 30) the split ranks one 90 x 360 Schur complement of its
+    450 x 720 plane map, against 1650 x 3600 for m(7).
     """
     m, s = sample.m, sample.b - 2 * sample.a
     if s < 3:

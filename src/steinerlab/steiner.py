@@ -30,7 +30,12 @@ Modular Systems, 1916), built one degree at a time as in Mourrain
 
 horace_surjective, the x1-split of m(d) (methode d'Horace, Hirschowitz,
 Manuscripta Math. 50, 1985), is the independent route of the direct check
-in pwcurves.h1_ic_vanishing.
+in pwcurves.h1_ic_vanishing.  It reduces m(d) to P_d, the degree-d map on
+the plane x1 = 0 of m restricted to ker M1, and never forms P_d: its rows
+divisible by x2 meet a unipotent block of columns and are eliminated
+exactly, which leaves an a*(d+2)-row Schur complement on A(x)k[x3, x4]_{d+1}
+(90 x 360 at (a, b) = (10, 30), where P_d is 450 x 720), or an early None
+when M2 has rank below a on ker M1.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -205,22 +211,77 @@ def horace_surjective(m, d):
     X maps ker Y onto X's rows.  (=>: Y is a block of rows of it, and
     (x, 0) = [X; Y]v puts v in ker Y with Xv = x.  <=: reach y by some v0,
     then correct by w in ker Y with Xw = x - Xv0.)  Y is onto iff
-    rank M1 = a, and ker Y = ker M1 (x) S^dW, so the test is the full row
-    rank of the degree-d map on P^2 of the residual m.x1_residual, an
-    a*C(d+3,2) x (b-a)*C(d+2,2) matrix.  Unless it is strictly wider than
-    tall, None is returned before any elimination.  The condition is exact
-    but only sufficient: None says nothing about m(d).
+    rank M1 = a, and ker Y = ker M1 (x) S^dW, so the test is that P_d, the
+    degree-d map on P^2 of the residual m.x1_residual = (0, N2, N3, N4), an
+    a*C(d+3,2) x (b-a)*C(d+2,2) matrix, is onto.  Unless it is strictly
+    wider than tall, None is returned before any elimination.
+
+    P_d is never formed either: its a*C(d+2,2) rows divisible by x2 are
+    eliminated exactly, and _x2_schur returns what is left.  The rows
+    A(x)x2^(d+1) are reached only from B'(x)x2^d, through N2, so P_d is not
+    onto when rank N2 < a.  Otherwise write B' = im Q + ker N2 with
+    N2 Q = id_A.  A column alpha (x) mu of Q(x)S^dW goes to the row
+    alpha (x) x2 mu, plus terms x3 mu and x4 mu of lower x2-degree, so
+    these columns against the x2-divisible rows form a unipotent block,
+    and rank P_d = a*C(d+2,2) + rank S_d, where S_d is the image of
+    ker N2 (x) S^dW in the quotient by those columns, read on
+    A(x)k[x3, x4]_{d+1}.  It is a*(d+2) x (b-2a)*C(d+2,2), strictly wider
+    than tall exactly when P_d is: 90 x 360 at (10, 30) and d = 7, where
+    P_d is 450 x 720.  The condition is exact but only sufficient: None
+    says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    cols, rows = _tail(d, 1), _tail(d + 1, 1)
-    if (m.b - m.a) * len(cols) <= m.a * len(rows):
+    if (m.b - m.a) * comb(d + 2, 2) <= m.a * comb(d + 3, 2):
         return None
     res = m.x1_residual
-    if res is None:
+    S = None if res is None else _x2_schur(res, d)
+    if S is None:
         return None
-    plane = _scatter_md(res, d, cols, rows)
-    return True if exactalg.rank(plane, m.prime) == plane.shape[0] else None
+    return True if exactalg.rank(S, m.prime) == len(S) else None
+
+
+def _x2_schur(res, d):
+    """S_d of horace_surjective for the residual res = (0, N2, N3, N4),
+    an a x n presentation with n > a, as an a*(d+2) x (n-a)*C(d+2,2)
+    matrix; None when rank N2 < a.
+
+    One elimination of [N2 | id] gives E with E N2 reduced, so Q, E put
+    at the pivot rows, has N2 Q = id, and the reduced form gives a kernel
+    basis G of N2.  Modulo the columns of Q(x)S^dW,
+    alpha (x) x2 nu = -(x3 X + x4 Z) alpha (x) nu, with X = N3 Q and
+    Z = N4 Q, so the column gamma (x) x2^i x3^j x4^k of ker N2 (x) S^dW,
+    whose image is x2^i x3^j x4^k (x3 Y + x4 T) gamma with Y = N3 G and
+    T = N4 G, is x3^j x4^k U_i gamma, where U_0 = x3 Y + x4 T and
+    U_(i+1) = -(x3 X + x4 Z) U_i.  U_i is kept as an (a, i+2, n-a) array
+    whose [:, t] is the coefficient of x3^(i+1-t) x4^t; the rows of S_d
+    are (alpha, exponent of x4)."""
+    a, n, p = res.a, res.b, res.prime
+    _, N2, N3, N4 = res.Ms
+    R, _, piv = exactalg.rref(np.hstack([N2, np.eye(a, dtype=np.int64)]), p)
+    if piv[-1] >= n:  # a pivot in the id block: rank N2 < a
+        return None
+    free = np.setdiff1d(np.arange(n), piv)
+    QG = np.zeros((n, n), dtype=np.int64)
+    QG[piv, :a] = R[:, n:]
+    QG[free, a + np.arange(n - a)] = 1
+    QG[piv, a:] = (p - R[:, free]) % p
+    XZYT = exactalg.matmul_mod(np.vstack([N3, N4]), QG, p)
+    XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, n - a).transpose(1, 0, 2)
+    S = np.zeros((a, d + 2, comb(d + 2, 2), n - a), dtype=np.int64)
+    col = 0
+    for i in range(d + 1):
+        for k in range(d - i + 1):
+            S[:, k:k + i + 2, col] = U
+            col += 1
+        if i < d:
+            XU = exactalg.matmul_mod(XZ, U.reshape(a, -1), p).reshape(
+                2, a, i + 2, n - a)
+            U = np.zeros((a, i + 3, n - a), dtype=np.int64)
+            U[:, :-1] -= XU[0]
+            U[:, 1:] -= XU[1]
+            U %= p
+    return S.reshape(a * (d + 2), -1)
 
 
 @dataclass(frozen=True)

@@ -301,10 +301,13 @@ def test_verify_curve_end_to_end():
     assert all(c["pass"] for c in report["checks"])
 
 
-def test_curve_below_the_certificate_ranks_the_plane_map_once(monkeypatch):
+def test_curve_below_the_certificate_ranks_the_schur_complement_once(
+        monkeypatch):
     # with the ladder capped at d = 1 the certificate stops short of
     # s - 3 = 4, so propagation reads the direct check of m(4), whose only
-    # elimination is the rank of the x1-split's 147 x 210 plane map
+    # rank is that of the x1-split's plane map with its rows divisible by
+    # x2 eliminated: the 42 x 105 Schur complement S_4, not the 147 x 210
+    # plane map itself
     shapes = []
     rank = exactalg.rank
 
@@ -316,7 +319,7 @@ def test_curve_below_the_certificate_ranks_the_plane_map_once(monkeypatch):
     code, out = run_cli(["--json", "--dmax", "1", "verify", "curve",
                          "-a", "7", "-b", "21"])
     assert code == 0
-    assert shapes == [(147, 210)]
+    assert shapes == [(42, 105)]
     checks = {c["name"]: c["got"] for c in json.loads(out)["checks"]}
     assert checks["propagation and direct rank agree"] is True
 

@@ -274,12 +274,15 @@ def test_kernel_form_matches_the_stack(p):
     # the stack of the split is the oracle: where the kernel form is tried
     # it certifies exactly when the stack has full row rank, and every
     # certificate has a dense m(d) that is onto.  The draws are generic, or
-    # have b <= a, M1 = 0, M1 of rank below a, or some M_k = 0 (k >= 2)
+    # have b <= a, M1 = 0, M1 of rank below a, some M_k = 0 (k >= 2), or
+    # M2 of rank below a on ker M1, where the split returns None before it
+    # forms any matrix of S^dW
     rng = np.random.default_rng(1000 + p)
-    kinds = ("generic", "b<=a", "M1=0", "M1 deficient", "Mk=0")
+    kinds = ("generic", "b<=a", "M1=0", "M1 deficient", "Mk=0",
+             "M2 deficient on ker M1")
     seen = {(kind, verdict): 0 for kind in kinds for verdict in (True, None)}
-    wide_stack_full = wide_stack_short = 0
-    for trial in range(150):
+    wide_stack_full = wide_stack_short = early_none = 0
+    for trial in range(180):
         kind = kinds[trial % len(kinds)]
         a = int(rng.integers(1, 4))
         b = int(rng.integers(1, a + 1) if kind == "b<=a"
@@ -292,6 +295,10 @@ def test_kernel_form_matches_the_stack(p):
             Ms[0] = _deficient(rng, a, b, p)
         elif kind == "Mk=0":
             Ms[int(rng.integers(1, 4))] = 0
+        elif kind == "M2 deficient on ker M1":
+            # on ker M1 the last row of M2 repeats the first (or is 0)
+            Ms[1, -1] = (Ms[1, 0] if a > 1 else 0) + exactalg.matmul_mod(
+                exactalg.random_matrix(rng, 1, a, p), Ms[0], p)[0]
         m = SteinerPresentation(Ms, p)
         cert = horace_surjective(m, d)
         assert cert in (True, None)
@@ -302,6 +309,7 @@ def test_kernel_form_matches_the_stack(p):
             assert cert is (True if full else None), (trial, kind, a, b, d)
             wide_stack_full += full
             wide_stack_short += not full
+            early_none += kind == "M2 deficient on ker M1"
         else:
             assert cert is None
         if cert:
@@ -310,17 +318,72 @@ def test_kernel_form_matches_the_stack(p):
             ladder = surjectivity_certificate(m, max(d, 1))
             assert 0 in [ladder.coker0, *dict(ladder.checked).values()][:d + 1]
     # with M_k = 0 no row x_k^(d+1) of m(d) is reached, so neither the
-    # split nor the dense m(d) can be onto
+    # split nor the dense m(d) can be onto; with M2 deficient on ker M1 the
+    # rows x2^(d+1) of the plane map are not all reached
     assert seen["generic", True]
     assert not any(seen[kind, True] for kind in kinds[1:])
-    assert wide_stack_full and wide_stack_short
+    assert wide_stack_full and wide_stack_short and early_none
+
+
+def _plane_map(m, d):
+    """The dense degree-d map on the plane x1 = 0 of m, that is of
+    (M2, M3, M4): a*C(d+3,2) x b*C(d+2,2)."""
+    return steiner._scatter_md(m, d, steiner._tail(d, 1),
+                               steiner._tail(d + 1, 1))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, P, 1048573])
+def test_x2_schur_complement_is_exact(p):
+    # the dense plane map P_d of a residual (0, N2, N3, N4) is the oracle:
+    # when rank N2 = a, rank P_d = a*C(d+2,2) + rank S_d, and when
+    # rank N2 < a, S_d is not formed and P_d is not onto.  The draws are
+    # generic, or have N2 of rank below a, N3 = N2, N4 = 0, two equal
+    # columns, or columns in a random a-dimensional subspace of A(x)V
+    rng = np.random.default_rng(2000 + p)
+    kinds = ("generic", "N2 deficient", "N3=N2", "N4=0", "equal columns",
+             "subspace")
+    onto = short = deficient = 0
+    for trial in range(120):
+        kind = kinds[trial % len(kinds)]
+        a = int(rng.integers(1, 5))
+        n = int(rng.integers(a + 1, 4 * a + 2))
+        d = trial // len(kinds) % 5
+        if kind == "subspace":
+            basis = exactalg.random_matrix(rng, a, 4 * a, p)
+            Ms = steiner.presentation_in_span(basis, n, rng, p).Ms
+        else:
+            Ms = SteinerPresentation.random(rng, a, n, p).Ms
+        Ms[0] = 0
+        if kind == "N2 deficient":
+            Ms[1] = _deficient(rng, a, n, p)
+        elif kind == "N3=N2":
+            Ms[2] = Ms[1]
+        elif kind == "N4=0":
+            Ms[3] = 0
+        elif kind == "equal columns":
+            Ms[:, :, -1] = Ms[:, :, 0]
+        res = SteinerPresentation(Ms, p)
+        plane = _plane_map(res, d)
+        rank = exactalg.rank(plane, p)
+        S = steiner._x2_schur(res, d)
+        case = (trial, kind, a, n, d)
+        if exactalg.rank(Ms[1], p) < a:
+            assert S is None and rank < len(plane), case
+            deficient += 1
+            continue
+        assert S.shape == (a * (d + 2), (n - a) * comb(d + 2, 2)), case
+        assert rank == a * comb(d + 2, 2) + exactalg.rank(S, p), case
+        onto += rank == len(plane)
+        short += rank < len(plane)
+    assert onto and short and deficient
 
 
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
     # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
     # m(s - 3) = m(4) then computes the one kernel basis of M1 (7 x 21) and
-    # ranks only the split's plane map, so no dense m(d) above m(0) is built
+    # ranks only the Schur complement of the split's plane map, so no dense
+    # m(d) above m(0) is built
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
     kernels, degrees = [], []
