@@ -271,16 +271,16 @@ def _x2_schur(res, d):
     S = np.zeros((a, d + 2, comb(d + 2, 2), n - a), dtype=np.int64)
     col = 0
     for i in range(d + 1):
-        for k in range(d - i + 1):
-            S[:, k:k + i + 2, col] = U
-            col += 1
-        if i < d:
+        if i:
             XU = exactalg.matmul_mod(XZ, U.reshape(a, -1), p).reshape(
-                2, a, i + 2, n - a)
-            U = np.zeros((a, i + 3, n - a), dtype=np.int64)
+                2, a, i + 1, n - a)
+            U = np.zeros((a, i + 2, n - a), dtype=np.int64)
             U[:, :-1] -= XU[0]
             U[:, 1:] -= XU[1]
             U %= p
+        for k in range(d - i + 1):
+            S[:, k:k + i + 2, col] = U
+            col += 1
     return S.reshape(a * (d + 2), -1)
 
 
