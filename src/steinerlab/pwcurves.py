@@ -157,7 +157,7 @@ def check_not_globally_generated(sample):
 
 def mh_rank_survey(sample, trials, seed):
     """Histogram of rank m_H(1) over random hyperplanes H = ker h, each rank
-    read from one kernel basis of m(1).
+    read from the section matrix of ker m(1), steiner.m1_kernel.
 
     B(x)H is the kernel of id_B(x)h inside B(x)V, and m_H(1) is m(1) on
     B(x)H (in a frame where H = {x4 = 0}, the x4^2 rows it drops are zero
@@ -244,16 +244,14 @@ def curve_params(a, b):
 
 def section_matrix(sample):
     """The matrix of linear forms whose rows span ker m(1) in B(x)V, as a
-    (4, k, b) array like a presentation's: row r is the kernel basis vector
-    K_r read as N[k, r, i] = K_r[4i + k] (coefficient of x_k).  k is
-    dim ker m(1), whatever its value; callers compare it with the one they
-    expect.
+    (4, k, b) array like a presentation's: steiner.m1_kernel, read off the
+    x1 and x2 splits that the direct check of h1_ic_vanishing shares and
+    off nothing of the certificate's ladder.  k is dim ker m(1), whatever
+    its value; callers compare it with the one they expect.
 
     At any point x, every row of N(x) lies in ker M(x).  For a curve sample
     k is c = b - a + 1, and at a generic point N(x) has rank c - 1."""
-    kern = exactalg.kernel_basis(assemble_md(sample.m, 1), sample.prime)
-    K = kern.reshape(len(kern), sample.b, 4)
-    return np.ascontiguousarray(K.transpose(2, 0, 1))
+    return steiner.m1_kernel(sample.m)
 
 
 def h1_ic_vanishing(sample):

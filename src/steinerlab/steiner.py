@@ -31,11 +31,12 @@ Modular Systems, 1916), built one degree at a time as in Mourrain
 horace_surjective, the x1-split of m(d) (methode d'Horace, Hirschowitz,
 Manuscripta Math. 50, 1985), is the independent route of the direct check
 in pwcurves.h1_ic_vanishing.  It reduces m(d) to P_d, the degree-d map on
-the plane x1 = 0 of m restricted to ker M1, and never forms P_d: its rows
-divisible by x2 meet a unipotent block of columns and are eliminated
-exactly, which leaves an a*(d+2)-row Schur complement on A(x)k[x3, x4]_{d+1}
-(90 x 360 at (a, b) = (10, 30), where P_d is 450 x 720), or an early None
-when M2 has rank below a on ker M1.
+the plane x1 = 0 of m restricted to ker M1, then eliminates the rows of P_d
+divisible by x2 exactly through a unipotent block of columns, which leaves
+an a*(d+2)-row Schur complement on A(x)k[x3, x4]_{d+1} (90 x 360 at
+(a, b) = (10, 30), where P_d is 450 x 720).  m1_kernel eliminates the rows
+of m(1) divisible by x1 or x2 through the same two splits, cached on the
+presentation, and leaves a 3a x (4b - 7a) system: 60 x 100 at (20, 60).
 """
 
 from __future__ import annotations
@@ -126,18 +127,24 @@ class SteinerPresentation:
             np.ascontiguousarray(self.Ms.transpose(0, 2, 1)), self.prime)
 
     @functools.cached_property
+    def x1_split(self):
+        """exactalg.split of M1, computed once per presentation."""
+        return exactalg.split(self.Ms[0], self.prime)
+
+    @functools.cached_property
+    def x2_split(self):
+        """exactalg.split of M2 (of N2 on an x1_residual), computed once."""
+        return exactalg.split(self.Ms[1], self.prime)
+
+    @functools.cached_property
     def x1_residual(self):
         """m restricted to B' = ker M1, an a x (b - a) presentation whose
-        first matrix is 0, or None when b <= a or rank M1 < a.
-
-        Its columns are those of m times a kernel basis of M1, so it costs
-        one elimination of the a x b matrix M1, once per presentation."""
-        if self.b <= self.a:
+        first matrix is 0 (m's columns times the kernel basis of M1 in
+        x1_split), or None when x1_split is."""
+        QG = self.x1_split
+        if QG is None:
             return None
-        K = exactalg.kernel_basis(self.Ms[0], self.prime)
-        if len(K) != self.b - self.a:
-            return None
-        cols = exactalg.matmul_mod(self.columns(), K.T, self.prime)
+        cols = exactalg.matmul_mod(self.columns(), QG[:, self.a:], self.prime)
         return SteinerPresentation.from_columns(cols, self.a, self.prime)
 
 
@@ -216,19 +223,17 @@ def horace_surjective(m, d):
     a*C(d+3,2) x (b-a)*C(d+2,2) matrix, is onto.  Unless it is strictly
     wider than tall, None is returned before any elimination.
 
-    P_d is never formed either: its a*C(d+2,2) rows divisible by x2 are
-    eliminated exactly, and _x2_schur returns what is left.  The rows
-    A(x)x2^(d+1) are reached only from B'(x)x2^d, through N2, so P_d is not
-    onto when rank N2 < a.  Otherwise write B' = im Q + ker N2 with
-    N2 Q = id_A.  A column alpha (x) mu of Q(x)S^dW goes to the row
-    alpha (x) x2 mu, plus terms x3 mu and x4 mu of lower x2-degree, so
-    these columns against the x2-divisible rows form a unipotent block,
-    and rank P_d = a*C(d+2,2) + rank S_d, where S_d is the image of
-    ker N2 (x) S^dW in the quotient by those columns, read on
-    A(x)k[x3, x4]_{d+1}.  It is a*(d+2) x (b-2a)*C(d+2,2), strictly wider
-    than tall exactly when P_d is: 90 x 360 at (10, 30) and d = 7, where
-    P_d is 450 x 720.  The condition is exact but only sufficient: None
-    says nothing about m(d).
+    P_d is never formed either.  Its rows A(x)x2^(d+1) are reached only
+    from B'(x)x2^d, through N2, so P_d is not onto when rank N2 < a.
+    Otherwise, with [Q | G] = res.x2_split (N2 Q = id_A), a column
+    alpha (x) mu of Q(x)S^dW goes to the row alpha (x) x2 mu plus terms of
+    lower x2-degree, so these columns against the a*C(d+2,2) rows divisible
+    by x2 form a unipotent block, and rank P_d = a*C(d+2,2) + rank S_d, S_d
+    the image of ker N2 (x) S^dW modulo those columns, read on
+    A(x)k[x3, x4]_{d+1} (_x2_schur).  It is a*(d+2) x (b-2a)*C(d+2,2),
+    strictly wider than tall exactly when P_d is: 90 x 360 at (10, 30) and
+    d = 7, where P_d is 450 x 720.  The condition is exact but only
+    sufficient: None says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -246,27 +251,19 @@ def _x2_schur(res, d):
     an a x n presentation with n > a, as an a*(d+2) x (n-a)*C(d+2,2)
     matrix; None when rank N2 < a.
 
-    One elimination of [N2 | id] gives E with E N2 reduced, so Q, E put
-    at the pivot rows, has N2 Q = id, and the reduced form gives a kernel
-    basis G of N2.  Modulo the columns of Q(x)S^dW,
-    alpha (x) x2 nu = -(x3 X + x4 Z) alpha (x) nu, with X = N3 Q and
-    Z = N4 Q, so the column gamma (x) x2^i x3^j x4^k of ker N2 (x) S^dW,
+    With [Q | G] = res.x2_split, modulo the columns of Q(x)S^dW
+    alpha (x) x2 nu = -(x3 X + x4 Z) alpha (x) nu, X = N3 Q and Z = N4 Q,
+    so the column gamma (x) x2^i x3^j x4^k of ker N2 (x) S^dW,
     whose image is x2^i x3^j x4^k (x3 Y + x4 T) gamma with Y = N3 G and
     T = N4 G, is x3^j x4^k U_i gamma, where U_0 = x3 Y + x4 T and
     U_(i+1) = -(x3 X + x4 Z) U_i.  U_i is kept as an (a, i+2, n-a) array
     whose [:, t] is the coefficient of x3^(i+1-t) x4^t; the rows of S_d
     are (alpha, exponent of x4)."""
     a, n, p = res.a, res.b, res.prime
-    _, N2, N3, N4 = res.Ms
-    R, _, piv = exactalg.rref(np.hstack([N2, np.eye(a, dtype=np.int64)]), p)
-    if piv[-1] >= n:  # a pivot in the id block: rank N2 < a
+    QG = res.x2_split
+    if QG is None:
         return None
-    free = np.setdiff1d(np.arange(n), piv)
-    QG = np.zeros((n, n), dtype=np.int64)
-    QG[piv, :a] = R[:, n:]
-    QG[free, a + np.arange(n - a)] = 1
-    QG[piv, a:] = (p - R[:, free]) % p
-    XZYT = exactalg.matmul_mod(np.vstack([N3, N4]), QG, p)
+    XZYT = exactalg.matmul_mod(res.Ms[2:].reshape(2 * a, n), QG, p)
     XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, n - a).transpose(1, 0, 2)
     S = np.zeros((a, d + 2, comb(d + 2, 2), n - a), dtype=np.int64)
     col = 0
@@ -282,6 +279,51 @@ def _x2_schur(res, d):
             S[:, k:k + i + 2, col] = U
             col += 1
     return S.reshape(a * (d + 2), -1)
+
+
+def m1_kernel(m):
+    """ker m(1) as a (4, k, b) array N of linear forms, kernel vector r
+    being sum_j x_j (x) N[j, r], through the x1 and x2 splits that
+    horace_surjective uses, or the dense m(1) when one of them is None.
+
+    With [Q1 | K1] = m.x1_split, N_j = M_j K1 and P_j = M_j Q1, the rows
+    x1 x_j of m(1) v = 0 give v1 = K1 u and v_j = K1 w_j - Q1 N_j u; with
+    [Q2 | K2] the residual's x2_split, the rows x2 x_j give
+    w_j = Q2 s_j + K2 y_j, s2 = P2 N2 u, s_j = (P2 N_j + P_j N2) u - N_j w2.
+    The rows x3^2, x3 x4, x4^2 are left, a 3a x (4b - 7a) system R in
+    z = (u, y2, y3, y4) (60 x 100 at (a, b) = (20, 60), where m(1) is
+    200 x 240), and z -> v is injective, so ker R lifts to a basis."""
+    res, p = m.x1_residual, m.prime
+    if res is None or res.x2_split is None:
+        K = exactalg.kernel_basis(assemble_md(m, 1), p)
+        return K.reshape(-1, m.b, 4).transpose(2, 0, 1)
+    mm = functools.partial(exactalg.matmul_mod, p=p)
+    a, b, n, z = m.a, m.b, res.b, 4 * m.b - 7 * m.a
+    QG1, QG2, N = m.x1_split, res.x2_split, res.Ms[1:]
+    # PN[j, :, k] = P_(j+2) N_(k+2), and F its sums P_j N_k + P_k N_j
+    PN = mm(mm(m.Ms[1:].reshape(3 * a, b), QG1[:, :a]), np.hstack(N))
+    PN = PN.reshape(3, a, 3, n)
+    F = PN + PN.transpose(2, 1, 0, 3)
+    # w_(j+2) = QG2 C[j] z
+    C = np.zeros((3, n, z), dtype=np.int64)
+    C[:, a:, n:] = np.eye(z - n, dtype=np.int64).reshape(3, n - a, z - n)
+    C[:, :a, :n] = PN[0, :, 0], F[0, :, 1], F[0, :, 2]
+    XZYT = mm(N[1:].reshape(2 * a, n), QG2)
+    C[1:, :a] -= mm(XZYT, C[0]).reshape(2, a, z)
+    # H[j, :, k] = N_(j+3) w_(k+3), and R the rows x3^2, x3 x4, x4^2
+    H = mm(XZYT, np.hstack(C[1:])).reshape(2, a, 2, z)
+    R = np.stack([H[0, :, 0], H[0, :, 1] + H[1, :, 0], H[1, :, 1]])
+    R[:, :, :n] -= PN[1, :, 1], F[1, :, 2], PN[2, :, 2]
+    Kz = exactalg.kernel_basis(R.reshape(3 * a, z), p)
+    # v[j] holds the coordinates in QG1 of v_(j+1), (0, u) or (-N_j u, w_j),
+    # a column per kernel vector
+    k, u = len(Kz), Kz[:, :n].T
+    v = np.zeros((4, b, k), dtype=np.int64)
+    v[0, a:] = u
+    v[1:, :a] = -mm(N.reshape(3 * a, n), u).reshape(3, a, k)
+    Cz = mm(C.reshape(3 * n, z), Kz.T).reshape(3, n, k)
+    v[1:, a:] = mm(QG2, np.hstack(Cz)).reshape(n, 3, k).transpose(1, 0, 2)
+    return mm(QG1, np.hstack(v)).reshape(b, 4, k).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 
 import steinerlab
 from steinerlab import cli, exactalg, pwcurves
-from steinerlab.steiner import SteinerPresentation, write_presentation
+from steinerlab.steiner import (
+    SteinerPresentation,
+    assemble_md,
+    write_presentation,
+)
 
 P = exactalg.DEFAULT_PRIME
 
@@ -197,13 +201,14 @@ def test_failing_checks_exit_one(tmp_path):
 
 
 def test_curve_kernel_losing_a_row_fails_h0_check(monkeypatch):
-    # h0 of E(1) is read off the kernel basis of m(1) (10a x 4b), not off
-    # the certificate, so a basis one row short fails the check
+    # h0 of E(1) is read off the kernel of the 3a x (4b - 7a) system that
+    # the x1 and x2 splits leave of m(1), 21 x 35 at (7, 21), not off the
+    # certificate, so a basis one row short fails the check
     full = exactalg.kernel_basis
 
     def short(M, p=P):
         K = full(M, p)
-        return K[:-1] if M.shape == (70, 84) else K
+        return K[:-1] if M.shape == (21, 35) else K
 
     monkeypatch.setattr(exactalg, "kernel_basis", short)
     code, out = run_cli(["--json", "verify", "curve", "-a", "7", "-b", "21"])
@@ -325,16 +330,36 @@ def test_curve_below_the_certificate_ranks_the_schur_complement_once(
 
 
 def test_curve_exports_its_section_matrix(tmp_path):
+    # the exported rows are the split route's basis of ker m(1), not the
+    # canonical one, so the file is compared by its row space
     path = tmp_path / "sections.txt"
     code, _ = run_cli(["--json", "--trials", "2", "verify", "curve",
                        "-a", "5", "-b", "15", "--export-sections", str(path)])
     assert code == 0
     with open(path) as fh:
         Ns, p = exactalg.read_blocks(fh, "linforms")
-    f = pwcurves.curve_params(5, 15).f
-    sample = pwcurves.sample_pw(5, 15, f, 0, P)
-    assert p == P
+    cp = pwcurves.curve_params(5, 15)
+    sample = pwcurves.sample_pw(5, 15, cp.f, 0, P)
+    assert p == P and Ns.shape == (4, cp.c, 15)
     assert np.array_equal(Ns, pwcurves.section_matrix(sample))
+    K = Ns.transpose(1, 2, 0).reshape(cp.c, 60)
+    dense = exactalg.kernel_basis(assemble_md(sample.m, 1), P)
+    assert len(dense) == cp.c
+    assert exactalg.rank(np.vstack([K, dense]), P) == cp.c
+
+
+def test_fresh_curve_run_does_not_import_numpy_ma():
+    # numpy.ma costs a fresh process about 15 ms; np.setdiff1d would pull it
+    # in through np.unique
+    code = ("import sys; from steinerlab import cli; "
+            "cli.main(['--json', 'verify', 'curve', '-a', '7', '-b', '21']); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(steinerlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"pass":true' in proc.stdout
 
 
 def test_text_output_readable():

@@ -158,6 +158,39 @@ def test_matmul_mod_chunks_a_long_inner_dimension(rng):
     assert np.array_equal(exactalg.matmul_mod(A, B, p), want.astype(np.int64))
 
 
+def test_matmul_mod_reduces_a_full_chunk(rng):
+    # 8192 products near p**2 bring an unchunked sum within 2**38 of
+    # 2**53, the end of float64's exact integers; the negative entries of
+    # A are reduced first
+    p = 1048573
+    A = rng.integers(p - 8, p, size=(2, 8192)) - p
+    B = rng.integers(p - 8, p, size=(8192, 3))
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert np.array_equal(exactalg.matmul_mod(A, B, p), want.astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [5, P])
+def test_split_inverts_and_spans_the_kernel(rng, p):
+    # QG = [Q | G] is invertible with M Q = id and G the canonical kernel
+    # basis; a matrix of rank below its row count, or not wider than
+    # tall, has no split
+    for _ in range(20):
+        a, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        M = exactalg.random_matrix(rng, a, n, p)
+        QG = exactalg.split(M, p)
+        if n <= a or exactalg.rank(M, p) < a:
+            assert QG is None
+            continue
+        assert exactalg.rank(QG, p) == n
+        MQG = exactalg.matmul_mod(M, QG, p)
+        assert np.array_equal(MQG[:, :a], np.eye(a, dtype=np.int64))
+        assert not MQG[:, a:].any()
+        assert np.array_equal(QG[:, a:].T, exactalg.kernel_basis(M, p))
+    M = exactalg.random_matrix(rng, 3, 7, p)
+    M[2] = M[0]
+    assert exactalg.split(M, p) is None
+
+
 def test_inv_matrix(rng):
     for _ in range(5):
         while True:

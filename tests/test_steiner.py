@@ -381,30 +381,100 @@ def test_x2_schur_complement_is_exact(p):
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
     # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
-    # m(s - 3) = m(4) then computes the one kernel basis of M1 (7 x 21) and
-    # ranks only the Schur complement of the split's plane map, so no dense
-    # m(d) above m(0) is built
+    # m(s - 3) = m(4) then splits M1 ([M1 | id] is 7 x 28) and N2 (7 x 21)
+    # and ranks only the Schur complement of the split's plane map, so no
+    # dense m(d) above m(0) is built; the section matrix reuses both
+    # splits and eliminates only the 21 x 35 system they leave of m(1)
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
-    kernels, degrees = [], []
-    kernel_basis, assemble = exactalg.kernel_basis, steiner.assemble_md
+    kernels, splits, degrees = [], [], []
+    kernel_basis, rref = exactalg.kernel_basis, exactalg.rref
+    assemble = steiner.assemble_md
 
     def count_kernel(M, p):
         kernels.append(M.shape)
         return kernel_basis(M, p)
+
+    def count_rref(M, p):
+        splits.append(M.shape)
+        return rref(M, p)
 
     def count_md(m, d):
         degrees.append(d)
         return assemble(m, d)
 
     monkeypatch.setattr(exactalg, "kernel_basis", count_kernel)
+    monkeypatch.setattr(exactalg, "rref", count_rref)
     monkeypatch.setattr(steiner, "assemble_md", count_md)
     cert = surjectivity_certificate(m, 5)
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
     sample = dataclasses.replace(s, m=m, cert=cert)
     assert pwcurves.h1_ic_vanishing(sample) is True
-    assert kernels == [(21, 28), (42, 19), (140, 4), (7, 21)]
+    assert kernels == [(21, 28), (42, 19), (140, 4)]
+    assert splits == [(7, 28), (7, 21)]
+    assert pwcurves.section_matrix(sample).shape == (4, 15, 21)
+    assert kernels[3:] == [(21, 35)]
+    assert splits == [(7, 28), (7, 21)]
     assert degrees == [0]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, P, 1048573])
+def test_m1_kernel_matches_the_dense_kernel(p, monkeypatch):
+    # kernel_basis(m(1)) is the oracle: the split route gives as many rows,
+    # each in ker m(1), spanning the same space.  The draws are generic,
+    # have M1 of rank below a, N2 = M2 K1 of rank below a on ker M1,
+    # N3 = N2, N4 = 0, two equal columns, or columns in a random
+    # a-dimensional subspace of A(x)V, with b - a > a or not; the dense
+    # path runs exactly when a split is None, as it must for the two
+    # deficient kinds
+    rng = np.random.default_rng(3000 + p)
+    kinds = ("generic", "M1 deficient", "N2 deficient", "N3=N2", "N4=0",
+             "equal columns", "subspace")
+    dense, assemble = [], steiner.assemble_md
+
+    def record(m, d):
+        dense.append(d)
+        return assemble(m, d)
+
+    monkeypatch.setattr(steiner, "assemble_md", record)
+    split = 0
+    for trial in range(70):
+        kind = kinds[trial % len(kinds)]
+        a = int(rng.integers(1, 5))
+        b = int(rng.integers(a + 1, 4 * a + 3))
+        if kind == "subspace":
+            basis = exactalg.random_matrix(rng, a, 4 * a, p)
+            Ms = steiner.presentation_in_span(basis, b, rng, p).Ms
+        else:
+            Ms = SteinerPresentation.random(rng, a, b, p).Ms
+        mix = exactalg.random_matrix(rng, a, a, p)
+        if kind == "M1 deficient":
+            Ms[0] = _deficient(rng, a, b, p)
+        elif kind == "N2 deficient":
+            Ms[1] = exactalg.matmul_mod(mix, Ms[0], p) + _deficient(
+                rng, a, b, p)
+        elif kind == "N3=N2":
+            Ms[2] = Ms[1]
+        elif kind == "N4=0":
+            Ms[3] = exactalg.matmul_mod(mix, Ms[0], p)
+        elif kind == "equal columns":
+            Ms[:, :, -1] = Ms[:, :, 0]
+        m = SteinerPresentation(Ms, p)
+        m1 = assemble(m, 1)
+        want = exactalg.kernel_basis(m1, p)
+        dense.clear()
+        Ns = steiner.m1_kernel(m)
+        K = Ns.transpose(1, 2, 0).reshape(Ns.shape[1], 4 * b)
+        case = (trial, kind, a, b)
+        assert K.shape == want.shape, case
+        assert not exactalg.matmul_mod(m1, K.T, p).any(), case
+        assert exactalg.rank(np.vstack([K, want]), p) == len(K), case
+        res = m.x1_residual
+        fell_back = res is None or res.x2_split is None
+        assert dense == ([1] if fell_back else []), case
+        assert fell_back or kind not in kinds[1:3], case
+        split += not fell_back
+    assert split
 
 
 def test_horace_needs_more_than_the_hyperplane():
