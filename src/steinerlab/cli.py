@@ -232,7 +232,7 @@ def cmd_verify_curve(args):
             f"b={b}")
     sample = pwcurves.sample_pw(a, b, cp.f, args.seed, p, d_max=args.dmax)
     # h0 of E(1) is dim ker m(1), read off the x1 and x2 splits of m(1)
-    Ns = pwcurves.section_matrix(sample)
+    Ns = steiner.m1_kernel(sample.m)
     checks.append(_check("h0 of E(1) equals c", cp.c, Ns.shape[1]))
     pts = min(args.trials, 20)
     rng = derive_rng(args.seed, 19)

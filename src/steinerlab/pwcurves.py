@@ -180,7 +180,7 @@ def mh_rank_survey(sample, trials, seed):
     if trials < 1:
         raise ValueError("trials must be positive")
     b, p = sample.b, sample.prime
-    Ns = section_matrix(sample)
+    Ns = steiner.m1_kernel(sample.m)
     dim_k, want = Ns.shape[1], 4 * b - sample.rank_m1
     if dim_k != want:
         raise KernelDimMismatch(
@@ -240,18 +240,6 @@ def curve_params(a, b):
         ("versal_f_lower", f >= 9 * a - 3 * b),
     )
     return CurveParams(a, b, s, c, f, delta, degree, genus, flags)
-
-
-def section_matrix(sample):
-    """The matrix of linear forms whose rows span ker m(1) in B(x)V, as a
-    (4, k, b) array like a presentation's: steiner.m1_kernel, read off the
-    x1 and x2 splits that the direct check of h1_ic_vanishing shares and
-    off nothing of the certificate's ladder.  k is dim ker m(1), whatever
-    its value; callers compare it with the one they expect.
-
-    At any point x, every row of N(x) lies in ker M(x).  For a curve sample
-    k is c = b - a + 1, and at a generic point N(x) has rank c - 1."""
-    return steiner.m1_kernel(sample.m)
 
 
 def h1_ic_vanishing(sample):

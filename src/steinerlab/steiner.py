@@ -35,8 +35,9 @@ the plane x1 = 0 of m restricted to ker M1, then eliminates the rows of P_d
 divisible by x2 exactly through a unipotent block of columns, which leaves
 an a*(d+2)-row Schur complement on A(x)k[x3, x4]_{d+1} (90 x 360 at
 (a, b) = (10, 30), where P_d is 450 x 720).  m1_kernel eliminates the rows
-of m(1) divisible by x1 or x2 through the same two splits, cached on the
-presentation, and leaves a 3a x (4b - 7a) system: 60 x 100 at (20, 60).
+of m(1) divisible by x1 or x2 through the same two splits, which
+SteinerPresentation.splits computes once per presentation, and leaves a
+3a x (4b - 7a) system: 60 x 100 at (20, 60).
 """
 
 from __future__ import annotations
@@ -127,25 +128,27 @@ class SteinerPresentation:
             np.ascontiguousarray(self.Ms.transpose(0, 2, 1)), self.prime)
 
     @functools.cached_property
-    def x1_split(self):
-        """exactalg.split of M1, computed once per presentation."""
-        return exactalg.split(self.Ms[0], self.prime)
+    def splits(self):
+        """The x1 and x2 splits of m that horace_surjective and m1_kernel
+        share, computed once per presentation: None when either split is,
+        else (QG1, P, N, QG2, XZYT).
 
-    @functools.cached_property
-    def x2_split(self):
-        """exactalg.split of M2 (of N2 on an x1_residual), computed once."""
-        return exactalg.split(self.Ms[1], self.prime)
-
-    @functools.cached_property
-    def x1_residual(self):
-        """m restricted to B' = ker M1, an a x (b - a) presentation whose
-        first matrix is 0 (m's columns times the kernel basis of M1 in
-        x1_split), or None when x1_split is."""
-        QG = self.x1_split
-        if QG is None:
+        QG1 = [Q1 | K1] is exactalg.split of M1 (M1 Q1 = id_A, K1 a kernel
+        basis), and M_j QG1 = [P_j | N_j] for j = 2, 3, 4, so (P_j) is a
+        (3, a, a) and (N_j) a (3, a, b - a) array: N_j is M_j restricted to
+        B' = ker M1.  QG2 = [Q2 | K2] is exactalg.split of N2, and
+        XZYT = [N3; N4] QG2, a 2a x (b - a) matrix."""
+        a, p = self.a, self.prime
+        QG1 = exactalg.split(self.Ms[0], p)
+        if QG1 is None:
             return None
-        cols = exactalg.matmul_mod(self.columns(), QG[:, self.a:], self.prime)
-        return SteinerPresentation.from_columns(cols, self.a, self.prime)
+        PN = exactalg.matmul_mod(self.Ms[1:].reshape(3 * a, self.b), QG1, p)
+        P, N = np.split(PN.reshape(3, a, self.b), [a], axis=2)
+        QG2 = exactalg.split(N[0], p)
+        if QG2 is None:
+            return None
+        return QG1, P, N, QG2, exactalg.matmul_mod(
+            N[1:].reshape(2 * a, -1), QG2, p)
 
 
 def presentation_in_span(basis, b, rng, p):
@@ -219,13 +222,14 @@ def horace_surjective(m, d):
     (x, 0) = [X; Y]v puts v in ker Y with Xv = x.  <=: reach y by some v0,
     then correct by w in ker Y with Xw = x - Xv0.)  Y is onto iff
     rank M1 = a, and ker Y = ker M1 (x) S^dW, so the test is that P_d, the
-    degree-d map on P^2 of the residual m.x1_residual = (0, N2, N3, N4), an
-    a*C(d+3,2) x (b-a)*C(d+2,2) matrix, is onto.  Unless it is strictly
-    wider than tall, None is returned before any elimination.
+    degree-d map on P^2 of m restricted to B' = ker M1, that is of the
+    (N2, N3, N4) of m.splits, an a*C(d+3,2) x (b-a)*C(d+2,2) matrix, is
+    onto.  Unless it is strictly wider than tall, None is returned before
+    any elimination.
 
     P_d is never formed either.  Its rows A(x)x2^(d+1) are reached only
     from B'(x)x2^d, through N2, so P_d is not onto when rank N2 < a.
-    Otherwise, with [Q | G] = res.x2_split (N2 Q = id_A), a column
+    Otherwise, with [Q | G] = QG2 of m.splits (N2 Q = id_A), a column
     alpha (x) mu of Q(x)S^dW goes to the row alpha (x) x2 mu plus terms of
     lower x2-degree, so these columns against the a*C(d+2,2) rows divisible
     by x2 form a unipotent block, and rank P_d = a*C(d+2,2) + rank S_d, S_d
@@ -239,19 +243,18 @@ def horace_surjective(m, d):
         raise ValueError(f"degree must be nonnegative, got {d}")
     if (m.b - m.a) * comb(d + 2, 2) <= m.a * comb(d + 3, 2):
         return None
-    res = m.x1_residual
-    S = None if res is None else _x2_schur(res, d)
-    if S is None:
+    if m.splits is None:
         return None
+    S = _x2_schur(m.a, m.splits[-1], d, m.prime)
     return True if exactalg.rank(S, m.prime) == len(S) else None
 
 
-def _x2_schur(res, d):
-    """S_d of horace_surjective for the residual res = (0, N2, N3, N4),
-    an a x n presentation with n > a, as an a*(d+2) x (n-a)*C(d+2,2)
-    matrix; None when rank N2 < a.
+def _x2_schur(a, XZYT, d, p):
+    """S_d of horace_surjective from XZYT = [N3; N4] [Q | G] of m.splits,
+    a 2a x n matrix with n = b - a > a, as an a*(d+2) x (n-a)*C(d+2,2)
+    matrix.
 
-    With [Q | G] = res.x2_split, modulo the columns of Q(x)S^dW
+    Modulo the columns of Q(x)S^dW
     alpha (x) x2 nu = -(x3 X + x4 Z) alpha (x) nu, X = N3 Q and Z = N4 Q,
     so the column gamma (x) x2^i x3^j x4^k of ker N2 (x) S^dW,
     whose image is x2^i x3^j x4^k (x3 Y + x4 T) gamma with Y = N3 G and
@@ -259,11 +262,7 @@ def _x2_schur(res, d):
     U_(i+1) = -(x3 X + x4 Z) U_i.  U_i is kept as an (a, i+2, n-a) array
     whose [:, t] is the coefficient of x3^(i+1-t) x4^t; the rows of S_d
     are (alpha, exponent of x4)."""
-    a, n, p = res.a, res.b, res.prime
-    QG = res.x2_split
-    if QG is None:
-        return None
-    XZYT = exactalg.matmul_mod(res.Ms[2:].reshape(2 * a, n), QG, p)
+    n = XZYT.shape[1]
     XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, n - a).transpose(1, 0, 2)
     S = np.zeros((a, d + 2, comb(d + 2, 2), n - a), dtype=np.int64)
     col = 0
@@ -282,33 +281,35 @@ def _x2_schur(res, d):
 
 
 def m1_kernel(m):
-    """ker m(1) as a (4, k, b) array N of linear forms, kernel vector r
-    being sum_j x_j (x) N[j, r], through the x1 and x2 splits that
-    horace_surjective uses, or the dense m(1) when one of them is None.
+    """ker m(1) as a (4, k, b) array Ns of linear forms, like a
+    presentation's, kernel vector r being sum_j x_j (x) Ns[j, r]: read off
+    m.splits, the x1 and x2 splits that horace_surjective uses, or off the
+    dense m(1) when m.splits is None.  k is dim ker m(1), whatever its
+    value; callers compare it with the one they expect.  At any point x,
+    every row of Ns(x) lies in ker M(x); for a curve sample k is
+    c = b - a + 1, and at a generic point Ns(x) has rank c - 1.
 
-    With [Q1 | K1] = m.x1_split, N_j = M_j K1 and P_j = M_j Q1, the rows
-    x1 x_j of m(1) v = 0 give v1 = K1 u and v_j = K1 w_j - Q1 N_j u; with
-    [Q2 | K2] the residual's x2_split, the rows x2 x_j give
-    w_j = Q2 s_j + K2 y_j, s2 = P2 N2 u, s_j = (P2 N_j + P_j N2) u - N_j w2.
+    With (QG1, P, N, QG2, XZYT) = m.splits, QG1 = [Q1 | K1] and
+    QG2 = [Q2 | K2], the rows x1 x_j of m(1) v = 0 give v1 = K1 u and
+    v_j = K1 w_j - Q1 N_j u, and the rows x2 x_j give w_j = Q2 s_j + K2 y_j,
+    s2 = P2 N2 u, s_j = (P2 N_j + P_j N2) u - N_j w2.
     The rows x3^2, x3 x4, x4^2 are left, a 3a x (4b - 7a) system R in
     z = (u, y2, y3, y4) (60 x 100 at (a, b) = (20, 60), where m(1) is
     200 x 240), and z -> v is injective, so ker R lifts to a basis."""
-    res, p = m.x1_residual, m.prime
-    if res is None or res.x2_split is None:
+    p = m.prime
+    if m.splits is None:
         K = exactalg.kernel_basis(assemble_md(m, 1), p)
         return K.reshape(-1, m.b, 4).transpose(2, 0, 1)
     mm = functools.partial(exactalg.matmul_mod, p=p)
-    a, b, n, z = m.a, m.b, res.b, 4 * m.b - 7 * m.a
-    QG1, QG2, N = m.x1_split, res.x2_split, res.Ms[1:]
+    QG1, P, N, QG2, XZYT = m.splits
+    a, b, n, z = m.a, m.b, m.b - m.a, 4 * m.b - 7 * m.a
     # PN[j, :, k] = P_(j+2) N_(k+2), and F its sums P_j N_k + P_k N_j
-    PN = mm(mm(m.Ms[1:].reshape(3 * a, b), QG1[:, :a]), np.hstack(N))
-    PN = PN.reshape(3, a, 3, n)
+    PN = mm(P.reshape(3 * a, a), np.hstack(N)).reshape(3, a, 3, n)
     F = PN + PN.transpose(2, 1, 0, 3)
     # w_(j+2) = QG2 C[j] z
     C = np.zeros((3, n, z), dtype=np.int64)
     C[:, a:, n:] = np.eye(z - n, dtype=np.int64).reshape(3, n - a, z - n)
     C[:, :a, :n] = PN[0, :, 0], F[0, :, 1], F[0, :, 2]
-    XZYT = mm(N[1:].reshape(2 * a, n), QG2)
     C[1:, :a] -= mm(XZYT, C[0]).reshape(2, a, z)
     # H[j, :, k] = N_(j+3) w_(k+3), and R the rows x3^2, x3 x4, x4^2
     H = mm(XZYT, np.hstack(C[1:])).reshape(2, a, 2, z)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import ACCEPTANCE_RESULTS
-from steinerlab import cli, exactalg, pwcurves, strata
+from steinerlab import cli, exactalg, pwcurves, steiner, strata
 from steinerlab.multilin import random_frame
 from steinerlab.seeding import derive_rng
 from steinerlab.steiner import assemble_md, chi3
@@ -287,7 +287,7 @@ def test_criterion_09_curve():
     for seed in SEEDS:
         s = pwcurves.sample_pw(10, 30, 1, seed=seed, p=P)
         sections_ok &= 4 * 30 - s.rank_m1 == 21
-        Ns = pwcurves.section_matrix(s)
+        Ns = steiner.m1_kernel(s.m)
         rng = derive_rng(seed, 90)
         for _ in range(20):
             x = rng.integers(0, P, size=4, dtype=np.int64)

@@ -3,6 +3,7 @@ environment defaults.  main() is driven in-process so the tests see exactly
 what a shell user sees."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerlab
-from steinerlab import cli, exactalg, pwcurves
+from steinerlab import cli, exactalg, pwcurves, steiner
 from steinerlab.steiner import (
     SteinerPresentation,
     assemble_md,
@@ -341,11 +342,27 @@ def test_curve_exports_its_section_matrix(tmp_path):
     cp = pwcurves.curve_params(5, 15)
     sample = pwcurves.sample_pw(5, 15, cp.f, 0, P)
     assert p == P and Ns.shape == (4, cp.c, 15)
-    assert np.array_equal(Ns, pwcurves.section_matrix(sample))
+    assert np.array_equal(Ns, steiner.m1_kernel(sample.m))
     K = Ns.transpose(1, 2, 0).reshape(cp.c, 60)
     dense = exactalg.kernel_basis(assemble_md(sample.m, 1), P)
     assert len(dense) == cp.c
     assert exactalg.rank(np.vstack([K, dense]), P) == cp.c
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "aafa41819dca157cc074723aeebfd2bccea0439daf72f5148a9873c777210613"),
+    (1, "f047300d7c9ddb415963c631ceb139e10f92de0b704988a07d4c8ae0cdb4d3ec"),
+])
+def test_curve_export_bytes_are_pinned(tmp_path, seed, digest):
+    # the exported basis is the split route's, not a canonical one, so a
+    # change in how the splits are computed or shared could move its bytes
+    # while keeping its row space; these digests pin the file itself
+    path = tmp_path / "sections.txt"
+    code, _ = run_cli(["--json", "--prime", str(P), "--seed", str(seed),
+                       "verify", "curve", "-a", "7", "-b", "21",
+                       "--export-sections", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_fresh_curve_run_does_not_import_numpy_ma():

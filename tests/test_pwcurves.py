@@ -25,7 +25,6 @@ from steinerlab.pwcurves import (
     h1_ic_vanishing,
     mh_rank_survey,
     sample_pw,
-    section_matrix,
     verify_thm42,
     write_linforms,
 )
@@ -167,7 +166,7 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
     assert (degrees, kernels, ranks) == calls
     verify_thm42(s)
     assert (degrees, kernels, ranks) == calls
-    assert "x1_residual" not in vars(s.m)
+    assert "splits" not in vars(s.m)
 
 
 def test_not_globally_generated():
@@ -342,7 +341,7 @@ def test_h1_ic_edge_cases():
 
 def test_section_matrix_10_30():
     s = sample_pw(10, 30, 1, seed=0, p=P)
-    Ns = section_matrix(s)
+    Ns = steiner.m1_kernel(s.m)
     assert Ns.shape == (4, 21, 30)
     rng = np.random.default_rng(99)
     for _ in range(5):
@@ -358,7 +357,7 @@ def test_section_matrix_kernel_mismatch():
     # section matrix still holds all six kernel rows, and comparing their
     # count with what is expected is the caller's check
     s = sample_pw(1, 4, 0, seed=0, p=P)
-    Ns = section_matrix(s)
+    Ns = steiner.m1_kernel(s.m)
     assert Ns.shape == (4, 6, 4)
     m1 = assemble_md(s.m, 1)
     K = Ns.transpose(1, 2, 0).reshape(6, 16)
@@ -376,7 +375,7 @@ def test_h1_ic_vanishing_routes_agree():
 
 def test_linforms_interchange():
     s = sample_pw(10, 30, 1, seed=0, p=P)
-    Ns = section_matrix(s)
+    Ns = steiner.m1_kernel(s.m)
     buf = io.StringIO()
     write_linforms(buf, Ns, P)
     text = buf.getvalue()

@@ -249,12 +249,12 @@ def test_horace_needs_m1_of_full_rank(rng):
     # it is not tried and ker M1 is not computed; at d = 3 it is 45 x 50
     m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
     assert horace_surjective(m, 2) is None
-    assert "x1_residual" not in vars(m)
+    assert "splits" not in vars(m)
     assert horace_surjective(m, 3) is True
     low = SteinerPresentation(
         np.concatenate([[_deficient(rng, 3, 8, P)], m.Ms[1:]]), P)
     assert horace_surjective(low, 3) is None
-    assert low.x1_residual is None
+    assert low.splits is None
 
 
 def _stack(m, d):
@@ -336,9 +336,11 @@ def _plane_map(m, d):
 def test_x2_schur_complement_is_exact(p):
     # the dense plane map P_d of a residual (0, N2, N3, N4) is the oracle:
     # when rank N2 = a, rank P_d = a*C(d+2,2) + rank S_d, and when
-    # rank N2 < a, S_d is not formed and P_d is not onto.  The draws are
-    # generic, or have N2 of rank below a, N3 = N2, N4 = 0, two equal
-    # columns, or columns in a random a-dimensional subspace of A(x)V
+    # rank N2 < a, the splits are None and P_d is not onto.  The residual
+    # is m restricted to ker M1 for m = [id | 0] x1 + sum_j [0 | N_j] x_j,
+    # whose M1 splits as the identity.  The draws are generic, or have N2
+    # of rank below a, N3 = N2, N4 = 0, two equal columns, or columns in a
+    # random a-dimensional subspace of A(x)V
     rng = np.random.default_rng(2000 + p)
     kinds = ("generic", "N2 deficient", "N3=N2", "N4=0", "equal columns",
              "subspace")
@@ -362,15 +364,21 @@ def test_x2_schur_complement_is_exact(p):
             Ms[3] = 0
         elif kind == "equal columns":
             Ms[:, :, -1] = Ms[:, :, 0]
-        res = SteinerPresentation(Ms, p)
-        plane = _plane_map(res, d)
+        plane = _plane_map(SteinerPresentation(Ms, p), d)
         rank = exactalg.rank(plane, p)
-        S = steiner._x2_schur(res, d)
+        full = np.zeros((4, a, a + n), dtype=np.int64)
+        full[0, :, :a] = np.eye(a, dtype=np.int64)
+        full[1:, :, a:] = Ms[1:]
+        splits = SteinerPresentation(full, p).splits
         case = (trial, kind, a, n, d)
         if exactalg.rank(Ms[1], p) < a:
-            assert S is None and rank < len(plane), case
+            assert splits is None and rank < len(plane), case
             deficient += 1
             continue
+        QG1, _, N, _, XZYT = splits
+        assert np.array_equal(QG1, np.eye(a + n)), case
+        assert np.array_equal(N, Ms[1:]), case
+        S = steiner._x2_schur(a, XZYT, d, p)
         assert S.shape == (a * (d + 2), (n - a) * comb(d + 2, 2)), case
         assert rank == a * comb(d + 2, 2) + exactalg.rank(S, p), case
         onto += rank == len(plane)
@@ -384,12 +392,13 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     # m(s - 3) = m(4) then splits M1 ([M1 | id] is 7 x 28) and N2 (7 x 21)
     # and ranks only the Schur complement of the split's plane map, so no
     # dense m(d) above m(0) is built; the section matrix reuses both
-    # splits and eliminates only the 21 x 35 system they leave of m(1)
+    # splits, and the 14 x 14 product [N3; N4] [Q2 | K2] made with them,
+    # and eliminates only the 21 x 35 system they leave of m(1)
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
-    kernels, splits, degrees = [], [], []
+    kernels, splits, degrees, products = [], [], [], []
     kernel_basis, rref = exactalg.kernel_basis, exactalg.rref
-    assemble = steiner.assemble_md
+    assemble, matmul_mod = steiner.assemble_md, exactalg.matmul_mod
 
     def count_kernel(M, p):
         kernels.append(M.shape)
@@ -403,8 +412,13 @@ def test_residual_computed_once_per_presentation(monkeypatch):
         degrees.append(d)
         return assemble(m, d)
 
+    def count_product(A, B, p):
+        products.append((np.shape(A), np.shape(B)))
+        return matmul_mod(A, B, p)
+
     monkeypatch.setattr(exactalg, "kernel_basis", count_kernel)
     monkeypatch.setattr(exactalg, "rref", count_rref)
+    monkeypatch.setattr(exactalg, "matmul_mod", count_product)
     monkeypatch.setattr(steiner, "assemble_md", count_md)
     cert = surjectivity_certificate(m, 5)
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
@@ -412,9 +426,10 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     assert pwcurves.h1_ic_vanishing(sample) is True
     assert kernels == [(21, 28), (42, 19), (140, 4)]
     assert splits == [(7, 28), (7, 21)]
-    assert pwcurves.section_matrix(sample).shape == (4, 15, 21)
+    assert steiner.m1_kernel(sample.m).shape == (4, 15, 21)
     assert kernels[3:] == [(21, 35)]
     assert splits == [(7, 28), (7, 21)]
+    assert products.count(((14, 14), (14, 14))) == 1
     assert degrees == [0]
 
 
@@ -469,8 +484,7 @@ def test_m1_kernel_matches_the_dense_kernel(p, monkeypatch):
         assert K.shape == want.shape, case
         assert not exactalg.matmul_mod(m1, K.T, p).any(), case
         assert exactalg.rank(np.vstack([K, want]), p) == len(K), case
-        res = m.x1_residual
-        fell_back = res is None or res.x2_split is None
+        fell_back = m.splits is None
         assert dense == ([1] if fell_back else []), case
         assert fell_back or kind not in kinds[1:3], case
         split += not fell_back
