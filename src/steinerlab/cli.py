@@ -239,8 +239,8 @@ def cmd_verify_curve(args):
     xs = np.array([random_covector(rng, p) for _ in range(pts)])
     rank_hits = sum(r == cp.c - 1 for r in exactalg.ranks_at(Ns, xs, p))
     Nxs, Mxs = (exactalg.evaluate_linear(F, xs, p) for F in (Ns, sample.m.Ms))
-    prod_zero = sum(not exactalg.matmul_mod(Mx, Nx.T, p).any()
-                    for Mx, Nx in zip(Mxs, Nxs))
+    prod_zero = sum(not MN.any() for MN in exactalg.matmul_mod(
+        Mxs, Nxs.transpose(0, 2, 1), p))
     checks.append(_check(
         f"section matrix has rank c-1 at {pts} points", pts, rank_hits))
     checks.append(_check(

@@ -124,16 +124,10 @@ def cokernel_dim(M, p):
     return M.shape[0] - backend.rank(M, p)
 
 
-def corank(M, p):
-    """min(dim kernel, dim cokernel)."""
-    M = np.asarray(M, dtype=np.int64)
-    r = backend.rank(M, p)
-    return min(M.shape[1] - r, M.shape[0] - r)
-
-
 def matmul_mod(A, B, p):
     """Exact (A @ B) mod p using float64 BLAS, chunking the inner dimension
-    when sums could reach 2**53."""
+    when sums could reach 2**53.  Like @, it also multiplies stacks of
+    matrices, (..., n, k) by (..., k, m)."""
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     inner = A.shape[-1]
@@ -143,10 +137,10 @@ def matmul_mod(A, B, p):
         # times cheaper than np.mod on float64
         return (A.astype(np.float64) @ B.astype(np.float64)).astype(
             np.int64) % p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    out = 0
     for k0 in range(0, inner, step):
-        k1 = min(k0 + step, inner)
-        part = A[:, k0:k1].astype(np.float64) @ B[k0:k1, :].astype(np.float64)
+        part = (A[..., k0:k0 + step].astype(np.float64)
+                @ B[..., k0:k0 + step, :].astype(np.float64))
         out = (out + part.astype(np.int64)) % p
     return out
 
@@ -193,7 +187,10 @@ def read_matrix(fh):
     n, m, p = _read_header(fh)
     rows = []
     for i in range(n):
-        vals = fh.readline().split()
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"file ends after {i} of {n} matrix rows")
+        vals = line.split()
         if len(vals) != m:
             raise ValueError(f"expected {m} entries per row, got {len(vals)}")
         try:

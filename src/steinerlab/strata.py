@@ -15,6 +15,7 @@ recomputation and are reported with flags instead of being silently adopted
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,26 +88,12 @@ def enumerate_jordan4():
     ascending centralizer dimension, then descending eigenvalue count, then
     partition order."""
     types = sorted(
-        (JordanType(tuple(part for _, part in blocks))
-         for blocks in _eigenspace_blocks(4)),
+        {JordanType(c) for sizes in _partitions_of(4)
+         for c in itertools.product(*map(_partitions_of, sizes))},
         key=lambda t: (centralizer_dim(t), -t.num_eigenvalues, t.partitions),
     )
     assert len(types) == 14
     return types
-
-
-def _eigenspace_blocks(n, top=None):
-    """Every nonincreasing tuple of (size, partition of size) pairs, each
-    pair at most `top`, with sizes summing to n: one pair per distinct
-    eigenvalue, so each Jordan type of an n x n matrix comes out once."""
-    if n == 0:
-        yield ()
-        return
-    for size in range(n, 0, -1):
-        for part in _partitions_of(size):
-            if top is None or (size, part) <= top:
-                for rest in _eigenspace_blocks(n - size, (size, part)):
-                    yield ((size, part),) + rest
 
 
 def centralizer_dim(t):
@@ -324,9 +311,7 @@ def find_rank0(sl):
     # kernel vector, read on the slice's coordinates; the symmetry system
     # makes the (p,q) and (q,p) readings agree
     C = kernel.reshape(k, n, 4, f)
-    G = np.einsum("kprs,sjqr->kjpq", C, t).reshape(k, a, n * 4)
-    G = G[:, :, sl.pq[0] * 4 + sl.pq[1]].reshape(k, sl.rows.shape[1])
-    G = np.mod(G, p)
+    G = np.mod(subspace._coords(np.einsum("kprs,sjqr->kjpq", C, t), sl.pq), p)
     hits = np.flatnonzero(sl.residue(G).any(axis=1))
     return G[hits[0]] if hits.size else None
 

@@ -260,7 +260,9 @@ def _with_entry(text, entry):
 @pytest.mark.parametrize("text, message", [
     (_presentation_text(P).replace("steiner", "fform", 1),
      "bad steiner header"),
-    (_truncated(_presentation_text(P)), "expected 8 entries per row, got 0"),
+    (_truncated(_presentation_text(P)), "file ends after 1 of 3 matrix rows"),
+    (f"steiner 100000 0 {P}\n100000 0 {P}\n",
+     "file ends after 0 of 100000 matrix rows"),
     (_presentation_text(P).replace("steiner 3 8", "steiner 3 7", 1),
      "does not match the header"),
     (_presentation_text(2), "prime must exceed 3, got 2"),
@@ -277,10 +279,10 @@ def _with_entry(text, entry):
      "row 0: expected 8 integers that fit int64"),
     (_with_entry(_presentation_text(P), "1.5"),
      "row 0: expected 8 integers that fit int64"),
-], ids=["wrong-tag", "truncated-block", "block-shape", "prime-2", "prime-9",
-        "prime-2^20+7", "F5-under-default-prime", "a-zero", "b-zero",
-        "header-not-int", "block-rows-negative", "entry-10^29",
-        "entry-not-int"])
+], ids=["wrong-tag", "truncated-block", "rows-past-end", "block-shape",
+        "prime-2", "prime-9", "prime-2^20+7", "F5-under-default-prime",
+        "a-zero", "b-zero", "header-not-int", "block-rows-negative",
+        "entry-10^29", "entry-not-int"])
 def test_load_rejects_bad_interchange_file(tmp_path, capsys, text, message):
     path = tmp_path / "presentation.txt"
     path.write_text(text)

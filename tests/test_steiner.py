@@ -85,12 +85,12 @@ def test_generic_1_4(rng):
     assert cert.found and cert.d0 == 1
     # once surjective, stays surjective
     for d in (1, 2, 3):
-        assert exactalg.corank(assemble_md(m, d), P) == 0
+        assert exactalg.cokernel_dim(assemble_md(m, d), P) == 0
 
 
 def test_zero_presentation():
     m = SteinerPresentation(np.zeros((4, 2, 5), dtype=np.int64), P)
-    assert exactalg.corank(assemble_md(m, 0), P) == min(5, 8)
+    assert exactalg.cokernel_dim(assemble_md(m, 0), P) == 2 * dim_sym(1)
     cert = surjectivity_certificate(m, 3)
     assert not cert.found
     assert list(cert.checked) == [(1, 2 * dim_sym(2)), (2, 2 * dim_sym(3)),
@@ -332,11 +332,42 @@ def _plane_map(m, d):
                                steiner._tail(d + 1, 1))
 
 
+def _plane_schur(plane, QG2, a, d, p):
+    """P_rest,G - P_rest,Q (P_x2,Q)^-1 P_x2,G of the dense plane map P_d
+    in the columns [Q | G] = QG2, its rows split into those divisible by x2
+    and the rest, laid out as _x2_schur lays out S_d: rows (alpha, exponent
+    of x4), columns (x2^i x3^j x4^k for i = 0..d, k = 0..d-i, gamma).
+    Asserts that the x2 block P_x2,Q is invertible."""
+    n = len(QG2)
+    rows = [mono_basis(d + 1)[r] for r in steiner._tail(d + 1, 1)]
+    cols = [mono_basis(d)[c] for c in steiner._tail(d, 1)]
+    x2 = [r for r, e in enumerate(rows) if e[1]]
+    rest = sorted((r for r, e in enumerate(rows) if not e[1]),
+                  key=lambda r: rows[r][3])
+    order = [cols.index((0, i, d - i - k, k))
+             for i in range(d + 1) for k in range(d - i + 1)]
+    # column (c, mu) of P_d QG2 is sum_beta QG2[beta, c] P_d[:, (beta, mu)]
+    PC = np.einsum("arbm,bc->arcm",
+                   plane.reshape(a, len(rows), n, len(cols)), QG2) % p
+    PC = PC[..., order].transpose(0, 1, 3, 2)
+
+    def block(r, c):
+        return PC[:, r][..., c].reshape(a * len(r), -1)
+
+    q = block(x2, slice(0, a))
+    R, _, piv = exactalg.rref(np.hstack([q, block(x2, slice(a, n))]), p)
+    assert list(piv) == list(range(len(q)))
+    return (block(rest, slice(a, n)) - exactalg.matmul_mod(
+        block(rest, slice(0, a)), R[:, len(q):], p)) % p
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, P, 1048573])
 def test_x2_schur_complement_is_exact(p):
     # the dense plane map P_d of a residual (0, N2, N3, N4) is the oracle:
-    # when rank N2 = a, rank P_d = a*C(d+2,2) + rank S_d, and when
-    # rank N2 < a, the splits are None and P_d is not onto.  The residual
+    # when rank N2 = a, S_d is entry for entry its Schur complement on the
+    # rows free of x2 in the columns QG2 (_plane_schur), and
+    # rank P_d = a*C(d+2,2) + rank S_d; when rank N2 < a, the splits are
+    # None and P_d is not onto.  The residual
     # is m restricted to ker M1 for m = [id | 0] x1 + sum_j [0 | N_j] x_j,
     # whose M1 splits as the identity.  The draws are generic, or have N2
     # of rank below a, N3 = N2, N4 = 0, two equal columns, or columns in a
@@ -375,11 +406,12 @@ def test_x2_schur_complement_is_exact(p):
             assert splits is None and rank < len(plane), case
             deficient += 1
             continue
-        QG1, _, N, _, XZYT = splits
+        QG1, _, N, QG2, XZYT = splits
         assert np.array_equal(QG1, np.eye(a + n)), case
         assert np.array_equal(N, Ms[1:]), case
         S = steiner._x2_schur(a, XZYT, d, p)
         assert S.shape == (a * (d + 2), (n - a) * comb(d + 2, 2)), case
+        assert np.array_equal(S, _plane_schur(plane, QG2, a, d, p)), case
         assert rank == a * comb(d + 2, 2) + exactalg.rank(S, p), case
         onto += rank == len(plane)
         short += rank < len(plane)
