@@ -257,7 +257,10 @@ def ranks(S, p):
     takes the first nonzero active entry as its pivot, swaps it up to
     cur[t], and subtracts multiples of its normalized pivot row from the
     active rows below it.  A rank is also the rank of the transpose, so a
-    wide stack is swept transposed, in at most min(n, m) column steps."""
+    wide stack is swept transposed, in at most min(n, m) column steps, and
+    then n >= m.  A step adds at most one pivot, so at column j every
+    cur[t] <= j <= m - 1 < n: row cur[t] is active in every matrix, and its
+    entry in column j is 0 where matrix t has no pivot."""
     if S.shape[2] > S.shape[1]:
         S = S.transpose(0, 2, 1)
     T, n, m = S.shape
@@ -270,8 +273,6 @@ def ranks(S, p):
     rows = np.arange(n)
     for j in range(m):
         lo = int(cur.min())
-        if lo == n:
-            break
         off = cur - lo
         col = _reduce(F[:, lo:, j], p)
         # a finished row of matrix t is never a pivot or updated again
@@ -286,15 +287,13 @@ def ranks(S, p):
                 F[sw, lo + k, j + 1:], F[sw, lo + i, j + 1:])
             col[sw, i], col[sw, k] = col[sw, k], col[sw, i]
         if j + 1 < m:
-            # the pivot entry, 0 exactly where there is none; a matrix whose
-            # rows are all finished reads its last row, whose entry is 0
-            at = np.minimum(off, n - lo - 1)
+            # the pivot entry, 0 exactly where there is none
             inv = np.array([pow(v, -1, p) if v else 0
-                            for v in col[t, at].astype(np.int64).tolist()],
+                            for v in col[t, off].astype(np.int64).tolist()],
                            dtype=np.float64)
-            prow = _reduce(_reduce(F[t, lo + at, j + 1:], p) * inv[:, None],
+            prow = _reduce(_reduce(F[t, lo + off, j + 1:], p) * inv[:, None],
                            p)
-            col[t, at] = 0.0
+            col[t, off] = 0.0
             F[:, lo:, j + 1:] -= col[:, :, None] * prow[:, None, :]
         cur += has
     return cur.tolist()

@@ -436,19 +436,17 @@ class CohomologyTable:
         ]
 
 
-def cohomology_table(m, k_min=K_MIN, k_max=K_MAX, cert=None):
+def cohomology_table(m, k_min, k_max, cert):
     """Cohomology of E_m(k) for k in [k_min, k_max].
 
-    `cert` is the surjectivity certificate of m; when omitted it is computed
-    up to the default degree cap.  Raises NotLocallyFree when it found no
-    surjective degree.  The certificate's ladder holds the cokernel of m(k)
-    for 0 <= k <= d0, so those ranks are read from it; for k above d0 the
-    rank of m(k) is known by propagation without assembling it.
+    `cert` is the surjectivity certificate of m.  Raises NotLocallyFree when
+    it found no surjective degree.  The certificate's ladder holds the
+    cokernel of m(k) for 0 <= k <= d0, so those ranks are read from it; for
+    k above d0 the rank of m(k) is known by propagation without assembling
+    it.
     """
     if k_min > k_max:
         raise ValueError(f"empty twist window [{k_min}, {k_max}]")
-    if cert is None:
-        cert = surjectivity_certificate(m)
     if not cert.found:
         raise NotLocallyFree(cert.checked)
     coker = {0: cert.coker0, **dict(cert.checked)}

@@ -68,8 +68,6 @@ class JordanType:
 
 
 def _partitions_of(n):
-    if n == 0:
-        return [()]
     out = []
 
     def rec(remaining, maxpart, acc):
@@ -144,15 +142,12 @@ def solution_dim_3x4(C0, c, p):
     """Rank r of the 3-equation system "C0 X0 + c x^t symmetric" on symmetric
     4x4 X = [[X0, x], [x^t, xi]], and S = 10 - r.
 
-    Unknown order: the 6 coordinates of X0, then x, then xi (which no
-    equation touches)."""
-    C0 = np.mod(np.asarray(C0, dtype=np.int64), p)
-    c = np.mod(np.asarray(c, dtype=np.int64).reshape(3), p)
-    # (c x^t)_{uv} = c_u x_v
-    cx = np.einsum("u,vk->uvk", c, np.eye(3, dtype=np.int64))
-    rows = np.hstack([_cx_rows(C0, p), np.mod(_antisym_rows(cx), p),
-                      np.zeros((3, 1), dtype=np.int64)])
-    r = exactalg.rank(rows, p)
+    With C = [[C0, c], [0, 0]], (CX)_uv = (C0 X0)_uv + c_u x_v for u, v < 3,
+    so the system is the rows of _cx_rows(C) at the pairs u < v < 3, in X's
+    upper-triangle coordinates (xi appears in no equation)."""
+    C = np.zeros((4, 4), dtype=np.int64)
+    C[:3] = np.mod(np.column_stack([C0, np.reshape(c, 3)]), p)
+    r = exactalg.rank(_cx_rows(C, p)[np.triu_indices(4, 1)[1] < 3], p)
     return r, 10 - r
 
 
@@ -295,16 +290,11 @@ def find_rank0(sl):
     """
     a, f, p = sl.a, sl.f, sl.prime
     n, t = sl.n, sl.t
-    # unknowns c[pp, rr, s] for pp in 1..n, rr in 1..4, flattened row-major;
-    # for each j and pp < qq <= n:
-    #   sum_{r,s} c[pp,r,s] t[s,j,qq,r] - c[qq,r,s] t[s,j,pp,r] = 0
-    T = t.transpose(1, 2, 3, 0)  # [j, q, r, s]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    system = np.zeros((a, len(pairs), n, 4, f), dtype=np.int64)
-    for k, (u, v) in enumerate(pairs):
-        system[:, k, u] += T[:, v]
-        system[:, k, v] -= T[:, u]
-    system = np.mod(system.reshape(a * len(pairs), n * 4 * f), p)
+    # unknowns c[P, r, s] for P in 1..n, r in 1..4, flattened row-major;
+    # Y_j[pp, qq] = sum_{r,s} c[pp,r,s] t[s,j,qq,r] is symmetric in
+    # pp, qq <= n, with Y[pp, qq, j, P, r, s] = delta(pp, P) t[s, j, qq, r]
+    Y = np.einsum("uP,sjqr->uqjPrs", np.eye(n, dtype=np.int64), t[:, :, :n])
+    system = np.mod(_antisym_rows(Y).reshape(n * (n - 1) // 2 * a, -1), p)
     kernel = exactalg.kernel_basis(system, p)
     k = len(kernel)
     # induced covectors g[j, (p, q)] = sum_{r,s} c[p,r,s] t[s,j,q,r], one per

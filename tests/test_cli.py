@@ -391,6 +391,17 @@ def test_text_output_readable():
     assert "expected False, got False" in out
 
 
+def test_mh_text_prints_its_histogram():
+    code, out = run_cli(["verify", "mh", "-a", "3", "-b", "8", "-f", "1"])
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("histogram: ")]
+    assert len(lines) == 1
+    _, report = run_cli(["--json", "verify", "mh", "-a", "3", "-b", "8",
+                         "-f", "1"])
+    hist = json.loads(report)["histogram"]
+    assert json.loads(lines[0][len("histogram: "):]) == hist
+
+
 def _assert_one_line_error(capsys, argv, message):
     # parser and library rejections alike: exit 2, one line, no usage
     assert cli.main(argv) == 2

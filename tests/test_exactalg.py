@@ -319,6 +319,49 @@ def test_ranks_match_rank_and_oracle(rng, p):
     assert _gfcore_py.ranks(S.transpose(0, 2, 1), p) == got
 
 
+def _member(rng, kind, n, m, p):
+    """An n x m matrix mod p of the given kind, with its rank.
+
+    "full" and "short" put a k x k block, k = min(n, m), in the last k rows
+    and columns: an invertible upper-triangular matrix with its rows in
+    reverse, so the sweep swaps rows at most columns, and a square member
+    reaches rank k only at its last column.  "short" makes the block's last
+    column its first plus twice its second, one below full rank."""
+    k = min(n, m)
+    if kind == "zero":
+        return np.zeros((n, m), dtype=np.int64), 0
+    if kind == "rank1":
+        M = np.outer(rng.integers(1, p, size=n), rng.integers(1, p, size=m))
+        return M % p, 1
+    U = np.triu(rng.integers(0, p, size=(k, k)), 1)
+    U[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+    B = U[::-1].copy()
+    if kind == "short":
+        B[:, -1] = (B[:, 0] + 2 * B[:, 1] if k > 1 else 0) % p
+    M = np.zeros((n, m), dtype=np.int64)
+    M[n - k:, m - k:] = B
+    return M, k - (kind == "short")
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
+@pytest.mark.parametrize("n,m", [(6, 6), (1, 1), (8, 5), (5, 8)])
+def test_ranks_square_tall_and_wide(rng, p, n, m):
+    # square stacks as well as tall and wide ones; one member alone (T = 1)
+    # of each kind, then 64 members of mixed kinds and 64 full-rank ones
+    kinds = ["zero", "rank1", "full", "short"]
+    for kind in kinds:
+        M, want = _member(rng, kind, n, m, p)
+        assert _gfcore_py.ranks(M[None], p) == [want]
+    for cycle in (kinds, ["full"]):
+        members = [_member(rng, cycle[t % len(cycle)], n, m, p)
+                   for t in range(64)]
+        S = np.stack([M for M, _ in members])
+        got = _gfcore_py.ranks(S, p)
+        assert got == [want for _, want in members]
+        assert got == [exactalg.rank(M, p) for M in S]
+        assert got == [oracle_rank(M, p) for M in S]
+
+
 def test_ranks_over_several_sweeps(rng):
     # forms whose value at x_k e_k has rank k + 1, at 0 rank 0 and at a
     # random point generically 5; 150 points take three sweeps, and their

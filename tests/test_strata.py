@@ -6,7 +6,8 @@ of the commutation system X J = J X solved over F_p for a representative J.
 """
 
 import numpy as np
-from test_exactalg import inv_matrix
+import pytest
+from test_exactalg import inv_matrix, oracle_rank
 from test_multilin import pair_index
 
 from steinerlab import exactalg, subspace
@@ -19,6 +20,7 @@ from steinerlab.strata import (
     jordan3x4_table,
     jordan4_table,
     rank_distribution,
+    solution_dim_3x4,
     solution_dim_4x4,
     stratum_dim,
 )
@@ -117,6 +119,54 @@ def test_solution_dim_22_symbolic_cross_check():
     assert system.shape == (6, 10)
     assert 10 - system.rank() == 6
     assert solution_dim_4x4(J, P) == 6
+
+
+def _pair_system(C0, c):
+    """The three equations of "C0 X0 + c x^t symmetric", written entry by
+    entry with sympy on the 10 coordinates of a symmetric 4x4
+    X = [[X0, x], [x^t, xi]]: the (0,1), (0,2) and (1,2) entries of
+    G = C0 X0 + c x^t minus those of G^T, as integer coefficient rows."""
+    import sympy
+
+    xs = sympy.symbols("x0:10")
+    X = sympy.zeros(4, 4)
+    idx = 0
+    for i in range(4):
+        for j in range(i, 4):
+            X[i, j] = X[j, i] = xs[idx]
+            idx += 1
+    C0 = sympy.Matrix(np.asarray(C0).tolist())
+    c = sympy.Matrix(np.asarray(c).tolist())
+    G = C0 * X[:3, :3] + c * X[3, :3]
+    return [[int(sympy.expand(G[u, v] - G[v, u]).coeff(x)) for x in xs]
+            for u, v in ((0, 1), (0, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003])
+def test_solution_dim_3x4_matches_entrywise_system(rng, p):
+    # random (C0, c) with entries outside [0, p), c = 0, singular C0 (two
+    # equal rows, rank one, zero) and scalar C0 with c = 0, ranked by sympy
+    # over F_p
+    seen = set()
+    for trial in range(24):
+        C0 = rng.integers(-2 * p, 2 * p, size=(3, 3))
+        c = rng.integers(-2 * p, 2 * p, size=3)
+        kind = trial % 6
+        if kind == 1:
+            c[:] = 0
+        elif kind == 2:
+            C0[2] = C0[0]
+        elif kind == 3:
+            C0 = np.outer(C0[0], C0[1])
+        elif kind == 4:
+            C0[:] = 0
+        elif kind == 5:
+            C0 = int(C0[0, 0]) * np.eye(3, dtype=np.int64)
+            c[:] = 0
+        r = oracle_rank(_pair_system(C0, c), p)
+        assert solution_dim_3x4(C0, c, p) == (r, 10 - r)
+        seen.add(r)
+    assert {0, 2, 3} <= seen
 
 
 def test_jordan4_table():
