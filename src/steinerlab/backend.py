@@ -65,7 +65,11 @@ def nullspace(a, p):
     of the result corresponds to the j-th free column, carries a 1 there, and
     is supported only on pivot and earlier free coordinates.
     """
-    R, r, pivots = rref(a, p)
+    return _kernel_of_rref(*rref(a, p), p)
+
+
+def _kernel_of_rref(R, r, pivots, p):
+    """nullspace's basis, read off a reduced echelon form R of rank r."""
     m = R.shape[1]
     is_free = np.ones(m, dtype=bool)
     is_free[pivots] = False

@@ -398,10 +398,14 @@ def main(argv=None):
            "trials": args.trials, "dmax": args.dmax}
     report = {"tool_version": __version__, "config": cfg, "checks": checks}
     report.update(payload)
-    if args.json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        _print_text(report)
+    try:
+        if args.json:
+            sys.stdout.write(canonical_json(report))
+        else:
+            _print_text(report)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(c["pass"] for c in checks) else 1
 
 

@@ -1,12 +1,15 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays holding residues in [0, p); rows × cols shape,
-row-major.  Every rank, kernel and cokernel in the package reduces to the
-routines here.  A single matrix goes to the blocked elimination core in
-backend.  A matrix of linear forms on P^3 is a (4, r, c) array whose entry
-[k] is the coefficient of x_(k+1); `evaluate_linear` reads it at points, and
-`ranks_at` ranks its values at many points, a chunk at a time, through the
-core's rank-only sweep over a stack of same-shape matrices (_core.ranks).
+Matrices are numpy int64 arrays, rows × cols, row-major.  `rank`, `rref`,
+`kernel_basis`, `split`, `cokernel_dim` and `matmul_mod` take any int64
+entries (on a shape within the core's capacity guard), reduce them mod p and
+return residues in [0, p).  Every rank, kernel and cokernel in the package
+reduces to the routines here.  A single matrix goes to the blocked
+elimination core in backend.  A matrix of linear forms on P^3 is a
+(4, r, c) array whose entry [k] is the coefficient of x_(k+1);
+`evaluate_linear` reads it at points, and `ranks_at` ranks its values at
+many points, a chunk at a time, through the core's rank-only sweep over a
+stack of same-shape matrices (_core.ranks).
 
 The field is one prime p, which every routine takes as an argument; the
 command line's default is 32003.  Genericity statements checked by sampling
@@ -110,18 +113,15 @@ def split(M, p):
     R, _, piv = rref(np.hstack([M, np.eye(a, dtype=np.int64)]), p)
     if n <= a or piv[-1] >= n:  # or a pivot in the id block: rank M < a
         return None
-    free = np.ones(n, dtype=bool)
-    free[piv] = False
+    # every pivot lies left of the id block, so R[:, :n] is M's rref
     QG = np.zeros((n, n), dtype=np.int64)
     QG[piv, :a] = R[:, n:]
-    QG[free, a:] = np.eye(n - a, dtype=np.int64)
-    QG[piv, a:] = (p - R[:, :n][:, free]) % p
+    QG[:, a:] = backend._kernel_of_rref(R[:, :n], a, piv, p).T
     return QG
 
 
 def cokernel_dim(M, p):
-    M = np.asarray(M, dtype=np.int64)
-    return M.shape[0] - backend.rank(M, p)
+    return len(M) - backend.rank(M, p)
 
 
 def matmul_mod(A, B, p):
@@ -130,15 +130,11 @@ def matmul_mod(A, B, p):
     matrices, (..., n, k) by (..., k, m)."""
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    inner = A.shape[-1]
     step = max(1, (2**53 - 1) // (p * p))
-    if inner <= step:
-        # the sums are exact in float64, and % on int64 is about three
-        # times cheaper than np.mod on float64
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(
-            np.int64) % p
+    # one pass at least, so inner dimension 0 gives zeros of the product's
+    # shape; % on int64 is about three times cheaper than np.mod on float64
     out = 0
-    for k0 in range(0, inner, step):
+    for k0 in range(0, max(A.shape[-1], 1), step):
         part = (A[..., k0:k0 + step].astype(np.float64)
                 @ B[..., k0:k0 + step, :].astype(np.float64))
         out = (out + part.astype(np.int64)) % p

@@ -120,22 +120,17 @@ def _antisym_rows(T):
     return T[u, v] - T[v, u]
 
 
-def _cx_rows(C, p):
-    """Coefficient rows of CX - (CX)^T = 0 in the upper-triangle
-    coordinates x_ij (i <= j, row-major) of a symmetric n x n matrix X."""
-    n = C.shape[0]
-    coords = [(i, j) for i in range(n) for j in range(i, n)]
-    E = np.zeros((n, n, len(coords)), dtype=np.int64)  # X[k, v] = x_c
-    for c, (i, j) in enumerate(coords):
-        E[i, j, c] = E[j, i, c] = 1
-    return np.mod(_antisym_rows(np.einsum("uk,kvc->uvc", C, E)), p)
+def _cx_rows(C):
+    """Coefficient rows of CX - (CX)^T = 0 in the upper-triangle coordinates
+    x_ij (i <= j, row-major: MONO_PQ's order) of a symmetric 4 x 4 X."""
+    E = subspace._tensor(np.eye(10, dtype=np.int64), 1)[:, 0]  # E[c] = dX/dx_c
+    return _antisym_rows(np.einsum("uk,ckv->uvc", C, E))
 
 
 def solution_dim_4x4(C, p):
     """dim {X symmetric 4x4 : CX symmetric} = 10 - rank of the 6-equation
     system in X's upper-triangle coordinates."""
-    C = np.mod(np.asarray(C, dtype=np.int64), p)
-    return 10 - exactalg.rank(_cx_rows(C, p), p)
+    return 10 - exactalg.rank(_cx_rows(C), p)
 
 
 def solution_dim_3x4(C0, c, p):
@@ -146,8 +141,8 @@ def solution_dim_3x4(C0, c, p):
     so the system is the rows of _cx_rows(C) at the pairs u < v < 3, in X's
     upper-triangle coordinates (xi appears in no equation)."""
     C = np.zeros((4, 4), dtype=np.int64)
-    C[:3] = np.mod(np.column_stack([C0, np.reshape(c, 3)]), p)
-    r = exactalg.rank(_cx_rows(C, p)[np.triu_indices(4, 1)[1] < 3], p)
+    C[:3] = np.column_stack([C0, np.reshape(c, 3)])
+    r = exactalg.rank(_cx_rows(C)[np.triu_indices(4, 1)[1] < 3], p)
     return r, 10 - r
 
 
@@ -294,7 +289,7 @@ def find_rank0(sl):
     # Y_j[pp, qq] = sum_{r,s} c[pp,r,s] t[s,j,qq,r] is symmetric in
     # pp, qq <= n, with Y[pp, qq, j, P, r, s] = delta(pp, P) t[s, j, qq, r]
     Y = np.einsum("uP,sjqr->uqjPrs", np.eye(n, dtype=np.int64), t[:, :, :n])
-    system = np.mod(_antisym_rows(Y).reshape(n * (n - 1) // 2 * a, -1), p)
+    system = _antisym_rows(Y).reshape(n * (n - 1) // 2 * a, -1)
     kernel = exactalg.kernel_basis(system, p)
     k = len(kernel)
     # induced covectors g[j, (p, q)] = sum_{r,s} c[p,r,s] t[s,j,q,r], one per

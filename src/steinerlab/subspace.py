@@ -163,9 +163,8 @@ class FFormQuotient:
         against echelon, mod p: g - g[pivots] R, zero exactly on the rows
         whose covector lies in the row span."""
         R, r, pivots = self.echelon
-        G = np.mod(covectors, self.prime)
-        return np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], self.prime),
-                      self.prime)
+        G, p = covectors, self.prime
+        return np.mod(G - exactalg.matmul_mod(G[:, pivots], R[:r], p), p)
 
 
 def gstar(phi):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerlab
-from steinerlab import cli, exactalg, pwcurves, steiner
+from steinerlab import cli, exactalg, pwcurves, steiner, strata
 from steinerlab.steiner import (
     SteinerPresentation,
     assemble_md,
@@ -53,6 +53,47 @@ def test_table_jordan3x4_json():
     report = json.loads(out)
     assert len(report["rows"]) == 9
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_jordan3x4_reference_mismatch_fails_its_check(monkeypatch):
+    # the (r, S) check compares each row with the paper's table, so one
+    # row whose computed r is off by one (here the first with c != 0)
+    # turns it, and only it, red
+    solve, shifted = strata.solution_dim_3x4, []
+
+    def off_by_one(C0, c, p):
+        r, S = solve(C0, c, p)
+        if np.any(c) and not shifted:
+            shifted.append(r)
+            r += 1
+        return r, S
+
+    monkeypatch.setattr(strata, "solution_dim_3x4", off_by_one)
+    code, out = run_cli(["--json", "table", "jordan3x4"])
+    assert code == 1
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+        "(r, S) columns match reference on every row"]
+    assert shifted
+    flagged = [r for r in report["rows"] if "ref_mismatch" in r["flags"]]
+    assert len(flagged) == 1
+
+
+def test_closed_stdout_exits_with_the_report_status():
+    # a reader that leaves before the report is written (`| grep -q`) must
+    # not turn a passing run into a traceback or a failure, buffered or not
+    src = os.path.dirname(os.path.dirname(steinerlab.__file__))
+    for unbuffered in ("", "1"):  # "" leaves stdout block-buffered
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONUNBUFFERED": unbuffered}
+        with subprocess.Popen(
+                [sys.executable, "-m", "steinerlab", "verify", "mh", "-a",
+                 "3", "-b", "8", "-f", "1"], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, err
+        assert err == b""
 
 
 def test_json_byte_identical():
@@ -279,10 +320,14 @@ def _with_entry(text, entry):
      "row 0: expected 8 integers that fit int64"),
     (_with_entry(_presentation_text(P), "1.5"),
      "row 0: expected 8 integers that fit int64"),
+    (_with_entry(_presentation_text(P), ""),
+     "expected 8 entries per row, got 7"),
+    (_with_entry(_presentation_text(P), "1 2"),
+     "expected 8 entries per row, got 9"),
 ], ids=["wrong-tag", "truncated-block", "rows-past-end", "block-shape",
         "prime-2", "prime-9", "prime-2^20+7", "F5-under-default-prime",
         "a-zero", "b-zero", "header-not-int", "block-rows-negative",
-        "entry-10^29", "entry-not-int"])
+        "entry-10^29", "entry-not-int", "row-short", "row-long"])
 def test_load_rejects_bad_interchange_file(tmp_path, capsys, text, message):
     path = tmp_path / "presentation.txt"
     path.write_text(text)

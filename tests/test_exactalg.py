@@ -167,16 +167,19 @@ def test_matmul_mod_reduces_a_full_chunk(rng):
     assert np.array_equal(exactalg.matmul_mod(A, B, p), want.astype(np.int64))
 
 
-@pytest.mark.parametrize("p, inner", [(P, 6), (1048573, 8193)])
+@pytest.mark.parametrize("p, inner", [(P, 6), (1048573, 8193), (P, 0)])
 def test_matmul_mod_multiplies_stacks(rng, p, inner):
-    # a stack takes either branch as a single matrix does: at 1048573 a
-    # chunk is 8192 terms, so 8193 are chunked; entries in (-p, p) are
-    # reduced first
+    # a stack is chunked as a single matrix is: at 1048573 a chunk is 8192
+    # terms, so 8193 take two passes, and an inner dimension of 0 (a 0-row
+    # quotient's residue) takes one that gives zeros of the product's
+    # shape; entries in (-p, p) are reduced first
     A = rng.integers(-p + 1, p, size=(2, 3, inner))
     B = rng.integers(-p + 1, p, size=(2, inner, 2))
     want = [(a.astype(object) @ b.astype(object)) % p for a, b in zip(A, B)]
     assert np.array_equal(exactalg.matmul_mod(A, B, p),
                           np.array(want, dtype=np.int64))
+    assert np.array_equal(exactalg.matmul_mod(A[0], B[0], p),
+                          np.array(want[0], dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", [5, P])
