@@ -25,6 +25,17 @@ whole panels.  The pivots are the column loop's, and each pivot still adds
 less than p**2 to an entry before the entry is next reduced, so the
 (rank + panel) * p**2 bound holds as it did.
 
+The column loop reduces the column below the current pivot row and reads
+its first residue: when that is nonzero, the row is its own first-nonzero
+pivot, with no search and no swap.  Only a zero residue there (an entry of
+the input, or one that an earlier pivot cancelled to a multiple of p) costs
+a search and a row swap.  Rank and the reduced form depend only on the row
+space, so callers that know their systems' structure list the rows in the
+order their pivots are met: steiner's S_d needs no swap, and its
+certificate ladder's G_d, its rows sorted by their first nonzero column,
+swaps only where an elimination leaves a row's next entry zero.  The pivot
+row is normalized and the rows below it updated in place.
+
 `ranks` is the rank-only sweep over a stack of same-shape matrices.  Small
 matrices spend most of a blocked run in numpy's per-call overhead, so the
 stack is swept column by column with every matrix at once: one broadcast
@@ -122,9 +133,11 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
     (its new pivot rows by W @ X, the rows below them by one product with
     the left half's multipliers), and then factored in turn.  Leaves of at
     most LEAF columns, and every block with at most PANEL rows left, run the
-    column loop: first-nonzero pivot, row swap, rank-1 update of the block;
-    a leaf whose block below `cur` is exactly zero has no pivot and nothing
-    to clear, so it returns at once.
+    column loop: first-nonzero pivot, rank-1 update of the block; a leaf
+    whose block below `cur` is exactly zero has no pivot and nothing to
+    clear, so it returns at once.  The pivot is row `cur` whenever the
+    residue of its entry is nonzero; only otherwise is the column searched
+    and the first row with a nonzero residue swapped up to `cur`.
     """
     n = F.shape[0]
     if c1 - c0 > LEAF and n - cur > PANEL:
@@ -142,24 +155,29 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
     for lc in range(c0, c1):
         if cur == n:
             break
-        colv = np.mod(F[cur:, lc], p)
-        nz = np.nonzero(colv)[0]
-        if nz.size == 0:
-            F[cur:, lc] = 0.0
-            continue
-        r = int(nz[0])
-        if r:
+        colv = F[cur:, lc] % p
+        # read as a residue: an unreduced entry can be a nonzero multiple
+        # of p, which is no pivot
+        if not colv[0]:
+            nz = np.nonzero(colv)[0]
+            if nz.size == 0:
+                F[cur:, lc] = 0.0
+                continue
+            r = int(nz[0])
             # entries left of lc are zero in both rows, and so are the
             # multipliers from pivot cur on
             F[[cur, cur + r], lc:] = F[[cur + r, cur], lc:]
             L[[cur, cur + r], :cur] = L[[cur + r, cur], :cur]
             colv[[0, r]] = colv[[r, 0]]
         inv = float(pow(int(colv[0]), -1, p))
-        # normalize the pivot row across the block; columns to its right
-        # get the normalization through W
-        F[cur, lc:c1] = np.mod(np.mod(F[cur, lc:c1], p) * inv, p)
+        # normalize the pivot row across the block, in place; columns to
+        # its right get the normalization through W
+        row = F[cur, lc:c1]
+        row %= p
+        row *= inv
+        row %= p
         L[cur + 1:, cur] = colv[1:]
-        F[cur + 1:, lc + 1:c1] -= np.outer(colv[1:], F[cur, lc + 1:c1])
+        F[cur + 1:, lc + 1:c1] -= colv[1:, None] * row[1:]
         F[cur + 1:, lc] = 0.0
         invs.append(inv)
         pivots.append(lc)
@@ -215,10 +233,10 @@ def _back_eliminate(F, p, rank, pivots):
         # clean, so a single combination per row suffices
         for i in range(j1 - 2, j0 - 1, -1):
             coef = F[i, pivots[i + 1:j1]]
-            if np.any(coef):
-                F[i, cstart:] = np.mod(
-                    F[i, cstart:] - coef @ F[i + 1:j1, cstart:], p
-                )
+            if coef.any():
+                row = F[i, cstart:]
+                row -= coef @ F[i + 1:j1, cstart:]
+                row %= p
         if j0 > 0:
             A = F[:j0, pivots[j0:j1]]
             F[:j0, cstart:] = _reduce(F[:j0, cstart:] - A @ F[j0:j1, cstart:],

@@ -132,12 +132,14 @@ def matmul_mod(A, B, p):
     B = np.asarray(B, dtype=np.int64) % p
     step = max(1, (2**53 - 1) // (p * p))
     # one pass at least, so inner dimension 0 gives zeros of the product's
-    # shape; % on int64 is about three times cheaper than np.mod on float64
-    out = 0
+    # shape; % on int64 is about three times cheaper than np.mod on float64,
+    # and each chunk's int64 product is summed and reduced in place
     for k0 in range(0, max(A.shape[-1], 1), step):
         part = (A[..., k0:k0 + step].astype(np.float64)
-                @ B[..., k0:k0 + step, :].astype(np.float64))
-        out = (out + part.astype(np.int64)) % p
+                @ B[..., k0:k0 + step, :].astype(np.float64)).astype(np.int64)
+        if k0:
+            part += out
+        out = np.remainder(part, p, out=part)
     return out
 
 

@@ -236,8 +236,10 @@ def horace_surjective(m, d):
     the image of ker N2 (x) S^dW modulo those columns, read on
     A(x)k[x3, x4]_{d+1} (_x2_schur).  It is a*(d+2) x (b-2a)*C(d+2,2),
     strictly wider than tall exactly when P_d is: 90 x 360 at (10, 30) and
-    d = 7, where P_d is 450 x 720.  The condition is exact but only
-    sufficient: None says nothing about m(d).
+    d = 7, where P_d is 450 x 720.  Its rows are laid out as
+    (exponent of x4, alpha), the order in which its elimination meets
+    them, so the rank runs without a row swap.  The condition is exact but
+    only sufficient: None says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -260,11 +262,14 @@ def _x2_schur(a, XZYT, d, p):
     whose image is x2^i x3^j x4^k (x3 Y + x4 T) gamma with Y = N3 G and
     T = N4 G, is x3^j x4^k U_i gamma, where U_0 = x3 Y + x4 T and
     U_(i+1) = -(x3 X + x4 Z) U_i.  U_i is kept as an (a, i+2, n-a) array
-    whose [:, t] is the coefficient of x3^(i+1-t) x4^t; the rows of S_d
-    are (alpha, exponent of x4)."""
+    whose [:, t] is the coefficient of x3^(i+1-t) x4^t.  The rows of S_d
+    are (exponent of x4, alpha): a column x2^i x3^j x4^k first reaches the
+    rows of x4-exponent k, so this order, unlike (alpha, exponent of x4),
+    meets each pivot of the first-nonzero elimination at its own row, with
+    no row swap.  A rank does not depend on the order of the rows."""
     n = XZYT.shape[1]
     XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, n - a).transpose(1, 0, 2)
-    S = np.zeros((a, d + 2, comb(d + 2, 2), n - a), dtype=np.int64)
+    S = np.zeros((d + 2, a, comb(d + 2, 2), n - a), dtype=np.int64)
     col = 0
     for i in range(d + 1):
         if i:
@@ -275,7 +280,7 @@ def _x2_schur(a, XZYT, d, p):
             U[:, 1:] -= XU[1]
             U %= p
         for k in range(d - i + 1):
-            S[:, k:k + i + 2, col] = U
+            S[k:k + i + 2, :, col] = U.transpose(1, 0, 2)
             col += 1
     return S.reshape(a * (d + 2), -1)
 
@@ -387,7 +392,12 @@ def surjectivity_certificate(m, d_max=D_MAX):
             g[:, q[k]] = phi[:, down[j, nu]].reshape(len(g), c)
             g[:, q[j]] -= phi[:, down[k, nu]].reshape(len(g), c)
             G.append(g)
-        K = exactalg.kernel_basis(np.vstack(G), p)
+        G = np.vstack(G)
+        # rows by first nonzero column, zero rows last, so that most pivots
+        # of the elimination are met in place; the kernel is the row
+        # space's, whatever the order
+        lead = np.argmax(np.hstack([G != 0, np.ones((len(G), 1), bool)]), 1)
+        K = exactalg.kernel_basis(G[np.argsort(lead, kind="stable")], p)
         checked.append((d, len(K)))
         if not len(K) or d == d_max:
             break

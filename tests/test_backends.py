@@ -6,6 +6,8 @@ Gauss-Jordan elimination in exact integer arithmetic gives, and agree with
 sympy's rref over GF(p) wherever sympy is fast enough to run.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from sympy.polys.domains import GF
@@ -212,6 +214,79 @@ def test_core_matches_oracle_near_capacity_prime(rng, kind):
     R0, rank0, piv0 = oracle_rref(M, p)
     assert rank0 == n - 1
     _check_against(M, p, R0, piv0)
+
+
+def _sd_like(rng, a, d, w, p):
+    """Block-bidiagonal rows shaped like steiner's S_d, alpha-major: row
+    (alpha, e) for e = 0..d+1 meets the column blocks e - 1 and e of w
+    columns each.  Returns the matrix and the (e, alpha) row order."""
+    S = np.zeros((a, d + 2, d + 1, w), dtype=np.int64)
+    for k in range(d + 1):
+        S[:, k:k + 2, k] = rng.integers(-p + 1, p, size=(a, 2, w))
+    return (S.reshape(a * (d + 2), -1),
+            np.arange(a * (d + 2)).reshape(a, d + 2).T.ravel())
+
+
+def _gd_like(rng, a, c, m, p):
+    """Pair blocks shaped like steiner's G_d: for j < k, 3 - j blocks of a
+    rows with values at the columns q[k] and minus values at q[j]."""
+    q = rng.integers(0, m, size=(4, c))
+    G = []
+    for j, k in itertools.combinations(range(4), 2):
+        g = np.zeros((a * (3 - j), m), dtype=np.int64)
+        g[:, q[k]] = rng.integers(0, p, size=(len(g), c))
+        g[:, q[j]] -= rng.integers(0, p, size=(len(g), c))
+        G.append(g)
+    return np.vstack(G)
+
+
+def _awkward(rng, M, p):
+    """M with every nonzero entry moved by a multiple of p, one zero row and
+    one zero column, and a column whose first active entry is 0 mod p but
+    not 0 above a later unit.  Column 0 holds 1 + p, h - p and -p in rows
+    0-2, h = (p + 1) / 2; so row 1 meets column 1 at 1 - 2h = -p once row
+    0 has pivoted, and row 2 holds the pivot, 1 + 2p."""
+    n, m = M.shape
+    M = M + p * rng.integers(-2, 3, size=M.shape) * (M != 0)
+    M[rng.integers(3, n)] = 0
+    M[:, rng.integers(2, m)] = 0
+    h = (p + 1) // 2
+    M[:3, :2] = [[1 + p, 2 - p], [h - p, 1], [-p, 1 + 2 * p]]
+    return M
+
+
+def _lead_order(M, p):
+    """Rows by first nonzero column mod p, stable, zero rows last."""
+    nz = M % p != 0
+    lead = np.argmax(np.hstack([nz, np.ones((len(M), 1), bool)]), 1)
+    return np.argsort(lead, kind="stable")
+
+
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
+def test_row_order_changes_no_output(rng, p):
+    # rank, rref and the canonical kernel depend only on the row space, so
+    # steiner may lay out S_d and G_d in a row order whose pivots are met in
+    # place; each matrix and its row permutations must match the oracle of
+    # the original.  The 180 x 200 S_d shape halves its panels
+    cases = []
+    for a, d, w in [(3, 3, 4), (4, 6, 3), (30, 4, 40)]:
+        S, rows = _sd_like(rng, a, d, w, p)
+        cases += [(S, rows), (_awkward(rng, S, p), rows)]
+    for a, c, m in [(2, 5, 12), (5, 9, 30), (3, 0, 0)]:
+        G = _gd_like(rng, a, c, m, p)
+        cases += [(G, None)] + ([(_awkward(rng, G, p), None)] if m else [])
+    for M, order in cases:
+        R0, rank0, piv0 = oracle_rref(M, p)
+        R, r, piv = exactalg.rref(M, p)
+        K = exactalg.kernel_basis(M, p)
+        perms = [np.arange(len(M)), _lead_order(M, p), rng.permutation(len(M))]
+        for perm in perms + ([] if order is None else [order]):
+            A = M[perm]
+            _check_against(A, p, R0, piv0)
+            R1, r1, piv1 = exactalg.rref(A, p)
+            assert (r1, piv1) == (r, piv) and np.array_equal(R1, R)
+            assert np.array_equal(exactalg.kernel_basis(A, p), K)
+            assert exactalg.rank(A, p) == rank0
 
 
 def test_backend_name_reported():

@@ -336,8 +336,8 @@ def _plane_map(m, d):
 def _plane_schur(plane, QG2, a, d, p):
     """P_rest,G - P_rest,Q (P_x2,Q)^-1 P_x2,G of the dense plane map P_d
     in the columns [Q | G] = QG2, its rows split into those divisible by x2
-    and the rest, laid out as _x2_schur lays out S_d: rows (alpha, exponent
-    of x4), columns (x2^i x3^j x4^k for i = 0..d, k = 0..d-i, gamma).
+    and the rest, laid out as _x2_schur lays out S_d: rows (exponent of x4,
+    alpha), columns (x2^i x3^j x4^k for i = 0..d, k = 0..d-i, gamma).
     Asserts that the x2 block P_x2,Q is invertible."""
     n = len(QG2)
     rows = [mono_basis(d + 1)[r] for r in steiner._tail(d + 1, 1)]
@@ -352,8 +352,10 @@ def _plane_schur(plane, QG2, a, d, p):
                    plane.reshape(a, len(rows), n, len(cols)), QG2) % p
     PC = PC[..., order].transpose(0, 1, 3, 2)
 
+    # rows (monomial, alpha); the order of the x2 rows does not change
+    # (P_x2,Q)^-1 P_x2,G
     def block(r, c):
-        return PC[:, r][..., c].reshape(a * len(r), -1)
+        return PC[:, r][..., c].swapaxes(0, 1).reshape(len(r) * a, -1)
 
     q = block(x2, slice(0, a))
     R, _, piv = exactalg.rref(np.hstack([q, block(x2, slice(a, n))]), p)
