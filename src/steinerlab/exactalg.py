@@ -128,9 +128,11 @@ def matmul_mod(A, B, p):
     """Exact (A @ B) mod p using float64 BLAS, chunking the inner dimension
     when sums could reach 2**53.  Like @, it also multiplies stacks of
     matrices, (..., n, k) by (..., k, m)."""
+    if p * p >= 2**53:
+        raise ValueError(f"prime {p} too large for exact products")
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    step = max(1, (2**53 - 1) // (p * p))
+    step = (2**53 - 1) // (p * p)
     # one pass at least, so inner dimension 0 gives zeros of the product's
     # shape; % on int64 is about three times cheaper than np.mod on float64,
     # and each chunk's int64 product is summed and reduced in place

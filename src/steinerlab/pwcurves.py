@@ -205,9 +205,6 @@ class CurveParams:
     genus: int
     flags: tuple  # (name, value) pairs
 
-    def flag(self, name):
-        return dict(self.flags)[name]
-
 
 def curve_params(a, b):
     """Numerical invariants of the curve cut out by the section matrix of a
@@ -248,9 +245,10 @@ def h1_ic_vanishing(sample):
 
     m(s-3) is checked itself, by a route that shares nothing with the
     inverse-system ladder of the sample's certificate: the x1-split of
-    steiner.horace_surjective, else the rank of the dense m(s-3).  At
-    (a, b) = (10, 30) the split ranks one 90 x 360 Schur complement of its
-    450 x 720 plane map, against 1650 x 3600 for m(7).
+    steiner.horace_surjective, else, where it returns None (a split fails
+    or its Schur complement S_d is short of full row rank), the rank of the
+    dense m(s-3).  At (a, b) = (10, 30) the split ranks one 90 x 360 S_d of
+    its 450 x 720 plane map, against 1650 x 3600 for m(7).
     """
     m, s = sample.m, sample.b - 2 * sample.a
     if s < 3:

@@ -99,16 +99,6 @@ class SteinerPresentation:
         Ms = exactalg.random_matrix(rng, 4 * a, b, p)
         return cls(Ms.reshape(4, a, b), p)
 
-    @classmethod
-    def from_columns(cls, cols, a, p):
-        """Build from the 4a x b matrix of columns in A(x)V coordinates
-        (row j*4 + (k-1)), as produced by columns()."""
-        cols = np.mod(np.asarray(cols, dtype=np.int64), p)
-        if cols.ndim != 2 or cols.shape[0] != 4 * a:
-            raise ValueError("columns must form a 4a x b matrix over A(x)V")
-        return cls(np.ascontiguousarray(
-            cols.reshape(a, 4, cols.shape[1]).transpose(1, 0, 2)), p)
-
     def columns(self):
         """The b columns of m as vectors in A(x)V coordinates."""
         return self.Ms.transpose(1, 0, 2).reshape(4 * self.a, self.b)
@@ -157,9 +147,9 @@ def presentation_in_span(basis, b, rng, p):
 
     Draws one k x b coefficient matrix from rng."""
     coeff = rng.integers(0, p, size=(len(basis), b), dtype=np.int64)
-    return SteinerPresentation.from_columns(
-        exactalg.matmul_mod(basis.T, coeff, p), basis.shape[1] // 4, p
-    )
+    k, width = basis.shape
+    rows = basis.T.reshape(width // 4, 4, k).transpose(1, 0, 2)
+    return SteinerPresentation(exactalg.matmul_mod(rows, coeff, p), p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,8 +214,7 @@ def horace_surjective(m, d):
     rank M1 = a, and ker Y = ker M1 (x) S^dW, so the test is that P_d, the
     degree-d map on P^2 of m restricted to B' = ker M1, that is of the
     (N2, N3, N4) of m.splits, an a*C(d+3,2) x (b-a)*C(d+2,2) matrix, is
-    onto.  Unless it is strictly wider than tall, None is returned before
-    any elimination.
+    onto.
 
     P_d is never formed either.  Its rows A(x)x2^(d+1) are reached only
     from B'(x)x2^d, through N2, so P_d is not onto when rank N2 < a.
@@ -239,12 +228,12 @@ def horace_surjective(m, d):
     d = 7, where P_d is 450 x 720.  Its rows are laid out as
     (exponent of x4, alpha), the order in which its elimination meets
     them, so the rank runs without a row swap.  The condition is exact but
-    only sufficient: None says nothing about m(d).
+    only sufficient: None (m.splits is None, or S_d, always when taller
+    than wide as at (4, 10) and d = 2, has rank below its row count) says
+    nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    if (m.b - m.a) * comb(d + 2, 2) <= m.a * comb(d + 3, 2):
-        return None
     if m.splits is None:
         return None
     S = _x2_schur(m.a, m.splits[-1], d, m.prime)

@@ -153,7 +153,7 @@ def solution_dim_3x4(C0, c, p):
 @dataclass(frozen=True)
 class StrataRow:
     label: str
-    O_ref: int | None
+    O_ref: int
     O_computed: int
     S_ref: int
     S_computed: int
@@ -161,7 +161,7 @@ class StrataRow:
 
     @property
     def O_match(self):
-        return self.O_ref is not None and self.O_ref == self.O_computed
+        return self.O_ref == self.O_computed
 
     @property
     def S_match(self):

@@ -88,8 +88,7 @@ def _block_rows(t, n=4):
     """The nk x 4a matrix of a coefficient tensor t[s, j, p, q] with
     entry t[s, j, p, q] at row (s, p), p < n, and column (j, q)."""
     k, a = t.shape[:2]
-    G = t[:, :, :n].transpose(0, 2, 1, 3).reshape(n * k, 4 * a)
-    return np.ascontiguousarray(G)
+    return t[:, :, :n].transpose(0, 2, 1, 3).reshape(n * k, 4 * a)
 
 
 @dataclass(frozen=True)

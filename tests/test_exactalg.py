@@ -14,6 +14,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from steinerlab import _gfcore_py, exactalg
+from steinerlab.seeding import derive_rng
 
 P = exactalg.DEFAULT_PRIME
 
@@ -180,6 +181,47 @@ def test_matmul_mod_multiplies_stacks(rng, p, inner):
                           np.array(want, dtype=np.int64))
     assert np.array_equal(exactalg.matmul_mod(A[0], B[0], p),
                           np.array(want[0], dtype=np.int64))
+
+
+def test_matmul_mod_rejects_a_prime_past_exact_products():
+    # at p = 2**31 - 1 a single product of residues leaves float64's exact
+    # integers, so no chunking can keep the product exact
+    p = 2**31 - 1
+    A = np.array([[p - 1, p - 2], [p - 3, p - 1]])
+    with pytest.raises(ValueError, match="too large"):
+        exactalg.matmul_mod(A, A, p)
+
+
+def test_matmul_mod_is_exact_at_the_largest_admitted_prime(rng):
+    # 94906249 is the largest prime with p**2 < 2**53: one product per
+    # chunk, each within float64's exact integers
+    p = 94906249
+    A = rng.integers(p - 8, p, size=(3, 5))
+    B = rng.integers(p - 8, p, size=(5, 2))
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert np.array_equal(exactalg.matmul_mod(A, B, p), want.astype(np.int64))
+
+
+@pytest.mark.parametrize("seed, key, p, draws", [
+    (0, (3, 0), 5, [[0, 1, 3], [1, 0, 3, 4], [1, 0, 4, 4, 0]]),
+    (7, (13, 2, 5), 32003,
+     [[31382, 30858, 28338], [25173, 30235, 16608, 5701],
+      [3901, 9522, 24224, 31587, 6595]]),
+    (2026, (5, 1), 1048573,
+     [[757768, 1016784, 989525], [698417, 119213, 525031, 98767],
+      [326801, 260228, 294032, 581231, 165313]]),
+], ids=["5", "32003", "1048573"])
+def test_bounded_draws_are_pinned(seed, key, p, draws):
+    # every sampled value, and so every pinned report digest, comes from
+    # integers(0, p, dtype=int64) on derive_rng's stream; three consecutive
+    # calls of odd and even sizes pin it as literal numbers
+    rng = derive_rng(seed, *key)
+    got = [rng.integers(0, p, size=len(want), dtype=np.int64).tolist()
+           for want in draws]
+    assert got == draws, (
+        f"numpy {np.__version__} draws other bounded integers from "
+        f"derive_rng({seed}, *{key}) at p = {p}: a change in "
+        f"Generator.integers moves every sampled value and report digest")
 
 
 @pytest.mark.parametrize("p", [5, P])

@@ -271,10 +271,11 @@ def test_curve_params_frozen_invariants():
     cp = curve_params(10, 30)
     assert (cp.s, cp.c, cp.f, cp.delta) == (10, 21, 1, 1)
     assert (cp.degree, cp.genus) == (45, 186)
-    assert cp.flag("admissible") is True
-    assert cp.flag("regime") == "b<=3a"
-    assert cp.flag("versal_f_upper") is True
-    assert cp.flag("versal_f_lower") is True
+    flags = dict(cp.flags)
+    assert flags["admissible"] is True
+    assert flags["regime"] == "b<=3a"
+    assert flags["versal_f_upper"] is True
+    assert flags["versal_f_lower"] is True
 
 
 def test_curve_degree_genus_independent_oracle():
@@ -317,13 +318,13 @@ def test_curve_params_rejects_bad_shapes():
 def test_curve_params_regime_flags():
     # cubic coefficient of the Hilbert polynomial cancels for any shape,
     # so these expand without tripping the internal bookkeeping asserts
-    cp = curve_params(7, 22)
-    assert cp.flag("regime") == "b>3a"
-    assert cp.flag("admissible") is True
-    cp = curve_params(7, 21)
-    assert cp.flag("regime") == "b<=3a"
+    flags = dict(curve_params(7, 22).flags)
+    assert flags["regime"] == "b>3a"
+    assert flags["admissible"] is True
+    flags = dict(curve_params(7, 21).flags)
+    assert flags["regime"] == "b<=3a"
     # 11 * 21 = 231 <= 32 * 7 + 9 = 233
-    assert cp.flag("admissible") is False
+    assert flags["admissible"] is False
 
 
 def test_h1_ic_edge_cases():

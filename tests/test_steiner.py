@@ -106,12 +106,6 @@ def test_columns_round_trip(rng):
     # entry (j*4 + k, i) is M_k[j, i]
     for k in range(4):
         assert np.array_equal(cols[k::4, :], m.Ms[k])
-    m2 = SteinerPresentation.from_columns(cols, 3, P)
-    for M, M2 in zip(m.Ms, m2.Ms):
-        assert np.array_equal(M, M2)
-    # only a 4a x b matrix is accepted
-    with pytest.raises(ValueError):
-        SteinerPresentation.from_columns(cols[:-1], 3, P)
 
 
 def test_transpose(rng):
@@ -246,11 +240,12 @@ def test_horace_never_certifies_a_cokernel(p):
 
 
 def test_horace_needs_m1_of_full_rank(rng):
-    # at (3, 8) the plane map of m(2) is 30 x 30, not wider than tall, so
-    # it is not tried and ker M1 is not computed; at d = 3 it is 45 x 50
+    # at (3, 8) the plane map of m(2) is 30 x 30 and onto, so the split
+    # certifies m(2) from its square S_d; at d = 3 it is 45 x 50
     m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
-    assert horace_surjective(m, 2) is None
     assert "splits" not in vars(m)
+    assert horace_surjective(m, 2) is True
+    assert "splits" in vars(m)
     assert horace_surjective(m, 3) is True
     low = SteinerPresentation(
         np.concatenate([[_deficient(rng, 3, 8, P)], m.Ms[1:]]), P)
@@ -265,15 +260,10 @@ def _stack(m, d):
     return steiner._scatter_md(m, d, steiner._tail(d, 1), np.array(rows))
 
 
-def _kernel_form_is_wide(m, d):
-    # the plane map of m restricted to ker M1: a*C(d+3,2) x (b-a)*C(d+2,2)
-    return (m.b - m.a) * comb(d + 2, 2) > m.a * comb(d + 3, 2)
-
-
 @pytest.mark.parametrize("p", [5, 7, P])
 def test_kernel_form_matches_the_stack(p):
-    # the stack of the split is the oracle: where the kernel form is tried
-    # it certifies exactly when the stack has full row rank, and every
+    # the stack of the split is the oracle: whatever its shape, the kernel
+    # form certifies exactly when the stack has full row rank, and every
     # certificate has a dense m(d) that is onto.  The draws are generic, or
     # have b <= a, M1 = 0, M1 of rank below a, some M_k = 0 (k >= 2), or
     # M2 of rank below a on ker M1, where the split returns None before it
@@ -282,7 +272,7 @@ def test_kernel_form_matches_the_stack(p):
     kinds = ("generic", "b<=a", "M1=0", "M1 deficient", "Mk=0",
              "M2 deficient on ker M1")
     seen = {(kind, verdict): 0 for kind in kinds for verdict in (True, None)}
-    wide_stack_full = wide_stack_short = early_none = 0
+    stack_full = stack_short = early_none = 0
     for trial in range(180):
         kind = kinds[trial % len(kinds)]
         a = int(rng.integers(1, 4))
@@ -306,13 +296,10 @@ def test_kernel_form_matches_the_stack(p):
         seen[kind, cert] += 1
         stack = _stack(m, d)
         full = exactalg.rank(stack, p) == stack.shape[0]
-        if _kernel_form_is_wide(m, d):
-            assert cert is (True if full else None), (trial, kind, a, b, d)
-            wide_stack_full += full
-            wide_stack_short += not full
-            early_none += kind == "M2 deficient on ker M1"
-        else:
-            assert cert is None
+        assert cert is (True if full else None), (trial, kind, a, b, d)
+        stack_full += full
+        stack_short += not full
+        early_none += kind == "M2 deficient on ker M1"
         if cert:
             assert exactalg.cokernel_dim(assemble_md(m, d), p) == 0
             # and the ladder finds m(d), or a degree below it, onto
@@ -323,7 +310,7 @@ def test_kernel_form_matches_the_stack(p):
     # rows x2^(d+1) of the plane map are not all reached
     assert seen["generic", True]
     assert not any(seen[kind, True] for kind in kinds[1:])
-    assert wide_stack_full and wide_stack_short and early_none
+    assert stack_full and stack_short and early_none
 
 
 def _plane_map(m, d):
@@ -614,12 +601,13 @@ def test_ladder_on_loaded_degenerate_presentations(monkeypatch, p):
 
 
 def test_ladder_certifies_where_the_split_cannot():
-    # at (3, 8) the split's plane map of m(2) is 30 x 30, not wider than
-    # tall, so horace_surjective says nothing; the ladder finds m(2) onto
-    m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
+    # at (4, 10) the split's plane map of m(2) is 40 x 36, taller than
+    # wide, so horace_surjective says nothing; the ladder finds m(2) onto
+    m = pwcurves.sample_pw(4, 10, 1, seed=0, p=P).m
     assert horace_surjective(m, 2) is None
+    assert horace_surjective(m, 3) is True
     cert = surjectivity_certificate(m, 5)
-    assert cert.checked == ((1, 1), (2, 0)) and cert.coker0 == 4
+    assert cert.checked == ((1, 1), (2, 0)) and cert.coker0 == 6
     assert exactalg.cokernel_dim(assemble_md(m, 2), P) == 0
 
 
