@@ -36,14 +36,33 @@ certificate ladder's G_d, its rows sorted by their first nonzero column,
 swaps only where an elimination leaves a row's next entry zero.  The pivot
 row is normalized and the rows below it updated in place.
 
+A full reduction of a matrix that fits one panel, n, m <= PANEL, skips
+both sweeps: one Gauss-Jordan column sweep clears each pivot column above
+and below the pivot in one rank-1 update of every row, and the whole
+matrix is reduced once at the end.  A row meets each pivot once, so its
+entries stay below p + rank * p**2.  Taller or wider full runs, and every
+rank-only run, take the blocked sweeps.
+
 `ranks` is the rank-only sweep over a stack of same-shape matrices.  Small
 matrices spend most of a blocked run in numpy's per-call overhead, so the
-stack is swept column by column with every matrix at once: one broadcast
-rank-1 update per column over the rows still active, each matrix with its
-own first-nonzero pivot row.  As in the core, an entry is reduced only when
-it is read, as part of a pivot column or pivot row; each pivot subtracts
-less than p**2 from it, so it stays below p + min(n, m) * p**2 and the same
-_check_capacity bound covers it.
+stack is swept with every matrix at once.  While every matrix pivots on
+its first active row, as a generic stack does, BLOCK columns at a time are
+factored on the block alone, its row operations recorded beside it, and
+one batched product of the record by the pivot rows brings the columns to
+its right up to date.  At the first column where some matrix's first
+active entry is 0 mod p, the pivots found so far flush their product, and
+from there the sweep goes column by column: one broadcast rank-1 update
+per column over the rows still active, each matrix with its own
+first-nonzero pivot row.  A column's pivots are inverted together by
+Montgomery's batch inversion (Math. Comp. 48, 1987), one pow for the
+stack.  As in the core, an entry is reduced only when it is read, as part
+of a pivot column or pivot row, or as a factor of a product; each pivot
+subtracts less than p**2 from it, so it stays below
+4 * p**2 + min(n, m) * p**2 and the same _check_capacity bound covers it.
+
+Blocks and products are reduced by _reduce, x - floor(x / p) * p in four
+numpy passes, exact while |x| + p < 2**53; the single columns and rows of
+the column loops by %.
 """
 
 from __future__ import annotations
@@ -52,6 +71,8 @@ import numpy as np
 
 PANEL = 128
 LEAF = 16
+# columns the stacked rank sweep factors at once while no matrix swaps
+BLOCK = 8
 
 # float64 holds every integer below 2**53 exactly
 _LIMIT = 2**53
@@ -68,16 +89,40 @@ def _check_capacity(n, m, p):
 
 
 def _reduce(x, p):
-    """x mod p, entrywise, for a float64 array of integers with
-    |x| + p < 2**53; several times cheaper than np.mod on float64.
+    """x mod p, entrywise, as a new array, for a float64 array of integers
+    with |x| + p < 2**53; several times cheaper than np.mod on float64.
 
-    x * (1/p) lies within 2/p < 1 of x / p, so q = floor(x * (1/p)) is off
-    from floor(x / p) by at most one: x - q * p is computed exactly and lies
-    in [-p, 2p), and one correction each way lands it in [0, p)."""
-    r = x - np.floor(x * (1.0 / p)) * p
-    r[r < 0] += p
-    r[r >= p] -= p
-    return r
+    It is x - floor(x / p) * p, and exact.  Write x = q * p + r with
+    0 <= r < p.  The division is correctly rounded, so fl(x / p) lies within
+    |x| / p * 2**-53 < 1 / p of x / p.  If r = 0, x / p = q is an integer
+    below 2**53 and fl(x / p) = q.  Otherwise q + 1 is at least 1 / p above
+    x / p, so q <= fl(x / p) < q + 1.  Either way the floor is q, the
+    product q * p = x - r has |x - r| < |x| + p < 2**53 and is exact, and
+    so is the difference r."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+def _inverses(v, p):
+    """Inverses mod p of the float64 vector v of residues, with 0 for 0,
+    by Montgomery's batch inversion: one pow for the whole vector and three
+    products mod p per entry, in place of a pow per entry."""
+    vals = v.astype(np.int64).tolist()
+    pre = []
+    acc = 1
+    for x in vals:
+        pre.append(acc)
+        acc = acc * (x or 1) % p
+    acc = pow(acc, -1, p)
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        if vals[i]:
+            # acc is the inverse of the product of vals[:i + 1]
+            out[i] = acc * pre[i] % p
+            acc = acc * vals[i] % p
+    return np.array(out, dtype=np.float64)
 
 
 def _tri_inverse(low, invs, p):
@@ -244,12 +289,49 @@ def _back_eliminate(F, p, rank, pivots):
         j1 = j0
 
 
+def _gauss_jordan(F, p):
+    """Reduced row echelon form of F in place, in one column sweep; returns
+    (rank, pivots).  For n, m <= PANEL, where rref picks it.
+
+    Each pivot row is normalized and fully reduced, and its column is
+    cleared above and below it in one rank-1 update of every row.  A row
+    meets each pivot once, so its entries stay below p + rank * p**2 until
+    the one reduction at the end; the column cleared by the update holds
+    multiples of p until then, and so does every entry left of a row's
+    next pivot."""
+    n, m = F.shape
+    cur = 0
+    pivots = []
+    for lc in range(m):
+        if cur == n:
+            break
+        colv = F[:, lc] % p
+        if not colv[cur]:
+            nz = np.flatnonzero(colv[cur:])
+            if nz.size == 0:
+                continue
+            r = cur + int(nz[0])
+            F[[cur, r], lc:] = F[[r, cur], lc:]
+            colv[[cur, r]] = colv[[r, cur]]
+        row = F[cur, lc:]
+        row %= p
+        row *= pow(int(colv[cur]), -1, p)
+        row %= p
+        colv[cur] = 0.0
+        F[:, lc:] -= colv[:, None] * row
+        pivots.append(lc)
+        cur += 1
+    F[:] = _reduce(F, p)
+    return cur, pivots
+
+
 def rref(a, p, full=True):
     """Reduce int64 array `a` mod p; return (rank, pivots).
 
     With `full`, `a` is overwritten in place by its reduced row echelon
-    form.  Without it only (rank, pivots) is computed and `a` is only
-    read."""
+    form: by one Gauss-Jordan sweep when it fits one panel, else by the
+    blocked downward sweep and the upward one.  Without it only (rank,
+    pivots) is computed and `a` is only read."""
     n, m = a.shape
     if n == 0 or m == 0:
         return 0, []
@@ -257,39 +339,89 @@ def rref(a, p, full=True):
     # no reduced int64 copy next to it
     F = np.empty((n, m))
     np.remainder(a, p, out=F, casting="unsafe")
-    rank, pivots = _forward(F, p, full)
-    if full:
-        if rank > 1:
+    if full and n <= PANEL and m <= PANEL:
+        rank, pivots = _gauss_jordan(F, p)
+    else:
+        rank, pivots = _forward(F, p, full)
+        if full and rank > 1:
             _back_eliminate(F, p, rank, np.asarray(pivots, dtype=np.intp))
+    if full:
         a[:, :] = F
     return rank, pivots
 
 
 def ranks(S, p):
     """Ranks mod p of the matrices of the (T, n, m) int64 stack S, as a list
-    of T ints; S is only read.
-
-    Matrix t keeps its pivot count in cur[t], its pivot rows above cur[t]
-    and its active rows from cur[t] down; `lo` is the smallest cur, and the
-    rows above it are finished in every matrix.  At each column every matrix
-    takes the first nonzero active entry as its pivot, swaps it up to
-    cur[t], and subtracts multiples of its normalized pivot row from the
-    active rows below it.  A rank is also the rank of the transpose, so a
-    wide stack is swept transposed, in at most min(n, m) column steps, and
-    then n >= m.  A step adds at most one pivot, so at column j every
-    cur[t] <= j <= m - 1 < n: row cur[t] is active in every matrix, and its
-    entry in column j is 0 where matrix t has no pivot."""
+    of T ints; S is only read.  A rank is also the rank of the transpose,
+    so a wide stack is swept transposed."""
     if S.shape[2] > S.shape[1]:
         S = S.transpose(0, 2, 1)
-    T, n, m = S.shape
-    if T == 0 or n == 0 or m == 0:
-        return [0] * T
-    F = np.empty((T, n, m))
+    F = np.empty(S.shape)
     np.remainder(S, p, out=F, casting="unsafe")
-    cur = np.zeros(T, dtype=np.intp)
+    return _stack_ranks(F, p)
+
+
+def _stack_ranks(F, p):
+    """Ranks mod p of the matrices of the (T, n, m) float64 stack F, n >= m,
+    as a list of T ints.  Its entries are integers of absolute value below
+    4 * p**2; F is overwritten.
+
+    Matrix t keeps its pivot count in cur[t], its pivot rows above cur[t]
+    and its active rows from cur[t] down.  While every matrix pivots on its
+    first active row, all have cur[t] = j at column j, and the sweep runs
+    in blocks of BLOCK columns.  The block's rows from j down start as
+    [F[j:, block] | R] with the record R = [id; 0] beside them, are
+    factored column by column, each step's row operation applied to R as
+    well, and then the columns right of the block take one batched
+    product, R's rows below the pivots by the old pivot rows.  At the first
+    column where some matrix's first active entry is 0 mod p, the pivots
+    found so far flush their product, and the per-column step runs to the
+    end.
+
+    The per-column step: `lo` is the smallest cur, and the rows above it are
+    finished in every matrix.  Every matrix takes the first nonzero active
+    entry of the column as its pivot, swaps it up to cur[t], and subtracts
+    multiples of its normalized pivot row from the active rows below it.  A
+    step adds at most one pivot, so at column j every
+    cur[t] <= j <= m - 1 < n: row cur[t] is active in every matrix, and its
+    entry in column j is 0 where matrix t has no pivot."""
+    T, n, m = F.shape
+    if T == 0 or m == 0:
+        return [0] * T
+    j = 0
+    while j < m:
+        K = min(BLOCK, m - j)
+        # stored transposed, so that each column is one contiguous row
+        B = np.zeros((T, 2 * K, n - j))
+        B[:, :K] = F[:, j:, j:j + K].transpose(0, 2, 1)
+        B[:, K:, :K] = np.eye(K)
+        k = 0
+        while k < K:
+            col = _reduce(B[:, k, k:], p)
+            if not col[:, 0].all():
+                break
+            # pivot row k's record is 0 past its own entry k, so the step
+            # reads and updates only K columns: the block's right of k and
+            # the record's first k + 1
+            c1 = K + k + 1
+            prow = _reduce(_reduce(B[:, k + 1:c1, k], p)
+                           * _inverses(col[:, 0], p)[:, None], p)
+            B[:, k + 1:c1, k + 1:] -= prow[:, :, None] * col[:, None, 1:]
+            k += 1
+        if k and j + K < m:
+            # row r below the pivots is now its old self plus the record's
+            # row r times the old pivot rows, in every column
+            F[:, j + k:, j + K:] += (
+                _reduce(B[:, K:K + k, k:], p).transpose(0, 2, 1)
+                @ _reduce(F[:, j:j + k, j + K:], p))
+        j += k
+        if k < K:
+            F[:, j:, j:j + K - k] = B[:, k:K, k:].transpose(0, 2, 1)
+            break
+    cur = np.full(T, j)
     t = np.arange(T)
     rows = np.arange(n)
-    for j in range(m):
+    for j in range(j, m):
         lo = int(cur.min())
         off = cur - lo
         col = _reduce(F[:, lo:, j], p)
@@ -305,10 +437,9 @@ def ranks(S, p):
                 F[sw, lo + k, j + 1:], F[sw, lo + i, j + 1:])
             col[sw, i], col[sw, k] = col[sw, k], col[sw, i]
         if j + 1 < m:
-            # the pivot entry, 0 exactly where there is none
-            inv = np.array([pow(v, -1, p) if v else 0
-                            for v in col[t, off].astype(np.int64).tolist()],
-                           dtype=np.float64)
+            # the pivot entry is 0 exactly where there is none, and so is
+            # its inverse
+            inv = _inverses(col[t, off], p)
             prow = _reduce(_reduce(F[t, lo + off, j + 1:], p) * inv[:, None],
                            p)
             col[t, off] = 0.0

@@ -6,7 +6,8 @@ a later panel only when it gets there, so a rank-only elimination stops
 as soon as the rank reaches the row count.  Inside a panel with more than
 PANEL rows left below the pivot, the columns are halved recursively down to
 16-column leaves, so most of the within-panel update is matrix products
-too; smaller systems run the per-column loop.  Deferring or batching an
+too; smaller systems run the per-column loop, and a full reduction that
+fits one panel runs one Gauss-Jordan sweep.  Deferring or batching an
 update changes when it is applied, not its size: each pivot adds less than
 p**2 to an entry before the entry is next reduced, so sums stay below
 (rank + PANEL) * p**2 as in a right-looking, column-at-a-time sweep.  Its
@@ -17,9 +18,11 @@ returns the same (rank, pivot columns) and only reads `a`, so `rank` hands
 it the caller's array when that is already int64.  Every elimination of
 a single matrix goes through the attribute call `_core.rref(...)`, so a
 profiler can wrap that one attribute.  The one other entry into the core
-is `_core.ranks(...)`, the rank-only sweep over a stack of same-shape
-matrices, which exactalg.ranks_at calls.  The capacity guard that keeps all
-these sums exact lives with the core, as _core._check_capacity.
+is the rank-only sweep over a stack of same-shape matrices: `_core.ranks`
+on an int64 stack, and `_core._stack_ranks` on the float64 values that
+exactalg.ranks_at computes straight into its work stack.  The capacity
+guard that keeps all these sums exact lives with the core, as
+_core._check_capacity.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ reduces to the routines here.  A single matrix goes to the blocked
 elimination core in backend.  A matrix of linear forms on P^3 is a
 (4, r, c) array whose entry [k] is the coefficient of x_(k+1);
 `evaluate_linear` reads it at points, and `ranks_at` ranks its values at
-many points, a chunk at a time, through the core's rank-only sweep over a
-stack of same-shape matrices (_core.ranks).
+many points, a chunk at a time: one float64 product of the chunk's points
+by the forms fills the work stack of the core's rank-only sweep over
+same-shape matrices (_core._stack_ranks) with no reduced copy between.
 
 The field is one prime p, which every routine takes as an argument; the
 command line's default is 32003.  Genericity statements checked by sampling
@@ -34,7 +35,7 @@ DEFAULT_PRIME = 32003
 # keeps them exact (see _gfcore_py._check_capacity)
 MAX_PRIME = 1 << 20
 
-# points `ranks_at` evaluates and sweeps at once, so its float64 work copy
+# points `ranks_at` evaluates and sweeps at once, so its float64 work stack
 # and the temporaries of its updates are at most this many matrices deep
 STACK = 64
 
@@ -78,15 +79,24 @@ def ranks_at(forms, points, p):
 
     The capacity is checked on the forms' shape before any point is read;
     then the points are read STACK at a time, and each chunk's values are
-    ranked in one stacked sweep, so work memory does not grow with the
-    number of points.  A single matrix is faster through `rank`."""
+    one float64 product of its points by the forms, residues by residues,
+    so every value is a sum of four products below p**2, exact, and lands
+    unreduced in the stacked sweep's work stack.  A rank is also the rank
+    of the transpose, so wide forms are evaluated transposed.  Work memory
+    does not grow with the number of points.  A single matrix is faster
+    through `rank`."""
     forms = np.asarray(forms, dtype=np.int64)
     if forms.ndim != 3 or len(forms) != 4:
         raise ValueError("expected a (4, n, m) array of linear forms")
     _core._check_capacity(forms.shape[1], forms.shape[2], p)
+    if forms.shape[2] > forms.shape[1]:
+        forms = forms.transpose(0, 2, 1)
+    shape = forms.shape[1:]
+    flat = (forms % p).reshape(4, -1).astype(np.float64)
     out, points = [], iter(points)
     while chunk := list(islice(points, STACK)):
-        out += _core.ranks(evaluate_linear(forms, np.array(chunk), p), p)
+        xs = (np.array(chunk, dtype=np.int64) % p).astype(np.float64)
+        out += _core._stack_ranks((xs @ flat).reshape(len(xs), *shape), p)
     return out
 
 

@@ -216,6 +216,91 @@ def test_core_matches_oracle_near_capacity_prime(rng, kind):
     _check_against(M, p, R0, piv0)
 
 
+# rref(full=True) runs one Gauss-Jordan sweep when the matrix fits one
+# panel, n, m <= PANEL = 128, and the blocked downward and upward sweeps
+# otherwise; the tests below straddle that choice.
+
+
+def _sweeps(monkeypatch):
+    """The shapes _gauss_jordan is called on from here on."""
+    shapes, gj = [], _gfcore_py._gauss_jordan
+
+    def spy(F, p):
+        shapes.append(F.shape)
+        return gj(F, p)
+
+    monkeypatch.setattr(_gfcore_py, "_gauss_jordan", spy)
+    return shapes
+
+
+def _deficient(rng, n, m, p):
+    """An n x m matrix of rank min(n, m) - 3 mod p, its column 0 zero and
+    its row 1 a copy of row 0; p times random entries, so rank 0, when
+    min(n, m) = 1."""
+    k = min(n, m)
+    if k == 1:
+        return p * rng.integers(-3, 4, size=(n, m))
+    M = (rng.integers(0, p, size=(n, k - 3))
+         @ rng.integers(0, p, size=(k - 3, m))) % p
+    M[:, 0] = 0
+    M[1] = M[0]
+    return M
+
+
+@pytest.mark.parametrize("p", [P, 1048573])
+def test_core_matches_oracle_at_the_gauss_jordan_seam(rng, monkeypatch, p):
+    swept = _sweeps(monkeypatch)
+    for n, m in [(128, 128), (128, 129), (129, 128), (1, 128), (128, 1)]:
+        M = _deficient(rng, n, m, p)
+        assert oracle_rref(M, p)[1] == max(min(n, m) - 3, 0)
+        for A in [M] + ([_awkward(rng, M, p)] if min(n, m) > 3 else []):
+            R0, rank0, piv0 = oracle_rref(A, p)
+            swept.clear()
+            _check_against(A, p, R0, piv0)
+            # the rank-only run never takes the Gauss-Jordan sweep
+            assert swept == ([(n, m)] if max(n, m) <= 128 else [])
+
+
+@pytest.mark.parametrize("kind", ["all_top", "near_top"])
+def test_gauss_jordan_near_capacity_prime(rng, monkeypatch, kind):
+    # entries p - 1, as in the blocked test above, on the largest shape the
+    # Gauss-Jordan sweep takes: the rows above each pivot now accumulate up
+    # to rank * p**2 before the one final reduction
+    swept = _sweeps(monkeypatch)
+    p, n = 1048573, 128
+    if kind == "all_top":
+        M = np.full((n, n), p - 1, dtype=np.int64)
+        M[np.arange(n), np.arange(n)] = 0
+    else:
+        M = rng.integers(p - 4, p, size=(n, n)).astype(np.int64)
+    M[n - 1] = M[0]
+    R0, rank0, piv0 = oracle_rref(M, p)
+    assert rank0 == n - 1
+    _check_against(M, p, R0, piv0)
+    assert swept == [(n, n)]
+
+
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
+def test_reduce_is_exact_to_the_edge_of_its_range(rng, p):
+    # _reduce(x, p) = x - floor(x / p) * p is exact while |x| + p < 2**53:
+    # x = q * p + r for r in {0, 1, p - 1}, of both signs, up to
+    # |x| = 2**53 - p - 1, against Python ints
+    top = 2**53 - p - 1
+    xs = []
+    for r in (0, 1, p - 1):
+        qmax = (top - r) // p
+        qs = [0, 1, 2, qmax - 2, qmax - 1, qmax]
+        qs += [2**e // p + d for e in range(20, 53) for d in (0, 1)]
+        qs += rng.integers(0, qmax, size=30).tolist()
+        xs += [s * (q * p + r) for q in qs for s in (1, -1)]
+    assert max(map(abs, xs)) > top - p
+    x = np.array(xs, dtype=np.float64)
+    assert x.astype(object).tolist() == xs
+    got = _gfcore_py._reduce(x, p)
+    assert got.astype(object).tolist() == [v % p for v in xs]
+    assert x.astype(object).tolist() == xs
+
+
 def _sd_like(rng, a, d, w, p):
     """Block-bidiagonal rows shaped like steiner's S_d, alpha-major: row
     (alpha, e) for e = 0..d+1 meets the column blocks e - 1 and e of w

@@ -407,6 +407,97 @@ def test_ranks_square_tall_and_wide(rng, p, n, m):
         assert got == [oracle_rank(M, p) for M in S]
 
 
+# While every member pivots on its first active row, the stacked sweep
+# factors BLOCK columns at a time and brings the columns right of a block
+# up to date in one product; at the first column where some member's first
+# active entry is 0 mod p it flushes the partial block and runs the
+# per-column step to the end.  The stacks below are 40 x 25 after
+# transposition, several blocks wide, with that stop placed on purpose.
+
+
+def _uniform_stop(M, p):
+    """The first column at which elimination of M (n >= m) without row
+    swaps meets a zero pivot mod p, or m if it meets none."""
+    A = np.mod(M, p)
+    for j in range(A.shape[1]):
+        if not A[j, j]:
+            return j
+        f = A[j + 1:, j] * pow(int(A[j, j]), -1, p) % p
+        A[j + 1:] = (A[j + 1:] - np.outer(f, A[j])) % p
+    return A.shape[1]
+
+
+def _lu_member(rng, n, m, p, diag):
+    """L U mod p, L a random n x r unit lower-trapezoidal matrix and U an
+    r x m upper-trapezoidal one with diagonal `diag` (length r): so
+    elimination without row swaps meets exactly the pivots `diag`, and then
+    columns with no pivot when r < m."""
+    r = len(diag)
+    L = np.tril(rng.integers(0, p, size=(n, r)), -1)
+    L[np.arange(r), np.arange(r)] = 1
+    U = np.triu(rng.integers(0, p, size=(r, m)), 1)
+    U[np.arange(r), np.arange(r)] = diag
+    return (L @ U) % p
+
+
+def _stopping_stack(rng, stop, n, m, p):
+    """Nine n x m members whose uniform step stops at column `stop` (none
+    when stop is None).  The stop comes from a member with no pivot in that
+    column and one whose first active entry there is 0 with a nonzero entry
+    below it; later come a member of rank stop + 2, another whose first
+    active entry is 0 at stop + 5 and one of rank m - 1.  The rest, and
+    every member when there is no stop, are of full rank, some with their
+    entries moved by multiples of p."""
+
+    def full():
+        return _lu_member(rng, n, m, p, rng.integers(1, p, size=m))
+
+    def no_pivot(j):
+        diag = rng.integers(1, p, size=m)
+        diag[j] = 0
+        return _lu_member(rng, n, m, p, diag)
+
+    def zero_first(j):
+        # row j is a combination of the rows above plus a vector that is 0
+        # up to column j, so its entry there is 0 once they have pivoted
+        M = full()
+        v = rng.integers(0, p, size=m)
+        v[:j + 1] = 0
+        M[j] = (rng.integers(0, p, size=j) @ M[:j] + v) % p
+        return M
+
+    members = [full() for _ in range(9)]
+    if stop is not None:
+        members[:5] = [no_pivot(stop), zero_first(stop),
+                       _lu_member(rng, n, m, p, rng.integers(1, p, stop + 2)),
+                       zero_first(stop + 5), no_pivot(m - 1)]
+    for t in (2, 6, 8):
+        members[t] = members[t] + p * rng.integers(-2, 3, size=(n, m))
+    return np.stack(members)
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
+@pytest.mark.parametrize("where", ["column_0", "in_block", "at_seam",
+                                   "nowhere"])
+def test_ranks_blocked_uniform_step_stops(rng, p, where):
+    K = _gfcore_py.BLOCK
+    n, m = 40, 25
+    assert 2 * K + 5 < m - 1
+    stop = {"column_0": 0, "in_block": K + 3, "at_seam": 2 * K,
+            "nowhere": None}[where]
+    S = _stopping_stack(rng, stop, n, m, p)
+    assert min(_uniform_stop(M, p) for M in S) == (m if stop is None
+                                                   else stop)
+    want = [oracle_rank(M, p) for M in S]
+    assert want == [exactalg.rank(M, p) for M in S]
+    if stop is not None:
+        assert want[2] == stop + 2 and want[4] == m - 1
+    # tall, and wide: 25 x 40 members, swept transposed
+    assert _gfcore_py.ranks(S, p) == want
+    wide = np.ascontiguousarray(S.transpose(0, 2, 1))
+    assert _gfcore_py.ranks(wide, p) == want
+
+
 def test_ranks_over_several_sweeps(rng):
     # forms whose value at x_k e_k has rank k + 1, at 0 rank 0 and at a
     # random point generically 5; 150 points take three sweeps, and their
