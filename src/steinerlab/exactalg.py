@@ -116,12 +116,13 @@ def kernel_basis(M, p):
 
 
 def split(M, p):
-    """For an a x n matrix M of rank a with n > a, the invertible n x n
-    QG = [Q | G] with M Q = id and G the columns of kernel_basis(M), from
-    one elimination of [M | id]; None when n <= a or rank M < a."""
+    """For an a x n matrix M of rank a, the invertible n x n QG = [Q | G]
+    with M Q = id and G the columns of kernel_basis(M), from one
+    elimination of [M | id]; None when n < a or rank M < a.  A square M
+    gives Q = M^-1 and an empty G."""
     a, n = M.shape
     R, _, piv = rref(np.hstack([M, np.eye(a, dtype=np.int64)]), p)
-    if n <= a or piv[-1] >= n:  # or a pivot in the id block: rank M < a
+    if n < a or piv[-1] >= n:  # or a pivot in the id block: rank M < a
         return None
     # every pivot lies left of the id block, so R[:, :n] is M's rref
     QG = np.zeros((n, n), dtype=np.int64)

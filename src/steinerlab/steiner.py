@@ -33,8 +33,11 @@ Manuscripta Math. 50, 1985), is the independent route of the direct check
 in pwcurves.h1_ic_vanishing.  It reduces m(d) to P_d, the degree-d map on
 the plane x1 = 0 of m restricted to ker M1, then eliminates the rows of P_d
 divisible by x2 exactly through a unipotent block of columns, which leaves
-an a*(d+2)-row Schur complement on A(x)k[x3, x4]_{d+1} (90 x 360 at
-(a, b) = (10, 30), where P_d is 450 x 720).  m1_kernel eliminates the rows
+an a*(d+2)-row Schur complement S_d on A(x)k[x3, x4]_{d+1} (90 x 360 at
+(a, b) = (10, 30), where P_d is 450 x 720).  A third split, by x3 on that
+P^1, decides S_d from an a-row system when M3 restricted to
+ker M1 cap ker M2 (of dimension b - 2a) has rank a; S_d itself is ranked
+only otherwise, as at (20, 59).  m1_kernel eliminates the rows
 of m(1) divisible by x1 or x2 through the same two splits, which
 SteinerPresentation.splits computes once per presentation, and leaves a
 3a x (4b - 7a) system: 60 x 100 at (20, 60).
@@ -223,51 +226,100 @@ def horace_surjective(m, d):
     lower x2-degree, so these columns against the a*C(d+2,2) rows divisible
     by x2 form a unipotent block, and rank P_d = a*C(d+2,2) + rank S_d, S_d
     the image of ker N2 (x) S^dW modulo those columns, read on
-    A(x)k[x3, x4]_{d+1} (_x2_schur).  It is a*(d+2) x (b-2a)*C(d+2,2),
-    strictly wider than tall exactly when P_d is: 90 x 360 at (10, 30) and
-    d = 7, where P_d is 450 x 720.  Its rows are laid out as
-    (exponent of x4, alpha), the order in which its elimination meets
-    them, so the rank runs without a row swap.  The condition is exact but
-    only sufficient: None (m.splits is None, or S_d, always when taller
-    than wide as at (4, 10) and d = 2, has rank below its row count) says
-    nothing about m(d).
+    A(x)k[x3, x4]_{d+1} (_x2_schur): a*(d+2) x w*C(d+2,2) with w = b - 2a,
+    90 x 360 at (10, 30) and d = 7, where P_d is 450 x 720.
+
+    S_d is not formed either when it splits a third time, by x3 on the P^1
+    of x3, x4.  The columns of ker N2 (x) S^dW free of x2 map to
+    x3^j x4^k (x3 Y + x4 T), with Y = N3 G and T = N4 G the a x w blocks
+    of XZYT.  When rank Y = a, let [Q_Y | K_Y] = exactalg.split(Y) and
+    M = -T Q_Y, an a x a matrix.  The (d+1)*a columns of Q_Y (x) S^dW free
+    of x2 map to x3^j x4^k (x3 - x4 M) alpha, independent by their distinct
+    leading powers of x3, and they span the kernel of
+    pi(x3^j x4^k (x) alpha) = M^j alpha, a map from A(x)k[x3, x4]_{d+1}
+    onto A.  So rank S_d = (d+1)*a + rank Pi_d, with
+    Pi_d = [M^j T K_Y, j <= d | M^j V_i, 1 <= i <= d, j <= d - i] and V_i
+    the image by pi of the i-th column block U_i of _x2_residuals, and S_d
+    has full row rank iff the a-row Pi_d does.  [T K_Y | V_1 | M V_1], a
+    part of Pi_d that needs only U_1, is ranked first: it has rank a on
+    every sampled curve, and Pi_d is built in full only when it does not.
+    Where rank Y < a or w < a, S_d itself is ranked: at (20, 59) it is
+    360 x 2907.  The condition is exact but only sufficient: None
+    (m.splits is None, or S_d, always when taller than wide as at (4, 10)
+    and d = 2, has rank below its row count) says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     if m.splits is None:
         return None
-    S = _x2_schur(m.a, m.splits[-1], d, m.prime)
-    return True if exactalg.rank(S, m.prime) == len(S) else None
+    a, p, XZYT = m.a, m.prime, m.splits[-1]
+    Y, T = XZYT[:, a:].reshape(2, a, -1)
+    QK = exactalg.split(Y, p)
+    if QK is None:
+        S = _x2_schur(a, XZYT, d, p)
+        return True if exactalg.rank(S, p) == len(S) else None
+    mm = functools.partial(exactalg.matmul_mod, p=p)
+    M = -mm(T, QK[:, :a]) % p
+
+    def pi(U):
+        # sum_t M^(i+1-t) U[:, t], by Horner
+        V = U[:, 0]
+        for t in range(1, U.shape[1]):
+            V = (mm(M, V) + U[:, t]) % p
+        return V
+
+    # pi(U_0) = M Y + T is 0 on Q_Y and T on K_Y
+    residuals = _x2_residuals(a, XZYT, d, p)
+    next(residuals)
+    V = [mm(T, QK[:, a:])]
+    if d >= 2:
+        V.append(pi(next(residuals)))
+        if exactalg.rank(np.hstack([*V, mm(M, V[1])]), p) == a:
+            return True
+    V += map(pi, residuals)
+    # Pi_d = Z_0, with Z_d = V_0 and Z_j = [V_0 .. V_(d-j) | M Z_(j+1)]
+    Z = V[0]
+    for j in range(d - 1, -1, -1):
+        Z = np.hstack([*V[:d - j + 1], mm(M, Z)])
+    return True if exactalg.rank(Z, p) == a else None
+
+
+def _x2_residuals(a, XZYT, d, p):
+    """U_0, ..., U_d of _x2_schur, from XZYT = [N3; N4] [Q | G] of
+    m.splits, a 2a x (a + w) matrix: U_i is an (a, i+2, w) array whose
+    [:, t] is the coefficient of x3^(i+1-t) x4^t."""
+    w = XZYT.shape[1] - a
+    XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, w).transpose(1, 0, 2)
+    for i in range(d + 1):
+        if i:
+            XU = exactalg.matmul_mod(XZ, U.reshape(a, -1), p).reshape(
+                2, a, i + 1, w)
+            U = np.zeros((a, i + 2, w), dtype=np.int64)
+            U[:, :-1] -= XU[0]
+            U[:, 1:] -= XU[1]
+            U %= p
+        yield U
 
 
 def _x2_schur(a, XZYT, d, p):
     """S_d of horace_surjective from XZYT = [N3; N4] [Q | G] of m.splits,
-    a 2a x n matrix with n = b - a > a, as an a*(d+2) x (n-a)*C(d+2,2)
-    matrix.
+    a 2a x (a + w) matrix, as an a*(d+2) x w*C(d+2,2) matrix.
 
     Modulo the columns of Q(x)S^dW
     alpha (x) x2 nu = -(x3 X + x4 Z) alpha (x) nu, X = N3 Q and Z = N4 Q,
     so the column gamma (x) x2^i x3^j x4^k of ker N2 (x) S^dW,
     whose image is x2^i x3^j x4^k (x3 Y + x4 T) gamma with Y = N3 G and
     T = N4 G, is x3^j x4^k U_i gamma, where U_0 = x3 Y + x4 T and
-    U_(i+1) = -(x3 X + x4 Z) U_i.  U_i is kept as an (a, i+2, n-a) array
-    whose [:, t] is the coefficient of x3^(i+1-t) x4^t.  The rows of S_d
-    are (exponent of x4, alpha): a column x2^i x3^j x4^k first reaches the
+    U_(i+1) = -(x3 X + x4 Z) U_i (_x2_residuals).  The rows of S_d are
+    (exponent of x4, alpha): a column x2^i x3^j x4^k first reaches the
     rows of x4-exponent k, so this order, unlike (alpha, exponent of x4),
     meets each pivot of the first-nonzero elimination at its own row, with
-    no row swap.  A rank does not depend on the order of the rows."""
-    n = XZYT.shape[1]
-    XZ, U = XZYT[:, :a], XZYT[:, a:].reshape(2, a, n - a).transpose(1, 0, 2)
-    S = np.zeros((d + 2, a, comb(d + 2, 2), n - a), dtype=np.int64)
+    no row swap.  A rank does not depend on the order of the rows.
+    horace_surjective ranks S_d only where its x3 split does not apply."""
+    w = XZYT.shape[1] - a
+    S = np.zeros((d + 2, a, comb(d + 2, 2), w), dtype=np.int64)
     col = 0
-    for i in range(d + 1):
-        if i:
-            XU = exactalg.matmul_mod(XZ, U.reshape(a, -1), p).reshape(
-                2, a, i + 1, n - a)
-            U = np.zeros((a, i + 2, n - a), dtype=np.int64)
-            U[:, :-1] -= XU[0]
-            U[:, 1:] -= XU[1]
-            U %= p
+    for i, U in enumerate(_x2_residuals(a, XZYT, d, p)):
         for k in range(d - i + 1):
             S[k:k + i + 2, :, col] = U.transpose(1, 0, 2)
             col += 1

@@ -358,9 +358,10 @@ def test_curve_below_the_certificate_ranks_the_schur_complement_once(
         monkeypatch):
     # with the ladder capped at d = 1 the certificate stops short of
     # s - 3 = 4, so propagation reads the direct check of m(4), whose only
-    # rank is that of the x1-split's plane map with its rows divisible by
-    # x2 eliminated: the 42 x 105 Schur complement S_4, not the 147 x 210
-    # plane map itself
+    # rank is that of [T K_Y | V_1 | M V_1], the first part of the a-row
+    # system Pi_4 that the x3 split leaves of the 42 x 105 Schur complement
+    # S_4: 7 x 14, as K_Y is empty at b - 2a = a, and neither S_4 nor the
+    # 147 x 210 plane map is ranked
     shapes = []
     rank = exactalg.rank
 
@@ -372,9 +373,52 @@ def test_curve_below_the_certificate_ranks_the_schur_complement_once(
     code, out = run_cli(["--json", "--dmax", "1", "verify", "curve",
                          "-a", "7", "-b", "21"])
     assert code == 0
-    assert shapes == [(42, 105)]
+    assert shapes == [(7, 14)]
     checks = {c["name"]: c["got"] for c in json.loads(out)["checks"]}
     assert checks["propagation and direct rank agree"] is True
+
+
+def test_curve_ranks_the_schur_complement_only_where_x3_cannot_split(
+        monkeypatch):
+    # at (7, 21), where b - 2a = a, Y = N3 K2 is square and invertible, so
+    # S_4 is decided on the a-row system of its x3 split and never built;
+    # at (20, 59) Y is 20 x 19, so the 360 x 2907 S_16 itself is ranked
+    calls, x2_schur = [], steiner._x2_schur
+
+    def refuse(*args):
+        raise AssertionError("S_d built where the x3 split applies")
+
+    def record(a, XZYT, d, p):
+        calls.append((a, d))
+        return x2_schur(a, XZYT, d, p)
+
+    monkeypatch.setattr(steiner, "_x2_schur", refuse)
+    code, _ = run_cli(["--json", "verify", "curve", "-a", "7", "-b", "21"])
+    assert code == 0
+    monkeypatch.setattr(steiner, "_x2_schur", record)
+    code, _ = run_cli(["--json", "verify", "curve", "-a", "20", "-b", "59"])
+    assert code == 0
+    assert calls == [(20, 16)]
+
+
+def test_curve_at_40_120_stays_small():
+    # S_37 at (40, 120) would be 1560 x 29640, and ranking it peaked at
+    # 766 MB; its x3 split ranks a 40-row system.  The CLI runs in a
+    # grandchild, so the child's RUSAGE_CHILDREN peak is that run's alone
+    src = os.path.dirname(os.path.dirname(steinerlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    script = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run([sys.executable, '-m', 'steinerlab', "
+        "'verify', 'curve', '-a', '40', '-b', '120'], "
+        "stdout=subprocess.DEVNULL).returncode\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(code, peak)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kib < 100 * 1024
 
 
 def test_curve_exports_its_section_matrix(tmp_path):

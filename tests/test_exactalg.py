@@ -227,13 +227,13 @@ def test_bounded_draws_are_pinned(seed, key, p, draws):
 @pytest.mark.parametrize("p", [5, P])
 def test_split_inverts_and_spans_the_kernel(rng, p):
     # QG = [Q | G] is invertible with M Q = id and G the canonical kernel
-    # basis; a matrix of rank below its row count, or not wider than
-    # tall, has no split
+    # basis, empty when M is square; a matrix of rank below its row count,
+    # or narrower than tall, has no split
     for _ in range(20):
         a, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
         M = exactalg.random_matrix(rng, a, n, p)
         QG = exactalg.split(M, p)
-        if n <= a or exactalg.rank(M, p) < a:
+        if n < a or exactalg.rank(M, p) < a:
             assert QG is None
             continue
         assert exactalg.rank(QG, p) == n
@@ -244,6 +244,13 @@ def test_split_inverts_and_spans_the_kernel(rng, p):
     M = exactalg.random_matrix(rng, 3, 7, p)
     M[2] = M[0]
     assert exactalg.split(M, p) is None
+    # a square M of full rank splits as its inverse
+    M = np.array([[1, 2, 0], [0, 1, 3], [2, 0, 1]])  # det 13
+    Q = exactalg.split(M, p)
+    assert Q.shape == (3, 3)
+    assert np.array_equal(exactalg.matmul_mod(M, Q, p), np.eye(3))
+    assert np.array_equal(exactalg.matmul_mod(Q, M, p), np.eye(3))
+    assert exactalg.split(M[:, [0, 1, 0]], p) is None
 
 
 def test_inv_matrix(rng):

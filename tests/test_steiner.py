@@ -408,19 +408,84 @@ def test_x2_schur_complement_is_exact(p):
     assert onto and short and deficient
 
 
+def _presentation_with(XZYT, p):
+    """The presentation whose m.splits ends in the given 2a x n XZYT:
+    M1 = [id | 0 | 0], M2 = [0 | id | 0] and [M3; M4] = [0 | XZYT], so
+    both splits are identities and [N3; N4] = XZYT."""
+    a, n = len(XZYT) // 2, XZYT.shape[1]
+    Ms = np.zeros((4, a, a + n), dtype=np.int64)
+    Ms[0, :, :a] = Ms[1, :, a:2 * a] = np.eye(a, dtype=np.int64)
+    Ms[2:, :, a:] = XZYT.reshape(2, a, n)
+    return SteinerPresentation(Ms, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, P, 1048573])
+def test_x3_split_decides_as_the_schur_complement(p, monkeypatch):
+    # the rank of _x2_schur's S_d is the oracle: horace_surjective answers
+    # True exactly when S_d has full row rank, and ranks S_d itself
+    # exactly when its x3 split does not apply (rank Y < a or w < a, with
+    # [X Y; Z T] = XZYT, Y and T a x w).  The draws are generic with w = a
+    # or w > a (where K_Y is not empty), or have Y deficient, T = Y,
+    # X = Z = 0 or T of rank one, with w from a - 1 to 3a outside the
+    # first two kinds, and d = 0..6
+    rng = np.random.default_rng(4000 + p)
+    kinds = ("w = a", "w > a", "Y deficient", "T = Y", "X = Z = 0",
+             "T rank one")
+    ranked, x2_schur = [], steiner._x2_schur
+
+    def record(a, XZYT, d, p):
+        ranked.append(d)
+        return x2_schur(a, XZYT, d, p)
+
+    monkeypatch.setattr(steiner, "_x2_schur", record)
+    seen = {(split, verdict): 0 for split in (True, False)
+            for verdict in (True, None)}
+    for trial in range(126):
+        kind = kinds[trial % len(kinds)]
+        a = int(rng.integers(1, 5))
+        w = (a if kind == "w = a" else int(rng.integers(a + 1, 3 * a + 1))
+             if kind == "w > a" else int(rng.integers(a - 1, 3 * a + 1)))
+        d = trial // len(kinds) % 7
+        XZYT = exactalg.random_matrix(rng, 2 * a, a + w, p)
+        Y, T = XZYT[:a, a:], XZYT[a:, a:]
+        if kind == "Y deficient":
+            Y[:] = _deficient(rng, a, w, p)
+        elif kind == "T = Y":
+            T[:] = Y
+        elif kind == "X = Z = 0":
+            XZYT[:, :a] = 0
+        elif kind == "T rank one":
+            T[:] = np.outer(exactalg.random_matrix(rng, a, 1, p),
+                            exactalg.random_matrix(rng, 1, w, p)) % p
+        m = _presentation_with(XZYT, p)
+        assert np.array_equal(m.splits[-1], XZYT)
+        S = x2_schur(a, XZYT, d, p)
+        want = True if exactalg.rank(S, p) == len(S) else None
+        case = (trial, kind, a, w, d)
+        ranked.clear()
+        assert horace_surjective(m, d) is want, case
+        split = w >= a and exactalg.rank(Y, p) == a
+        assert ranked == ([] if split else [d]), case
+        seen[split, want] += 1
+    assert all(seen.values()), seen
+
+
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
     # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
-    # m(s - 3) = m(4) then splits M1 ([M1 | id] is 7 x 28) and N2 (7 x 21)
-    # and ranks only the Schur complement of the split's plane map, so no
-    # dense m(d) above m(0) is built; the section matrix reuses both
-    # splits, and the 14 x 14 product [N3; N4] [Q2 | K2] made with them,
-    # and eliminates only the 21 x 35 system they leave of m(1)
+    # m(s - 3) = m(4) then splits M1 ([M1 | id] is 7 x 28), N2 (7 x 21) and
+    # the square Y = N3 K2 (7 x 14), and ranks only [T K_Y | V_1 | M V_1]
+    # (7 x 14) of the a-row system its x3 split leaves, so neither the
+    # 42 x 105 S_4 nor any dense m(d) above m(0) is built; the section
+    # matrix reuses the first two splits, and the 14 x 14 product
+    # [N3; N4] [Q2 | K2] made with them, and eliminates only the 21 x 35
+    # system they leave of m(1)
     s = pwcurves.sample_pw(7, 21, 1, seed=0, p=P)
     m = SteinerPresentation(s.m.Ms, s.prime)
-    kernels, splits, degrees, products = [], [], [], []
+    kernels, splits, degrees, products, ranks = [], [], [], [], []
     kernel_basis, rref = exactalg.kernel_basis, exactalg.rref
     assemble, matmul_mod = steiner.assemble_md, exactalg.matmul_mod
+    rank = exactalg.rank
 
     def count_kernel(M, p):
         kernels.append(M.shape)
@@ -438,8 +503,13 @@ def test_residual_computed_once_per_presentation(monkeypatch):
         products.append((np.shape(A), np.shape(B)))
         return matmul_mod(A, B, p)
 
+    def count_rank(M, p):
+        ranks.append(np.shape(M))
+        return rank(M, p)
+
     monkeypatch.setattr(exactalg, "kernel_basis", count_kernel)
     monkeypatch.setattr(exactalg, "rref", count_rref)
+    monkeypatch.setattr(exactalg, "rank", count_rank)
     monkeypatch.setattr(exactalg, "matmul_mod", count_product)
     monkeypatch.setattr(steiner, "assemble_md", count_md)
     cert = surjectivity_certificate(m, 5)
@@ -447,10 +517,11 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     sample = dataclasses.replace(s, m=m, cert=cert)
     assert pwcurves.h1_ic_vanishing(sample) is True
     assert kernels == [(21, 28), (42, 19), (140, 4)]
-    assert splits == [(7, 28), (7, 21)]
+    assert splits == [(7, 28), (7, 21), (7, 14)]
+    assert ranks == [(7, 14)]
     assert steiner.m1_kernel(sample.m).shape == (4, 15, 21)
     assert kernels[3:] == [(21, 35)]
-    assert splits == [(7, 28), (7, 21)]
+    assert splits == [(7, 28), (7, 21), (7, 14)]
     assert products.count(((14, 14), (14, 14))) == 1
     assert degrees == [0]
 
