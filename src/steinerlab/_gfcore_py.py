@@ -43,10 +43,11 @@ matrix is reduced once at the end.  A row meets each pivot once, so its
 entries stay below p + rank * p**2.  Taller or wider full runs, and every
 rank-only run, take the blocked sweeps.
 
-`ranks` is the rank-only sweep over a stack of same-shape matrices.  Small
-matrices spend most of a blocked run in numpy's per-call overhead, so the
-stack is swept with every matrix at once.  While every matrix pivots on
-its first active row, as a generic stack does, BLOCK columns at a time are
+`_stack_ranks` is the rank-only sweep over a stack of same-shape matrices
+that exactalg.ranks_at fills.  Small matrices spend most of a blocked run
+in numpy's per-call overhead, so the stack is swept with every matrix at
+once.  While every matrix pivots on its first active row, as a generic
+stack does, BLOCK columns at a time are
 factored on the block alone, its row operations recorded beside it, and
 one batched product of the record by the pivot rows brings the columns to
 its right up to date.  At the first column where some matrix's first
@@ -348,17 +349,6 @@ def rref(a, p, full=True):
     if full:
         a[:, :] = F
     return rank, pivots
-
-
-def ranks(S, p):
-    """Ranks mod p of the matrices of the (T, n, m) int64 stack S, as a list
-    of T ints; S is only read.  A rank is also the rank of the transpose,
-    so a wide stack is swept transposed."""
-    if S.shape[2] > S.shape[1]:
-        S = S.transpose(0, 2, 1)
-    F = np.empty(S.shape)
-    np.remainder(S, p, out=F, casting="unsafe")
-    return _stack_ranks(F, p)
 
 
 def _stack_ranks(F, p):

@@ -18,11 +18,10 @@ returns the same (rank, pivot columns) and only reads `a`, so `rank` hands
 it the caller's array when that is already int64.  Every elimination of
 a single matrix goes through the attribute call `_core.rref(...)`, so a
 profiler can wrap that one attribute.  The one other entry into the core
-is the rank-only sweep over a stack of same-shape matrices: `_core.ranks`
-on an int64 stack, and `_core._stack_ranks` on the float64 values that
-exactalg.ranks_at computes straight into its work stack.  The capacity
-guard that keeps all these sums exact lives with the core, as
-_core._check_capacity.
+is the rank-only sweep over a stack of same-shape matrices,
+`_core._stack_ranks`, on the float64 values that exactalg.ranks_at
+computes straight into its work stack.  The capacity guard that keeps all
+these sums exact lives with the core, as _core._check_capacity.
 """
 
 from __future__ import annotations

@@ -35,10 +35,12 @@ the plane x1 = 0 of m restricted to ker M1, then eliminates the rows of P_d
 divisible by x2 exactly through a unipotent block of columns, which leaves
 an a*(d+2)-row Schur complement S_d on A(x)k[x3, x4]_{d+1} (90 x 360 at
 (a, b) = (10, 30), where P_d is 450 x 720).  A third split, by x3 on that
-P^1, decides S_d from an a-row system when M3 restricted to
-ker M1 cap ker M2 (of dimension b - 2a) has rank a; S_d itself is ranked
-only otherwise, as at (20, 59).  m1_kernel eliminates the rows
-of m(1) divisible by x1 or x2 through the same two splits, which
+P^1, certifies S_d from an a-row system when M3 restricted to
+ker M1 cap ker M2 (of dimension b - 2a) has rank a, as on every sampled
+curve with b = 3a.  Otherwise, as at (20, 59), P_d is onto once some P_e
+with e <= d is, so S_e is ranked for e = 0, 1, ... until one has full row
+rank: S_2, 80 x 114, where S_16 is 360 x 2907.  m1_kernel eliminates the
+rows of m(1) divisible by x1 or x2 through the same two splits, which
 SteinerPresentation.splits computes once per presentation, and leaves a
 3a x (4b - 7a) system: 60 x 100 at (20, 60).
 """
@@ -237,16 +239,22 @@ def horace_surjective(m, d):
     of x2 map to x3^j x4^k (x3 - x4 M) alpha, independent by their distinct
     leading powers of x3, and they span the kernel of
     pi(x3^j x4^k (x) alpha) = M^j alpha, a map from A(x)k[x3, x4]_{d+1}
-    onto A.  So rank S_d = (d+1)*a + rank Pi_d, with
-    Pi_d = [M^j T K_Y, j <= d | M^j V_i, 1 <= i <= d, j <= d - i] and V_i
-    the image by pi of the i-th column block U_i of _x2_residuals, and S_d
-    has full row rank iff the a-row Pi_d does.  [T K_Y | V_1 | M V_1], a
-    part of Pi_d that needs only U_1, is ranked first: it has rank a on
-    every sampled curve, and Pi_d is built in full only when it does not.
-    Where rank Y < a or w < a, S_d itself is ranked: at (20, 59) it is
-    360 x 2907.  The condition is exact but only sufficient: None
-    (m.splits is None, or S_d, always when taller than wide as at (4, 10)
-    and d = 2, has rank below its row count) says nothing about m(d).
+    onto A.  So S_d has full row rank iff pi maps its image onto A.  For
+    d >= 2 that image holds columns that pi sends to T K_Y (pi(U_0) =
+    M Y + T is 0 on Q_Y), to V_1 = pi(U_1) and to M V_1, U_i the i-th
+    column block of _x2_residuals, so S_d has full row rank when the a-row
+    [T K_Y | V_1 | M V_1] has rank a, as it has on every sampled curve.
+
+    Otherwise S_d is ranked at the first onto degree.  P_d sends
+    beta (x) mu to mu P_0(beta), so Im P_(e+1) = W Im P_e, and P_e onto
+    makes P_(e+1) onto; with rank P_e = a*C(e+2,2) + rank S_e, S_d has
+    full row rank iff S_e does for some e <= d.  S_e for e = 0..d is
+    ranked in turn, skipping those taller than wide, until one has full
+    row rank: at (20, 59), where Y is 20 x 19, that is S_2, 80 x 114,
+    where S_16 is 360 x 2907.  The condition is exact but only
+    sufficient: None (m.splits is None, or S_e is short of full row rank,
+    always when taller than wide, at every e <= d, as at (4, 10) and
+    d = 2) says nothing about m(d).
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -255,33 +263,23 @@ def horace_surjective(m, d):
     a, p, XZYT = m.a, m.prime, m.splits[-1]
     Y, T = XZYT[:, a:].reshape(2, a, -1)
     QK = exactalg.split(Y, p)
-    if QK is None:
-        S = _x2_schur(a, XZYT, d, p)
-        return True if exactalg.rank(S, p) == len(S) else None
-    mm = functools.partial(exactalg.matmul_mod, p=p)
-    M = -mm(T, QK[:, :a]) % p
-
-    def pi(U):
-        # sum_t M^(i+1-t) U[:, t], by Horner
+    if QK is not None and d >= 2:
+        mm = functools.partial(exactalg.matmul_mod, p=p)
+        M = -mm(T, QK[:, :a]) % p
+        # V_1 = sum_t M^(2-t) U_1[:, t], by Horner
+        *_, U = _x2_residuals(a, XZYT, 1, p)
         V = U[:, 0]
-        for t in range(1, U.shape[1]):
+        for t in (1, 2):
             V = (mm(M, V) + U[:, t]) % p
-        return V
-
-    # pi(U_0) = M Y + T is 0 on Q_Y and T on K_Y
-    residuals = _x2_residuals(a, XZYT, d, p)
-    next(residuals)
-    V = [mm(T, QK[:, a:])]
-    if d >= 2:
-        V.append(pi(next(residuals)))
-        if exactalg.rank(np.hstack([*V, mm(M, V[1])]), p) == a:
+        if exactalg.rank(np.hstack([mm(T, QK[:, a:]), V, mm(M, V)]),
+                         p) == a:
             return True
-    V += map(pi, residuals)
-    # Pi_d = Z_0, with Z_d = V_0 and Z_j = [V_0 .. V_(d-j) | M Z_(j+1)]
-    Z = V[0]
-    for j in range(d - 1, -1, -1):
-        Z = np.hstack([*V[:d - j + 1], mm(M, Z)])
-    return True if exactalg.rank(Z, p) == a else None
+    for e in range(d + 1):
+        if a * (e + 2) <= Y.shape[1] * comb(e + 2, 2):
+            S = _x2_schur(a, XZYT, e, p)
+            if exactalg.rank(S, p) == len(S):
+                return True
+    return None
 
 
 def _x2_residuals(a, XZYT, d, p):
@@ -315,7 +313,8 @@ def _x2_schur(a, XZYT, d, p):
     rows of x4-exponent k, so this order, unlike (alpha, exponent of x4),
     meets each pivot of the first-nonzero elimination at its own row, with
     no row swap.  A rank does not depend on the order of the rows.
-    horace_surjective ranks S_d only where its x3 split does not apply."""
+    horace_surjective ranks S_e, for e = 0, 1, ..., only where its x3
+    split does not certify S_d."""
     w = XZYT.shape[1] - a
     S = np.zeros((d + 2, a, comb(d + 2, 2), w), dtype=np.int64)
     col = 0

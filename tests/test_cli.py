@@ -358,10 +358,10 @@ def test_curve_below_the_certificate_ranks_the_schur_complement_once(
         monkeypatch):
     # with the ladder capped at d = 1 the certificate stops short of
     # s - 3 = 4, so propagation reads the direct check of m(4), whose only
-    # rank is that of [T K_Y | V_1 | M V_1], the first part of the a-row
-    # system Pi_4 that the x3 split leaves of the 42 x 105 Schur complement
-    # S_4: 7 x 14, as K_Y is empty at b - 2a = a, and neither S_4 nor the
-    # 147 x 210 plane map is ranked
+    # rank is that of [T K_Y | V_1 | M V_1], the a-row system that the x3
+    # split leaves of the 42 x 105 Schur complement S_4: 7 x 14, as K_Y is
+    # empty at b - 2a = a, and neither S_4 nor the 147 x 210 plane map is
+    # ranked
     shapes = []
     rank = exactalg.rank
 
@@ -382,7 +382,9 @@ def test_curve_ranks_the_schur_complement_only_where_x3_cannot_split(
         monkeypatch):
     # at (7, 21), where b - 2a = a, Y = N3 K2 is square and invertible, so
     # S_4 is decided on the a-row system of its x3 split and never built;
-    # at (20, 59) Y is 20 x 19, so the 360 x 2907 S_16 itself is ranked
+    # at (20, 59) Y is 20 x 19, so S_e is ranked at the first onto degree:
+    # S_0 (40 x 19) and S_1 (60 x 57) are taller than wide and skipped,
+    # and S_2 (80 x 114) has full row rank, where S_16 is 360 x 2907
     calls, x2_schur = [], steiner._x2_schur
 
     def refuse(*args):
@@ -398,19 +400,19 @@ def test_curve_ranks_the_schur_complement_only_where_x3_cannot_split(
     monkeypatch.setattr(steiner, "_x2_schur", record)
     code, _ = run_cli(["--json", "verify", "curve", "-a", "20", "-b", "59"])
     assert code == 0
-    assert calls == [(20, 16)]
+    assert calls == [(20, 2)]
 
 
-def test_curve_at_40_120_stays_small():
-    # S_37 at (40, 120) would be 1560 x 29640, and ranking it peaked at
-    # 766 MB; its x3 split ranks a 40-row system.  The CLI runs in a
-    # grandchild, so the child's RUSAGE_CHILDREN peak is that run's alone
+def _curve_peak_kib(a, b):
+    """Peak RSS in KiB of `verify curve -a a -b b`, which must exit 0.  The
+    CLI runs in a grandchild, so the child's RUSAGE_CHILDREN peak is that
+    run's alone."""
     src = os.path.dirname(os.path.dirname(steinerlab.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     script = (
         "import resource, subprocess, sys\n"
         "code = subprocess.run([sys.executable, '-m', 'steinerlab', "
-        "'verify', 'curve', '-a', '40', '-b', '120'], "
+        f"'verify', 'curve', '-a', '{a}', '-b', '{b}'], "
         "stdout=subprocess.DEVNULL).returncode\n"
         "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
         "print(code, peak)\n")
@@ -418,7 +420,20 @@ def test_curve_at_40_120_stays_small():
                           text=True, env=env, timeout=300)
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    assert peak_kib < 100 * 1024
+    return peak_kib
+
+
+def test_curve_at_40_120_stays_small():
+    # S_37 at (40, 120) would be 1560 x 29640, and ranking it peaked at
+    # 766 MB; its x3 split ranks a 40-row system
+    assert _curve_peak_kib(40, 120) < 100 * 1024
+
+
+def test_curve_at_40_119_stays_small():
+    # Y is 40 x 39, so the x3 split does not apply; ranking S_36, 1520 x
+    # 27417, peaked at 695 MB, and the first onto degree ranks S_2,
+    # 160 x 234
+    assert _curve_peak_kib(40, 119) < 100 * 1024
 
 
 def test_curve_exports_its_section_matrix(tmp_path):

@@ -359,16 +359,26 @@ def _stack_with_varied_pivots(rng, p):
     return S
 
 
+def _ranks(S, p):
+    """Ranks of the int64 stack S by the core's stacked sweep, fed as
+    exactalg.ranks_at feeds it: reduced into float64, a wide stack
+    transposed."""
+    F = np.mod(S, p).astype(np.float64)
+    wide = F.shape[2] > F.shape[1]
+    return _gfcore_py._stack_ranks(
+        np.ascontiguousarray(F.transpose(0, 2, 1)) if wide else F, p)
+
+
 @pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
 def test_ranks_match_rank_and_oracle(rng, p):
     S = _stack_with_varied_pivots(rng, p)
-    got = _gfcore_py.ranks(S, p)
+    got = _ranks(S, p)
     assert got == [exactalg.rank(M, p) for M in S]
     assert got == [oracle_rank(M, p) for M in S]
     assert len(set(got)) > 3
     # one member alone, and the stack transposed
-    assert _gfcore_py.ranks(S[8:9], p) == [got[8]]
-    assert _gfcore_py.ranks(S.transpose(0, 2, 1), p) == got
+    assert _ranks(S[8:9], p) == [got[8]]
+    assert _ranks(S.transpose(0, 2, 1), p) == got
 
 
 def _member(rng, kind, n, m, p):
@@ -403,12 +413,12 @@ def test_ranks_square_tall_and_wide(rng, p, n, m):
     kinds = ["zero", "rank1", "full", "short"]
     for kind in kinds:
         M, want = _member(rng, kind, n, m, p)
-        assert _gfcore_py.ranks(M[None], p) == [want]
+        assert _ranks(M[None], p) == [want]
     for cycle in (kinds, ["full"]):
         members = [_member(rng, cycle[t % len(cycle)], n, m, p)
                    for t in range(64)]
         S = np.stack([M for M, _ in members])
-        got = _gfcore_py.ranks(S, p)
+        got = _ranks(S, p)
         assert got == [want for _, want in members]
         assert got == [exactalg.rank(M, p) for M in S]
         assert got == [oracle_rank(M, p) for M in S]
@@ -500,9 +510,9 @@ def test_ranks_blocked_uniform_step_stops(rng, p, where):
     if stop is not None:
         assert want[2] == stop + 2 and want[4] == m - 1
     # tall, and wide: 25 x 40 members, swept transposed
-    assert _gfcore_py.ranks(S, p) == want
+    assert _ranks(S, p) == want
     wide = np.ascontiguousarray(S.transpose(0, 2, 1))
-    assert _gfcore_py.ranks(wide, p) == want
+    assert _ranks(wide, p) == want
 
 
 def test_ranks_over_several_sweeps(rng):
