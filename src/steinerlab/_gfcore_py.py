@@ -47,18 +47,21 @@ rank-only run, take the blocked sweeps.
 that exactalg.ranks_at fills.  Small matrices spend most of a blocked run
 in numpy's per-call overhead, so the stack is swept with every matrix at
 once.  While every matrix pivots on its first active row, as a generic
-stack does, BLOCK columns at a time are
-factored on the block alone, its row operations recorded beside it, and
-one batched product of the record by the pivot rows brings the columns to
-its right up to date.  At the first column where some matrix's first
-active entry is 0 mod p, the pivots found so far flush their product, and
-from there the sweep goes column by column: one broadcast rank-1 update
-per column over the rows still active, each matrix with its own
-first-nonzero pivot row.  A column's pivots are inverted together by
-Montgomery's batch inversion (Math. Comp. 48, 1987), one pow for the
-stack.  As in the core, an entry is reduced only when it is read, as part
-of a pivot column or pivot row, or as a factor of a product; each pivot
-subtracts less than p**2 from it, so it stays below
+stack does, the sweep takes BLOCK columns at a time and factors only the
+block's square head, by a fraction-free Gauss-Jordan sweep with one
+common scale per matrix, so that one inversion of the scales per block
+gives the inverse of the head's pivot block.  The rows below then take
+the Schur complement in one batched product: block elimination with
+delayed reduction, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008).  At the first column where some matrix's first active entry
+is 0 mod p, the head stops, the pivots found so far take their product,
+and from there the sweep goes column by column: one broadcast rank-1
+update per column over the rows still active, each matrix with its own
+first-nonzero pivot row.  A block's scales, and a column's pivots, are
+inverted together by Montgomery's batch inversion (Math. Comp. 48, 1987),
+one pow for the stack.  As in the core, an entry is reduced only when it
+is read, as part of a head, a pivot column or pivot row, or as a factor of
+a product; each pivot subtracts less than p**2 from it, so it stays below
 4 * p**2 + min(n, m) * p**2 and the same _check_capacity bound covers it.
 
 Blocks and products are reduced by _reduce, x - floor(x / p) * p in four
@@ -72,7 +75,8 @@ import numpy as np
 
 PANEL = 128
 LEAF = 16
-# columns the stacked rank sweep factors at once while no matrix swaps
+# columns of the head the stacked rank sweep factors at once while no
+# matrix swaps
 BLOCK = 8
 
 # float64 holds every integer below 2**53 exactly
@@ -359,14 +363,24 @@ def _stack_ranks(F, p):
     Matrix t keeps its pivot count in cur[t], its pivot rows above cur[t]
     and its active rows from cur[t] down.  While every matrix pivots on its
     first active row, all have cur[t] = j at column j, and the sweep runs
-    in blocks of BLOCK columns.  The block's rows from j down start as
-    [F[j:, block] | R] with the record R = [id; 0] beside them, are
-    factored column by column, each step's row operation applied to R as
-    well, and then the columns right of the block take one batched
-    product, R's rows below the pivots by the old pivot rows.  At the first
-    column where some matrix's first active entry is 0 mod p, the pivots
-    found so far flush their product, and the per-column step runs to the
-    end.
+    in blocks of K = BLOCK columns.  The block's head A = F[j:j+K, j:j+K],
+    reduced, goes into H = [A | id] with the scale S = 1.  Step k reads
+    pi = H[k, k] and stops at the first k where some matrix has pi = 0;
+    otherwise every row i != k of H becomes pi H[i] - H[i, k] H[k], row k
+    becomes S H[k], and S becomes S pi.  So H is E [A | id] for some E
+    whose rows below k are those of elimination without swaps, times the
+    nonzero pi so far, and pi = 0 exactly where the per-column step would
+    meet a first active entry 0.  After k steps the first k columns of H
+    are S id, and E's first k rows combine only A's first k rows, so
+    H[:k, K:K+k] is S times the inverse of A_k, the head's leading k x k
+    block, and one batch inversion of S gives A_k^-1.  A step writes only
+    the K columns that a later step or the inverse reads: the head's right
+    of k, and the identity's first k + 1, whose column K + k is still S on
+    row k and 0 elsewhere.  The rows below the pivots take the Schur
+    complement, F[j+k:, j+k:] -= F[j+k:, j:j+k] (A_k^-1 F[j:j+k, j+k:]),
+    both factors reduced, which subtracts less than k p**2 from an entry.
+    Where the head stopped, the per-column step runs from column j + k to
+    the end.
 
     The per-column step: `lo` is the smallest cur, and the rows above it are
     finished in every matrix.  Every matrix takes the first nonzero active
@@ -381,32 +395,34 @@ def _stack_ranks(F, p):
     j = 0
     while j < m:
         K = min(BLOCK, m - j)
-        # stored transposed, so that each column is one contiguous row
-        B = np.zeros((T, 2 * K, n - j))
-        B[:, :K] = F[:, j:, j:j + K].transpose(0, 2, 1)
-        B[:, K:, :K] = np.eye(K)
+        H = np.zeros((T, K, 2 * K))
+        H[:, :, :K] = _reduce(F[:, j:j + K, j:j + K], p)
+        S = np.ones(T)
         k = 0
         while k < K:
-            col = _reduce(B[:, k, k:], p)
-            if not col[:, 0].all():
+            piv = H[:, k, k]
+            if not piv.all():
                 break
-            # pivot row k's record is 0 past its own entry k, so the step
-            # reads and updates only K columns: the block's right of k and
-            # the record's first k + 1
-            c1 = K + k + 1
-            prow = _reduce(_reduce(B[:, k + 1:c1, k], p)
-                           * _inverses(col[:, 0], p)[:, None], p)
-            B[:, k + 1:c1, k + 1:] -= prow[:, :, None] * col[:, None, 1:]
+            # every row but k clears its column k and is scaled by piv; row
+            # k is scaled by S, so each row's scale stays S * piv
+            H[:, k, K + k] = S
+            c = H[:, :, k].copy()
+            c[:, k] = piv - S
+            X = H[:, :, k + 1:K + k + 1]
+            X[:] = _reduce(
+                piv[:, None, None] * X - c[:, :, None] * X[:, None, k], p)
+            S = S * piv % p
             k += 1
-        if k and j + K < m:
-            # row r below the pivots is now its old self plus the record's
-            # row r times the old pivot rows, in every column
-            F[:, j + k:, j + K:] += (
-                _reduce(B[:, K:K + k, k:], p).transpose(0, 2, 1)
-                @ _reduce(F[:, j:j + k, j + K:], p))
+        if k and j + k < m:
+            # H[:, :k, K:K + k] is S times the inverse of the head's
+            # leading k x k block; the rows below take the Schur complement
+            # in one product
+            inv = _reduce(H[:, :k, K:K + k] * _inverses(S, p)[:, None, None],
+                          p)
+            U = _reduce(inv @ _reduce(F[:, j:j + k, j + k:], p), p)
+            F[:, j + k:, j + k:] -= _reduce(F[:, j + k:, j:j + k], p) @ U
         j += k
         if k < K:
-            F[:, j:, j:j + K - k] = B[:, k:K, k:].transpose(0, 2, 1)
             break
     cur = np.full(T, j)
     t = np.arange(T)

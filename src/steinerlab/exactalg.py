@@ -141,19 +141,28 @@ def matmul_mod(A, B, p):
     matrices, (..., n, k) by (..., k, m)."""
     if p * p >= 2**53:
         raise ValueError(f"prime {p} too large for exact products")
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
+    A, B = _residues(A, p), _residues(B, p)
     step = (2**53 - 1) // (p * p)
     # one pass at least, so inner dimension 0 gives zeros of the product's
-    # shape; % on int64 is about three times cheaper than np.mod on float64,
-    # and each chunk's int64 product is summed and reduced in place
+    # shape; a chunk's sum plus the residue carried in stays below
+    # 2**53 - p, where the core's _reduce is exact
     for k0 in range(0, max(A.shape[-1], 1), step):
-        part = (A[..., k0:k0 + step].astype(np.float64)
-                @ B[..., k0:k0 + step, :].astype(np.float64)).astype(np.int64)
+        acc = (A[..., k0:k0 + step].astype(np.float64)
+               @ B[..., k0:k0 + step, :].astype(np.float64))
         if k0:
-            part += out
-        out = np.remainder(part, p, out=part)
-    return out
+            acc += out
+        out = _core._reduce(acc, p)
+    return out.astype(np.int64)
+
+
+def _residues(A, p):
+    """A as int64 residues mod p, reduced only when some entry lies outside
+    [0, p): most callers pass residues already.  Read as unsigned, a
+    negative entry is at least 2**63, so one max finds both kinds."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.size and A.view(np.uint64).max() >= p:
+        A = A % p
+    return A
 
 
 def random_matrix(rng, rows, cols, p):

@@ -183,6 +183,35 @@ def test_matmul_mod_multiplies_stacks(rng, p, inner):
                           np.array(want[0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [5, P, 1048573])
+def test_matmul_mod_mixes_residues_with_unreduced_operands(rng, p):
+    # an operand of residues is used as it is, one with an entry below 0
+    # or at least p is reduced first (unreduced, p << 40 would take the
+    # float64 products past 2**53 at the larger primes); every pairing,
+    # single and stacked, and neither operand is changed
+    res = rng.integers(0, p, size=(2, 3, 4))
+    res[0, 0, 0], res[1, 2, 3] = 0, p - 1
+    neg = res.copy()
+    neg[0, 1, 2] -= p << 40
+    neg[1, 1, 1] = -1
+    big = res.copy()
+    big[1, 0, 1] += p << 40
+    big[0, 2, 0] += p
+    for A in (res, neg, big):
+        for B in (res, neg, big):
+            Bt = B.transpose(0, 2, 1)
+            before = A.copy(), Bt.copy()
+            want = [(a.astype(object) @ b.astype(object)) % p
+                    for a, b in zip(A, Bt)]
+            got = exactalg.matmul_mod(A, Bt, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.array(want, dtype=np.int64))
+            assert np.array_equal(exactalg.matmul_mod(A[1], Bt[1], p),
+                                  np.array(want[1], dtype=np.int64))
+            assert np.array_equal(A, before[0])
+            assert np.array_equal(Bt, before[1])
+
+
 def test_matmul_mod_rejects_a_prime_past_exact_products():
     # at p = 2**31 - 1 a single product of residues leaves float64's exact
     # integers, so no chunking can keep the product exact
@@ -425,10 +454,11 @@ def test_ranks_square_tall_and_wide(rng, p, n, m):
 
 
 # While every member pivots on its first active row, the stacked sweep
-# factors BLOCK columns at a time and brings the columns right of a block
-# up to date in one product; at the first column where some member's first
-# active entry is 0 mod p it flushes the partial block and runs the
-# per-column step to the end.  The stacks below are 40 x 25 after
+# takes BLOCK columns at a time: it factors only the block's K x K head,
+# inverts the head once, and brings the rows below up to date by one Schur
+# product.  At the first column where some member's first active entry is
+# 0 mod p the head stops, the pivots found so far take their product, and
+# the per-column step runs to the end.  The stacks below are 40 x 25 after
 # transposition, several blocks wide, with that stop placed on purpose.
 
 
@@ -513,6 +543,56 @@ def test_ranks_blocked_uniform_step_stops(rng, p, where):
     assert _ranks(S, p) == want
     wide = np.ascontiguousarray(S.transpose(0, 2, 1))
     assert _ranks(wide, p) == want
+
+
+def _counting_inverses(monkeypatch):
+    """Patch the core's batch inversion to count its calls."""
+    calls, inverses = [], _gfcore_py._inverses
+
+    def count(v, p):
+        calls.append(len(v))
+        return inverses(v, p)
+
+    monkeypatch.setattr(_gfcore_py, "_inverses", count)
+    return calls
+
+
+def test_ranks_invert_once_per_block(rng, monkeypatch):
+    # a generic stack of the mh survey's shape at (20, 60, 1): 50 members of
+    # 60 x 41 and rank 40.  The blocks at columns 0, 8, .., 32 each invert
+    # their head once; the block at column 40 meets no pivot, and the last
+    # column has no column right of it, so 5 batch inversions in all,
+    # where one per pivot column would make 40
+    n, m, T = 60, 41, 50
+    S = np.stack([_lu_member(rng, n, m, P, rng.integers(1, P, size=m - 1))
+                  for _ in range(T)])
+    calls = _counting_inverses(monkeypatch)
+    assert _ranks(S, P) == [m - 1] * T
+    assert calls == [T] * 5
+
+
+@pytest.mark.parametrize("p", [5, 7, 1048573])
+def test_ranks_head_stops_mid_block_in_one_member(rng, monkeypatch, p):
+    # nine 40 x 25 members, all of which pivot on their first active row at
+    # every column but one member at column K + 3, inside the second block's
+    # head, where its first active entry is 0 and a row below has a
+    # nonzero entry.  The first block inverts once, the second once for its
+    # 3 pivots, and then each tail column but the last once: 2 + 13
+    K = _gfcore_py.BLOCK
+    n, m, stop = 40, 25, K + 3
+    members = [_lu_member(rng, n, m, p, rng.integers(1, p, size=m))
+               for _ in range(9)]
+    M = members[4]
+    v = rng.integers(0, p, size=m)
+    v[:stop + 1] = 0
+    M[stop] = (rng.integers(0, p, size=stop) @ M[:stop] + v) % p
+    S = np.stack(members)
+    assert [_uniform_stop(M, p) for M in S] == [m] * 4 + [stop] + [m] * 4
+    calls = _counting_inverses(monkeypatch)
+    want = [oracle_rank(M, p) for M in S]
+    assert _ranks(S, p) == want
+    assert calls == [9] * (2 + m - 1 - stop)
+    assert want == [exactalg.rank(M, p) for M in S]
 
 
 def test_ranks_over_several_sweeps(rng):

@@ -521,6 +521,39 @@ def test_x3_split_decides_as_the_schur_complement(p, monkeypatch):
     assert all(seen.values()) and shortcut, (seen, shortcut)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, P, 1048573])
+def test_x3_shortcut_answers_on_its_k_y_columns(p, monkeypatch):
+    # with X = Z = 0 the residuals U_i, i >= 1, vanish, so V_1 = 0 and the
+    # shortcut's [T K_Y | V_1 | M V_1] has rank a only through T K_Y; the
+    # draws have w >= 2a, so K_Y has w - a >= a columns, and
+    # rank T K_Y = a.  There horace_surjective answers True, as the rank of
+    # S_d says, without ranking any S_e
+    rng = np.random.default_rng(5000 + p)
+
+    def unranked(*args):
+        raise AssertionError("the x3 shortcut did not answer")
+
+    answered = 0
+    for trial in range(40):
+        a = int(rng.integers(1, 5))
+        w = int(rng.integers(2 * a, 3 * a + 1))
+        d = 2 + trial % 4
+        XZYT = exactalg.random_matrix(rng, 2 * a, a + w, p)
+        XZYT[:, :a] = 0
+        Y, T = XZYT[:a, a:], XZYT[a:, a:]
+        QK = exactalg.split(Y, p)
+        if QK is None or exactalg.rank(
+                exactalg.matmul_mod(T, QK[:, a:], p), p) < a:
+            continue
+        S = steiner._x2_schur(a, XZYT, d, p)
+        assert exactalg.rank(S, p) == len(S), (trial, a, w, d)
+        with monkeypatch.context() as mp:
+            mp.setattr(steiner, "_x2_schur", unranked)
+            assert horace_surjective(_presentation_with(XZYT, p), d) is True
+        answered += 1
+    assert answered >= 20, answered
+
+
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
     # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
