@@ -5,23 +5,21 @@ caller checks with _check_capacity that (rank + panel) * p**2 < 2**53, so
 sums of products of reduced residues never lose precision; reduction mod p
 is delayed until after each matrix product, as in FFLAS-FFPACK.
 
-The downward sweep is blocked and left-looking, over 128-column panels with
-first-nonzero pivoting.  A finished panel does not touch the columns to its
-right: its update is kept pending, as the inverse W of its triangular factor
-and its multipliers, and a later panel receives every pending update, as
-matrix products, only when the sweep reaches it.  So a rank-only run that
-reaches rank = rows stops there and never reads the columns that could no
-longer pivot; a full run applies the pending updates to those columns once
-before the upward sweep.
+The downward sweep is blocked and right-looking, over 128-column panels
+with first-nonzero pivoting.  A panel that finds pivots brings every column
+to its right up to date at once, one PANEL-wide block at a time, by _update:
+the block's pivot rows are solved by W, the inverse of the panel's
+triangular factor, and the rows below them take one product with the
+panel's multipliers.  A rank-only run that reaches rank = rows skips that
+update and stops, since no column can pivot any more.
 
 Inside a panel the pivots are found by recursive halving (recursive LU, as
 in Toledo 1997 and the PLUQ of FFLAS-FFPACK): factor the left half, bring
-the right half up to date in one step, its new pivot rows as W @ X and the
-rows below them by one product with the left half's multipliers, then
-factor the right half.  Leaves of 16 columns run the per-column loop.  The
-halving stops once at most PANEL rows remain below the current pivot, a
-property of the input, so systems of up to 128 rows run the column loop on
-whole panels.  The pivots are the column loop's, and each pivot still adds
+the right half up to date by the same _update step as a finished panel,
+then factor the right half.  Leaves of 16 columns run the per-column loop.
+The halving stops once at most PANEL rows remain below the current pivot,
+a property of the input, so systems of up to 128 rows run the column loop
+on whole panels.  The pivots are the column loop's, and each pivot still adds
 less than p**2 to an entry before the entry is next reduced, so the
 (rank + panel) * p**2 bound holds as it did.
 
@@ -155,22 +153,15 @@ def _tri_inverse(low, invs, p):
     return W[:k, :k]
 
 
-def _apply_pending(C, L, done, p):
+def _update(C, L, cur, top, W, p):
     """Bring the column block C (a view into the matrix) up to date with the
-    finished panels in `done`, given as (pivot-row offset, pivot count, W).
+    pivots of rows cur:top, whose triangular factor has the inverse W.
 
-    The pivot rows are solved block by block, W_i @ (C_i - L_i @ C_<i), and
-    end fully reduced; the rows below them take one product with every
-    multiplier at once."""
-    top = 0
-    for off, k, W in done:
-        X = C[off:off + k]
-        if off:
-            X -= L[off:off + k, :off] @ C[:off]
-        X[:] = _reduce(W @ _reduce(X, p), p)
-        top = off + k
-    if top < C.shape[0]:
-        C[top:] -= L[top:, :top] @ C[:top]
+    The pivot rows become W @ X, normalized and fully reduced; the rows
+    below them take one product with those pivots' multipliers in L."""
+    X = C[cur:top]
+    X[:] = _reduce(W @ _reduce(X, p), p)
+    C[top:] -= L[top:, cur:top] @ X
 
 
 def _factor(F, L, cur, c0, c1, p, invs, pivots):
@@ -179,9 +170,8 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
     count `cur`.
 
     While more than PANEL rows remain below `cur`, the block is halved: the
-    left half is factored, the right half is brought up to date in one step
-    (its new pivot rows by W @ X, the rows below them by one product with
-    the left half's multipliers), and then factored in turn.  Leaves of at
+    left half is factored, the right half is brought up to date by _update
+    with the left half's pivots, and then factored in turn.  Leaves of at
     most LEAF columns, and every block with at most PANEL rows left, run the
     column loop: first-nonzero pivot, rank-1 update of the block; a leaf
     whose block below `cur` is exactly zero has no pivot and nothing to
@@ -195,10 +185,8 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
         k0 = len(invs)
         top = _factor(F, L, cur, c0, mid, p, invs, pivots)
         if top > cur:
-            W = _tri_inverse(L[cur:top, cur:top], invs[k0:], p)
-            X = F[cur:top, mid:c1]
-            X[:] = _reduce(W @ _reduce(X, p), p)
-            F[top:, mid:c1] -= L[top:, cur:top] @ X
+            _update(F[:, mid:c1], L, cur, top,
+                    _tri_inverse(L[cur:top, cur:top], invs[k0:], p), p)
         return _factor(F, L, top, mid, c1, p, invs, pivots)
     if not F[cur:, c0:c1].any():
         return cur
@@ -238,35 +226,32 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
 def _forward(F, p, full):
     """Downward sweep on float64 matrix F (entries reduced on entry).
 
-    Returns (rank, pivots).  With `full`, leaves F in echelon form with
+    Returns (rank, pivots).  Each panel is factored by _factor and, if it
+    found pivots, updates every column to its right before the next panel
+    starts; a rank-only run that has reached the row count skips that
+    update and stops.  With `full`, leaves F in echelon form with
     normalized, fully reduced pivot rows and exact zeros below them;
     otherwise F is left unspecified.
     """
     n, m = F.shape
     # L[r, t]: multiplier of row r for the t-th pivot (r > t); row swaps move
-    # it along with the row, so pending updates follow every later swap
+    # it along with the row, so a panel's update reads each row's own
+    # multipliers
     L = np.zeros((n, min(n, m)))
-    done = []
     cur = 0
     pivots = []
-    c0 = 0
-    while c0 < m and cur < n:
+    for c0 in range(0, m, PANEL):
+        if cur == n:
+            break
         c1 = min(c0 + PANEL, m)
         cur0 = cur
-        if done:
-            _apply_pending(F[:, c0:c1], L, done, p)
         invs = []
         cur = _factor(F, L, cur, c0, c1, p, invs, pivots)
-        # keep the update only if a later panel or the full run's catch-up
-        # will read it
+        # a rank-only run that reached the row count reads no column again
         if cur > cur0 and c1 < m and (cur < n or full):
-            done.append((cur0, cur - cur0,
-                         _tri_inverse(L[cur0:cur, cur0:cur], invs, p)))
-        c0 = c1
-    if full and c0 < m:
-        # rank reached the row count: only the pivot rows remain, and the
-        # columns never visited still owe every pending update
-        _apply_pending(F[:, c0:], L, done, p)
+            W = _tri_inverse(L[cur0:cur, cur0:cur], invs, p)
+            for b in range(c1, m, PANEL):
+                _update(F[:, b:b + PANEL], L, cur0, cur, W, p)
     return cur, pivots
 
 
@@ -442,7 +427,8 @@ def _stack_ranks(F, p):
             F[sw, lo + i, j + 1:], F[sw, lo + k, j + 1:] = (
                 F[sw, lo + k, j + 1:], F[sw, lo + i, j + 1:])
             col[sw, i], col[sw, k] = col[sw, k], col[sw, i]
-        if j + 1 < m:
+        # a column where no member pivots has nothing to clear
+        if j + 1 < m and has.any():
             # the pivot entry is 0 exactly where there is none, and so is
             # its inverse
             inv = _inverses(col[t, off], p)

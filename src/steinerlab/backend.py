@@ -1,16 +1,17 @@
 """The F_p elimination core behind every rank, reduced form and kernel.
 
-`_core` is the blocked numpy elimination in _gfcore_py: a left-looking
-sweep over 128-column panels that applies each finished panel's update to
-a later panel only when it gets there, so a rank-only elimination stops
-as soon as the rank reaches the row count.  Inside a panel with more than
-PANEL rows left below the pivot, the columns are halved recursively down to
-16-column leaves, so most of the within-panel update is matrix products
-too; smaller systems run the per-column loop, and a full reduction that
-fits one panel runs one Gauss-Jordan sweep.  Deferring or batching an
+`_core` is the blocked numpy elimination in _gfcore_py: a right-looking
+sweep over 128-column panels, each of which brings every column to its
+right up to date by matrix products once it has found its pivots; a
+rank-only elimination stops as soon as the rank reaches the row count.
+Inside a panel with more than PANEL rows left below the pivot, the columns
+are halved recursively down to 16-column leaves, each half's update taking
+the same step as a panel's, so most of the within-panel update is matrix
+products too; smaller systems run the per-column loop, and a full
+reduction that fits one panel runs one Gauss-Jordan sweep.  Batching an
 update changes when it is applied, not its size: each pivot adds less than
 p**2 to an entry before the entry is next reduced, so sums stay below
-(rank + PANEL) * p**2 as in a right-looking, column-at-a-time sweep.  Its
+(rank + PANEL) * p**2 as in a column-at-a-time sweep.  Its
 contract: rref(a, p, True) reduces an int64 C-contiguous array in place to
 its reduced row echelon form and returns (rank, pivot columns), with
 first-nonzero pivoting so the reduced form is canonical; rref(a, p, False)

@@ -85,7 +85,7 @@ def test_core_matches_oracle_panel_boundaries(rng):
     # the core eliminates in 128-column panels; straddle the seams (sympy
     # needs seconds per matrix at these sizes, so only the int64 oracle runs).
     # Every shape here is rank-deficient, so the sweep visits every panel;
-    # (150, 500) does so across four panels with pending updates in flight.
+    # (150, 500) does so across four panels, each updating all on its right.
     # In (140, 300) and (300, 300) the rows left below the pivot fall to 128
     # inside a panel, so its blocks stop halving there
     for n, m in [(129, 127), (127, 129), (130, 260), (260, 130), (256, 256),
@@ -102,8 +102,8 @@ def test_core_matches_oracle_panel_boundaries(rng):
 @pytest.mark.parametrize("n, m", [(100, 400), (130, 520)])
 def test_core_matches_oracle_full_row_rank_wide(rng, n, m):
     # the rank reaches the row count before the last panel: the rank-only
-    # run stops there, and the full run brings the columns it never visited
-    # up to date before the upward sweep
+    # run stops there, and the full run still carries that panel's update
+    # to every column on its right before the upward sweep
     M = rng.integers(0, P, size=(n, m)).astype(np.int64)
     R0, rank0, piv0 = oracle_rref(M, P)
     assert rank0 == n and piv0[-1] < m - 128
@@ -114,11 +114,11 @@ def test_core_matches_oracle_late_row_swaps(rng):
     # A sparse 0/1 matrix whose row swaps come only after two panels are
     # finished.  Rows 0-9 pivot in panel 0 and rows 10-19 in panel 1.  Row
     # 20 + i is a copy of pivot row src[i] plus a single 1 in column
-    # cols[i] >= 256, a column every pivot row leaves zero; so once reduced
-    # it is that unit vector, and the columns are in decreasing order, so
-    # panel 2 finds each pivot by a row swap.  The swapped rows carry their
-    # multiplier for pivot src[i], which the full run needs to reduce the
-    # trailing columns, past the point where the rank reaches 30.
+    # cols[i] >= 256, a column every pivot row leaves zero; so once the
+    # updates of panels 0 and 1 have reduced it, it is that unit vector, and
+    # the columns are in decreasing order, so panel 2 finds each pivot by a
+    # row swap.  The rank reaches 30 there, and the full run still carries
+    # panel 2's update to the trailing columns.
     n, m = 30, 400
     M = np.zeros((n, m), dtype=np.int64)
     M[:10, 10:] = rng.random((10, m - 10)) < 0.1
@@ -134,6 +134,19 @@ def test_core_matches_oracle_late_row_swaps(rng):
     assert rank0 == n
     assert piv0[20:] == sorted(cols.tolist())
     _check_against(M, P, R0, piv0)
+
+
+def test_panel_sweep_is_a_loop():
+    # a 1 x 130,000 row spans 1,016 panels, and only the last one pivots:
+    # a sweep that recursed over its panels would pass Python's recursion
+    # limit
+    m = 130_000
+    M = np.zeros((1, m), dtype=np.int64)
+    M[0, -1] = 7
+    R, r, piv = exactalg.rref(M, P)
+    assert (r, piv) == (1, [m - 1])
+    assert R[0, -1] == 1 and not R[0, :-1].any()
+    assert exactalg.rank(M, P) == 1
 
 
 def test_core_matches_oracle_small_prime(rng):

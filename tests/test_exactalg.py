@@ -558,17 +558,22 @@ def _counting_inverses(monkeypatch):
 
 
 def test_ranks_invert_once_per_block(rng, monkeypatch):
-    # a generic stack of the mh survey's shape at (20, 60, 1): 50 members of
-    # 60 x 41 and rank 40.  The blocks at columns 0, 8, .., 32 each invert
-    # their head once; the block at column 40 meets no pivot, and the last
-    # column has no column right of it, so 5 batch inversions in all,
-    # where one per pivot column would make 40
-    n, m, T = 60, 41, 50
-    S = np.stack([_lu_member(rng, n, m, P, rng.integers(1, P, size=m - 1))
-                  for _ in range(T)])
+    # generic stacks of the mh survey's shapes, 50 members each.  At
+    # (20, 60, 1) they are 60 x 41 of rank 40: the blocks at columns 0, 8,
+    # .., 32 each invert their head once; the block at column 40 meets no
+    # pivot, and the last column has no column right of it, so 5 batch
+    # inversions in all, where one per pivot column would make 40.  At
+    # (12, 36, 2) they are 36 x 26 of rank 24: the blocks at 0, 8 and 16
+    # invert once each, and neither tail column, where no member pivots,
+    # inverts at all
+    T = 50
     calls = _counting_inverses(monkeypatch)
-    assert _ranks(S, P) == [m - 1] * T
-    assert calls == [T] * 5
+    for n, m, r, blocks in [(60, 41, 40, 5), (36, 26, 24, 3)]:
+        S = np.stack([_lu_member(rng, n, m, P, rng.integers(1, P, size=r))
+                      for _ in range(T)])
+        calls.clear()
+        assert _ranks(S, P) == [r] * T
+        assert calls == [T] * blocks
 
 
 @pytest.mark.parametrize("p", [5, 7, 1048573])

@@ -176,7 +176,7 @@ def test_propagation_matches_direct_rank(rng):
 
 def test_md_rank_matches_oracle():
     # from m(3) on the rank reaches the row count before the last panel,
-    # so the rank-only sweep stops early there
+    # so the rank-only sweep skips that panel's update and stops there
     m = pwcurves.sample_pw(3, 8, 1, seed=0, p=P).m
     for d in range(6):
         A = assemble_md(m, d)
