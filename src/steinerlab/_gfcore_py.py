@@ -35,11 +35,14 @@ swaps only where an elimination leaves a row's next entry zero.  The pivot
 row is normalized and the rows below it updated in place.
 
 A full reduction of a matrix that fits one panel, n, m <= PANEL, skips
-both sweeps: one Gauss-Jordan column sweep clears each pivot column above
-and below the pivot in one rank-1 update of every row, and the whole
-matrix is reduced once at the end.  A row meets each pivot once, so its
-entries stay below p + rank * p**2.  Taller or wider full runs, and every
-rank-only run, take the blocked sweeps.
+both sweeps: one Gauss-Jordan sweep clears the pivot columns above and
+below their pivots, and the whole matrix is reduced once at the end.  A
+step takes two pivots where the next 2 x 2 block is invertible mod p,
+inverted in closed form and cleared by one rank-2 update, so that two
+pivots cost about the numpy calls of one (block pivoting with delayed
+reduction, as in FFLAS-FFPACK), and one pivot otherwise.  A row meets
+each pivot once, so its entries stay below p + rank * p**2.  Taller or
+wider full runs, and every rank-only run, take the blocked sweeps.
 
 `_stack_ranks` is the rank-only sweep over a stack of same-shape matrices
 that exactalg.ranks_at fills.  Small matrices spend most of a blocked run
@@ -203,9 +206,11 @@ def _factor(F, L, cur, c0, c1, p, invs, pivots):
                 continue
             r = int(nz[0])
             # entries left of lc are zero in both rows, and so are the
-            # multipliers from pivot cur on
+            # multipliers from pivot cur on; only this panel's multipliers,
+            # from its first pivot row cur - len(invs) on, are read again
             F[[cur, cur + r], lc:] = F[[cur + r, cur], lc:]
-            L[[cur, cur + r], :cur] = L[[cur + r, cur], :cur]
+            k0 = cur - len(invs)
+            L[[cur, cur + r], k0:cur] = L[[cur + r, cur], k0:cur]
             colv[[0, r]] = colv[[r, 0]]
         inv = float(pow(int(colv[0]), -1, p))
         # normalize the pivot row across the block, in place; columns to
@@ -283,35 +288,64 @@ def _gauss_jordan(F, p):
     """Reduced row echelon form of F in place, in one column sweep; returns
     (rank, pivots).  For n, m <= PANEL, where rref picks it.
 
-    Each pivot row is normalized and fully reduced, and its column is
-    cleared above and below it in one rank-1 update of every row.  A row
-    meets each pivot once, so its entries stay below p + rank * p**2 until
-    the one reduction at the end; the column cleared by the update holds
-    multiples of p until then, and so does every entry left of a row's
-    next pivot."""
+    The sweep runs on G = F^T, so that a column of F and the target of an
+    update are contiguous.  A step at row cur and column lc reads the
+    residues of columns lc and lc + 1.  Where the 2 x 2 block B they hold
+    on rows cur and cur + 1 is invertible mod p, both columns pivot: B is
+    inverted in closed form, with one pow, the two pivot rows become
+    B^-1 times their residues, reduced, and both columns are cleared above
+    and below in one rank-2 update of every other row.  Otherwise the step
+    takes column lc alone: its first nonzero residue from row cur down,
+    swapped up to cur, is the pivot, the pivot row is normalized and fully
+    reduced, and the column is cleared in one rank-1 update.  The reduced
+    form is unique, so it does not depend on which steps take two pivots.
+    A row meets each pivot once, and a block step adds less than 2 * p**2
+    for its two, so entries stay below p + rank * p**2 until the one
+    reduction at the end; a cleared column holds multiples of p until
+    then, and so does every entry left of a row's next pivot."""
     n, m = F.shape
+    G = np.ascontiguousarray(F.T)
     cur = 0
+    lc = 0
     pivots = []
-    for lc in range(m):
-        if cur == n:
-            break
-        colv = F[:, lc] % p
+    while lc < m and cur < n:
+        cols = G[lc:lc + 2] % p
+        det = 0
+        if lc + 1 < m and cur + 1 < n:
+            (a, b), (c, d) = cols[:, cur:cur + 2].tolist()
+            det = int(a * d - b * c) % p
+        if det:
+            inv = pow(det, -1, p)
+            # the pivot rows, as the columns of G, times B^-T
+            Bt = np.array([[d * inv % p, -b * inv % p],
+                           [-c * inv % p, a * inv % p]])
+            X = G[lc:, cur:cur + 2] % p @ Bt % p
+            G[lc:, cur:cur + 2] = X
+            cols[:, cur:cur + 2] = 0.0
+            G[lc:] -= X @ cols
+            pivots += [lc, lc + 1]
+            cur += 2
+            lc += 2
+            continue
+        colv = cols[0]
         if not colv[cur]:
             nz = np.flatnonzero(colv[cur:])
             if nz.size == 0:
+                lc += 1
                 continue
             r = cur + int(nz[0])
-            F[[cur, r], lc:] = F[[r, cur], lc:]
+            G[lc:, [cur, r]] = G[lc:, [r, cur]]
             colv[[cur, r]] = colv[[r, cur]]
-        row = F[cur, lc:]
+        row = G[lc:, cur]
         row %= p
         row *= pow(int(colv[cur]), -1, p)
         row %= p
         colv[cur] = 0.0
-        F[:, lc:] -= colv[:, None] * row
+        G[lc:] -= row[:, None] * colv
         pivots.append(lc)
         cur += 1
-    F[:] = _reduce(F, p)
+        lc += 1
+    F[:] = _reduce(G.T, p)
     return cur, pivots
 
 

@@ -118,7 +118,9 @@ def test_core_matches_oracle_late_row_swaps(rng):
     # updates of panels 0 and 1 have reduced it, it is that unit vector, and
     # the columns are in decreasing order, so panel 2 finds each pivot by a
     # row swap.  The rank reaches 30 there, and the full run still carries
-    # panel 2's update to the trailing columns.
+    # panel 2's update to the trailing columns.  It guards the row swaps of
+    # a late panel and that panel's update; the swapped rows' multipliers
+    # for panels 0 and 1 are never read again, so a swap leaves them.
     n, m = 30, 400
     M = np.zeros((n, m), dtype=np.int64)
     M[:10, 10:] = rng.random((10, m - 10)) < 0.1
@@ -293,6 +295,90 @@ def test_gauss_jordan_near_capacity_prime(rng, monkeypatch, kind):
     assert swept == [(n, n)]
 
 
+def _staircase(rng, p, blocks, extra):
+    """Blocks placed down the diagonal, each block's rows zero left of it
+    and random right of it, then `extra` random columns.  Each block has
+    full row rank, so the Gauss-Jordan sweep meets block k's entries as
+    they are, on the rows and columns where the blocks before it end.
+    Every entry is then moved by a random multiple of p."""
+    n = sum(B.shape[0] for B in blocks)
+    m = sum(B.shape[1] for B in blocks) + extra
+    M = rng.integers(0, p, size=(n, m))
+    r = c = 0
+    for B in blocks:
+        h, w = B.shape
+        M[r:, c:c + w] = 0
+        M[r:r + h, c:c + w] = B
+        r, c = r + h, c + w
+    return M + p * rng.integers(-2, 3, size=M.shape)
+
+
+def _oracle_kernel(R, pivots, p):
+    """The canonical kernel basis read off a reduced echelon form, entry by
+    entry."""
+    m = R.shape[1]
+    free = [j for j in range(m) if j not in pivots]
+    K = np.zeros((len(free), m), dtype=np.int64)
+    for idx, fc in enumerate(free):
+        K[idx, fc] = 1
+        for i, pc in enumerate(pivots):
+            K[idx, pc] = (p - R[i, fc]) % p
+    return K
+
+
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
+def test_gauss_jordan_block_and_single_steps(rng, monkeypatch, p):
+    # A step of the Gauss-Jordan sweep takes columns lc and lc + 1 at once
+    # where their 2 x 2 block on rows cur and cur + 1 is invertible mod p,
+    # and column lc alone otherwise.  The staircase meets, in order: an
+    # invertible block with a zero corner where the single step would swap
+    # ([[0, 1], [1, x]]), one with its other corner zero, a zero column, a
+    # singular block whose first column pivots in place ([[1, 2], [3, 6]])
+    # and one whose first column pivots by a swap from two rows down; its
+    # rank 9 is odd and reaches n = 9 with 4 columns left.  Its copy with
+    # two dependent rows appended has rank 9 below n = 11 and ends on its
+    # last column, and the transposes run other paths on the same blocks
+    swept = _sweeps(monkeypatch)
+    x, y, z, u, s, t = rng.integers(1, p, size=6).tolist()
+    blocks = [
+        np.array([[0, 1], [1, x]]),
+        np.array([[y, 0], [z, u]]),
+        np.zeros((0, 1), dtype=np.int64),
+        np.array([[1, 2, u], [3, 6, 3 * u + 1]]),
+        np.array([[0, 1, s], [0, t, s * t + 1], [1, x, y]]),
+    ]
+    M = _staircase(rng, p, blocks, 4)
+    D = np.vstack([M, M[0] + M[3], 2 * M[8]])
+    for A in (M, D, M.T, D.T):
+        R0, rank0, piv0 = oracle_rref(A, p)
+        assert rank0 == 9
+        swept.clear()
+        _check_against(A, p, R0, piv0)
+        assert swept == [A.shape]
+        assert exactalg.rank(A, p) == rank0
+        assert np.array_equal(exactalg.kernel_basis(A, p),
+                              _oracle_kernel(R0, piv0, p))
+    assert oracle_rref(M, p)[2] == [0, 1, 2, 3, 5, 7, 8, 9, 10]
+
+
+def test_gauss_jordan_takes_two_pivots_a_step(rng, monkeypatch):
+    # a generic 60 x 80 of full row rank: every 2 x 2 block the sweep meets
+    # is invertible, so its 60 pivots take 30 steps, one inverse each
+    M = rng.integers(0, P, size=(60, 80)).astype(np.int64)
+    R0, rank0, piv0 = oracle_rref(M, P)
+    assert piv0 == list(range(60))
+    inverted = []
+
+    def spy(x, e, p):
+        inverted.append(x)
+        return pow(x, e, p)
+
+    monkeypatch.setattr(_gfcore_py, "pow", spy, raising=False)
+    A, r, piv = _core(M, P, True)
+    assert (r, piv) == (rank0, piv0) and np.array_equal(A, R0)
+    assert len(inverted) == 30
+
+
 @pytest.mark.parametrize("p", [5, 7, P, 1048573])
 def test_reduce_is_exact_to_the_edge_of_its_range(rng, p):
     # _reduce(x, p) = x - floor(x / p) * p is exact while |x| + p < 2**53:
@@ -413,11 +499,6 @@ def test_nullspace_canonical(rng):
     free = [j for j in range(10) if j not in set(pivots)]
     for idx, fc in enumerate(free):
         assert B[idx, fc] == 1
-    # the basis read off the reduced form entry by entry
-    ref = np.zeros_like(B)
-    for idx, fc in enumerate(free):
-        ref[idx, fc] = 1
-        for i, pc in enumerate(pivots):
-            ref[idx, pc] = (P - R[i, fc]) % P
+    ref = _oracle_kernel(R, list(pivots), P)
     assert np.array_equal(B, ref)
     assert np.array_equal(exactalg.kernel_basis(M, P), ref)

@@ -135,11 +135,12 @@ def test_verify_thm42_rejects_window_without_rows_it_checks():
 
 def test_each_md_eliminated_once_per_sample(monkeypatch):
     # the certificate ladder assembles m(0) alone and eliminates its
-    # transpose (8 x 12), then G_1 (18 x 10: 16 shifted unit positions, 10
-    # of them distinct) and G_2 (60 x 4), after the 4 x 12 kernel of the
-    # draw's quotient; rank m(1) and the table's rows at k = 0, 1 are read
-    # from it, so the table adds no call, no rank is taken, and ker M1 is
-    # never computed
+    # transpose (8 x 12), then G_1 (12 x 10: 16 shifted unit positions, 10
+    # of them distinct, and 12 of its 18 pair equations left once the 6
+    # that read one unknown on both sides are dropped) and G_2 (60 x 4),
+    # after the 4 x 12 kernel of the draw's quotient; rank m(1) and the
+    # table's rows at k = 0, 1 are read from it, so the table adds no call,
+    # no rank is taken, and ker M1 is never computed
     degrees, kernels, ranks = [], [], []
     orig_md, orig_kernel, orig_rank = (steiner.assemble_md,
                                        exactalg.kernel_basis, exactalg.rank)
@@ -162,7 +163,7 @@ def test_each_md_eliminated_once_per_sample(monkeypatch):
     monkeypatch.setattr(exactalg, "rank", record_rank)
     s = sample_pw(3, 8, 1, seed=1, p=P)
     assert s.attempts == 1 and s.cert.d0 == 2
-    calls = ([0], [(4, 12), (8, 12), (18, 10), (60, 4)], [])
+    calls = ([0], [(4, 12), (8, 12), (12, 10), (60, 4)], [])
     assert (degrees, kernels, ranks) == calls
     verify_thm42(s)
     assert (degrees, kernels, ranks) == calls

@@ -556,7 +556,8 @@ def test_x3_shortcut_answers_on_its_k_y_columns(p, monkeypatch):
 
 def test_residual_computed_once_per_presentation(monkeypatch):
     # the ladder assembles m(0) alone and eliminates its transpose, 21 x 28
-    # at (7, 21), then G_1 (42 x 19) and G_2 (140 x 4); the direct check of
+    # at (7, 21), then G_1 (33 x 19, its 42 pair equations less the 9
+    # zero ones) and G_2 (140 x 4); the direct check of
     # m(s - 3) = m(4) then splits M1 ([M1 | id] is 7 x 28), N2 (7 x 21) and
     # the square Y = N3 K2 (7 x 14), and ranks only [T K_Y | V_1 | M V_1]
     # (7 x 14) of the a-row system its x3 split leaves, so neither the
@@ -600,7 +601,7 @@ def test_residual_computed_once_per_presentation(monkeypatch):
     assert cert.checked == s.cert.checked == ((1, 1), (2, 0))
     sample = dataclasses.replace(s, m=m, cert=cert)
     assert pwcurves.h1_ic_vanishing(sample) is True
-    assert kernels == [(21, 28), (42, 19), (140, 4)]
+    assert kernels == [(21, 28), (33, 19), (140, 4)]
     assert splits == [(7, 28), (7, 21), (7, 14)]
     assert ranks == [(7, 14)]
     assert steiner.m1_kernel(sample.m).shape == (4, 15, 21)
