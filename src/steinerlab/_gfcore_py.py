@@ -5,44 +5,35 @@ caller checks with _check_capacity that (rank + panel) * p**2 < 2**53, so
 sums of products of reduced residues never lose precision; reduction mod p
 is delayed until after each matrix product, as in FFLAS-FFPACK.
 
-The downward sweep is blocked and right-looking, over 128-column panels
-with first-nonzero pivoting.  A panel that finds pivots brings every column
-to its right up to date at once, one PANEL-wide block at a time, by _update:
-the block's pivot rows are solved by W, the inverse of the panel's
-triangular factor, and the rows below them take one product with the
-panel's multipliers.  A rank-only run that reaches rank = rows skips that
-update and stops, since no column can pivot any more.
+A matrix that fits one panel, n, m <= PANEL, full or rank-only, takes one
+Gauss-Jordan sweep: each step clears its pivot columns above and below
+their pivots, and the whole matrix is reduced once at the end.  A step
+takes two pivots where the next 2 x 2 block is invertible mod p, inverted
+in closed form and cleared by one rank-2 update, so that two pivots cost
+about the numpy calls of one (block pivoting with delayed reduction, as in
+FFLAS-FFPACK), and one pivot otherwise.  A row meets each pivot once, so
+its entries stay below p + rank * p**2.
+
+A taller or wider matrix takes the blocked, right-looking downward sweep
+over 128-column panels with first-nonzero pivoting.  A panel that finds
+pivots brings every column to its right up to date at once, one
+PANEL-wide block at a time, by _update: the block's pivot rows are solved
+by W, the inverse of the panel's triangular factor, and the rows below
+them take one product with the panel's multipliers.  A rank-only run that
+reaches rank = rows skips that update and stops, since no column can pivot
+any more.  A full run ends with _back_eliminate, which clears above the
+pivots.
 
 Inside a panel the pivots are found by recursive halving (recursive LU, as
 in Toledo 1997 and the PLUQ of FFLAS-FFPACK): factor the left half, bring
 the right half up to date by the same _update step as a finished panel,
-then factor the right half.  Leaves of 16 columns run the per-column loop.
-The halving stops once at most PANEL rows remain below the current pivot,
-a property of the input, so systems of up to 128 rows run the column loop
-on whole panels.  The pivots are the column loop's, and each pivot still adds
-less than p**2 to an entry before the entry is next reduced, so the
-(rank + panel) * p**2 bound holds as it did.
-
-The column loop reduces the column below the current pivot row and reads
-its first residue: when that is nonzero, the row is its own first-nonzero
-pivot, with no search and no swap.  Only a zero residue there (an entry of
-the input, or one that an earlier pivot cancelled to a multiple of p) costs
-a search and a row swap.  Rank and the reduced form depend only on the row
-space, so callers that know their systems' structure list the rows in the
-order their pivots are met: steiner's S_d needs no swap, and its
-certificate ladder's G_d, its rows sorted by their first nonzero column,
-swaps only where an elimination leaves a row's next entry zero.  The pivot
-row is normalized and the rows below it updated in place.
-
-A full reduction of a matrix that fits one panel, n, m <= PANEL, skips
-both sweeps: one Gauss-Jordan sweep clears the pivot columns above and
-below their pivots, and the whole matrix is reduced once at the end.  A
-step takes two pivots where the next 2 x 2 block is invertible mod p,
-inverted in closed form and cleared by one rank-2 update, so that two
-pivots cost about the numpy calls of one (block pivoting with delayed
-reduction, as in FFLAS-FFPACK), and one pivot otherwise.  A row meets
-each pivot once, so its entries stay below p + rank * p**2.  Taller or
-wider full runs, and every rank-only run, take the blocked sweeps.
+then factor the right half.  Leaves of 16 columns, and blocks with at most
+PANEL rows left below the current pivot, run the column loop.  Each pivot
+adds less than p**2 to an entry before the entry is next reduced, so the
+(rank + panel) * p**2 bound holds.  The column loop reads the residue
+below the current pivot row: when it is nonzero, the row is its own
+first-nonzero pivot; only a zero residue costs a search and a row swap.
+The pivot row is normalized and the rows below it updated in place.
 
 `_stack_ranks` is the rank-only sweep over a stack of same-shape matrices
 that exactalg.ranks_at fills.  Small matrices spend most of a blocked run
@@ -286,7 +277,7 @@ def _back_eliminate(F, p, rank, pivots):
 
 def _gauss_jordan(F, p):
     """Reduced row echelon form of F in place, in one column sweep; returns
-    (rank, pivots).  For n, m <= PANEL, where rref picks it.
+    (rank, pivots).  rref runs it on every matrix with n, m <= PANEL.
 
     The sweep runs on G = F^T, so that a column of F and the target of an
     update are contiguous.  A step at row cur and column lc reads the
@@ -353,9 +344,10 @@ def rref(a, p, full=True):
     """Reduce int64 array `a` mod p; return (rank, pivots).
 
     With `full`, `a` is overwritten in place by its reduced row echelon
-    form: by one Gauss-Jordan sweep when it fits one panel, else by the
-    blocked downward sweep and the upward one.  Without it only (rank,
-    pivots) is computed and `a` is only read."""
+    form.  Without it only (rank, pivots) is computed and `a` is only read.
+    A matrix that fits one panel takes one Gauss-Jordan sweep either way;
+    a larger one takes the blocked downward sweep, and the upward one when
+    `full`."""
     n, m = a.shape
     if n == 0 or m == 0:
         return 0, []
@@ -363,7 +355,7 @@ def rref(a, p, full=True):
     # no reduced int64 copy next to it
     F = np.empty((n, m))
     np.remainder(a, p, out=F, casting="unsafe")
-    if full and n <= PANEL and m <= PANEL:
+    if n <= PANEL and m <= PANEL:
         rank, pivots = _gauss_jordan(F, p)
     else:
         rank, pivots = _forward(F, p, full)

@@ -435,13 +435,7 @@ def surjectivity_certificate(m, d_max=D_MAX):
         G = np.vstack(G)
         # a pair equation at a unit position can read the same unknown on
         # both sides, and leave a zero row
-        G = G[G.any(axis=1)]
-        # rows by first nonzero column, so that most pivots of the
-        # elimination are met in place; the kernel is the row space's,
-        # whatever the order (the column of ones is there for a G with no
-        # column, when Ann_0 is 0)
-        lead = np.argmax(np.hstack([G != 0, np.ones((len(G), 1), bool)]), 1)
-        K = exactalg.kernel_basis(G[np.argsort(lead, kind="stable")], p)
+        K = exactalg.kernel_basis(G[G.any(axis=1)], p)
         checked.append((d, len(K)))
         if not len(K) or d == d_max:
             break

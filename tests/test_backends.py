@@ -231,9 +231,10 @@ def test_core_matches_oracle_near_capacity_prime(rng, kind):
     _check_against(M, p, R0, piv0)
 
 
-# rref(full=True) runs one Gauss-Jordan sweep when the matrix fits one
-# panel, n, m <= PANEL = 128, and the blocked downward and upward sweeps
-# otherwise; the tests below straddle that choice.
+# rref runs one Gauss-Jordan sweep when the matrix fits one panel, n, m <=
+# PANEL = 128, whether full or rank-only, and the blocked downward sweep,
+# plus the upward one when full, otherwise; the tests below straddle that
+# choice.  _check_against runs the rank-only run first, then the full one.
 
 
 def _sweeps(monkeypatch):
@@ -262,7 +263,7 @@ def _deficient(rng, n, m, p):
     return M
 
 
-@pytest.mark.parametrize("p", [P, 1048573])
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
 def test_core_matches_oracle_at_the_gauss_jordan_seam(rng, monkeypatch, p):
     swept = _sweeps(monkeypatch)
     for n, m in [(128, 128), (128, 129), (129, 128), (1, 128), (128, 1)]:
@@ -272,8 +273,8 @@ def test_core_matches_oracle_at_the_gauss_jordan_seam(rng, monkeypatch, p):
             R0, rank0, piv0 = oracle_rref(A, p)
             swept.clear()
             _check_against(A, p, R0, piv0)
-            # the rank-only run never takes the Gauss-Jordan sweep
-            assert swept == ([(n, m)] if max(n, m) <= 128 else [])
+            # both runs take the Gauss-Jordan sweep, or neither does
+            assert swept == ([(n, m)] * 2 if max(n, m) <= 128 else [])
 
 
 @pytest.mark.parametrize("kind", ["all_top", "near_top"])
@@ -292,7 +293,7 @@ def test_gauss_jordan_near_capacity_prime(rng, monkeypatch, kind):
     R0, rank0, piv0 = oracle_rref(M, p)
     assert rank0 == n - 1
     _check_against(M, p, R0, piv0)
-    assert swept == [(n, n)]
+    assert swept == [(n, n)] * 2
 
 
 def _staircase(rng, p, blocks, extra):
@@ -354,7 +355,7 @@ def test_gauss_jordan_block_and_single_steps(rng, monkeypatch, p):
         assert rank0 == 9
         swept.clear()
         _check_against(A, p, R0, piv0)
-        assert swept == [A.shape]
+        assert swept == [A.shape] * 2
         assert exactalg.rank(A, p) == rank0
         assert np.array_equal(exactalg.kernel_basis(A, p),
                               _oracle_kernel(R0, piv0, p))
@@ -363,7 +364,8 @@ def test_gauss_jordan_block_and_single_steps(rng, monkeypatch, p):
 
 def test_gauss_jordan_takes_two_pivots_a_step(rng, monkeypatch):
     # a generic 60 x 80 of full row rank: every 2 x 2 block the sweep meets
-    # is invertible, so its 60 pivots take 30 steps, one inverse each
+    # is invertible, so its 60 pivots take 30 steps, one inverse each, in
+    # the full run and in the rank-only run, which leaves M as it was
     M = rng.integers(0, P, size=(60, 80)).astype(np.int64)
     R0, rank0, piv0 = oracle_rref(M, P)
     assert piv0 == list(range(60))
@@ -374,9 +376,35 @@ def test_gauss_jordan_takes_two_pivots_a_step(rng, monkeypatch):
         return pow(x, e, p)
 
     monkeypatch.setattr(_gfcore_py, "pow", spy, raising=False)
-    A, r, piv = _core(M, P, True)
-    assert (r, piv) == (rank0, piv0) and np.array_equal(A, R0)
-    assert len(inverted) == 30
+    for full in (True, False):
+        inverted.clear()
+        A, r, piv = _core(M, P, full)
+        assert (r, piv) == (rank0, piv0)
+        assert np.array_equal(A, R0 if full else M)
+        assert len(inverted) == 30
+
+
+def test_shape_alone_picks_the_path(rng, monkeypatch):
+    # full or rank-only, of full rank, deficient or zero, a matrix with
+    # n, m <= PANEL never enters the blocked sweep, and one with n or m
+    # past PANEL always does
+    entered = []
+    forward = _gfcore_py._forward
+
+    def spy(F, p, full):
+        entered.append((F.shape, full))
+        return forward(F, p, full)
+
+    monkeypatch.setattr(_gfcore_py, "_forward", spy)
+    for n, m in [(1, 1), (1, 128), (128, 1), (3, 10), (60, 80), (80, 60),
+                 (127, 128), (128, 128), (128, 129), (129, 128)]:
+        for M in (rng.integers(0, P, size=(n, m)), _deficient(rng, n, m, P),
+                  np.zeros((n, m), dtype=np.int64)):
+            R0, rank0, piv0 = oracle_rref(M, P)
+            entered.clear()
+            _check_against(M, P, R0, piv0)
+            blocked = [((n, m), False), ((n, m), True)]
+            assert entered == ([] if max(n, m) <= 128 else blocked)
 
 
 @pytest.mark.parametrize("p", [5, 7, P, 1048573])
@@ -449,9 +477,10 @@ def _lead_order(M, p):
 @pytest.mark.parametrize("p", [5, 7, P, 1048573])
 def test_row_order_changes_no_output(rng, p):
     # rank, rref and the canonical kernel depend only on the row space, so
-    # steiner may lay out S_d and G_d in a row order whose pivots are met in
-    # place; each matrix and its row permutations must match the oracle of
-    # the original.  The 180 x 200 S_d shape halves its panels
+    # steiner may lay out S_d in a row order whose pivots are met in place,
+    # and G_d in the order of its pair equations; each matrix and its row
+    # permutations must match the oracle of the original.  The 180 x 200
+    # S_d shape halves its panels
     cases = []
     for a, d, w in [(3, 3, 4), (4, 6, 3), (30, 4, 40)]:
         S, rows = _sd_like(rng, a, d, w, p)
