@@ -1,54 +1,46 @@
-"""Blocked numpy row-reduction over F_p: the elimination core (see backend).
+"""Numpy row-reduction over F_p: the elimination core (see backend).
 
 Arithmetic runs in float64, which is exact for integers below 2**53.  The
 caller checks with _check_capacity that (rank + panel) * p**2 < 2**53, so
 sums of products of reduced residues never lose precision; reduction mod p
 is delayed until after each matrix product, as in FFLAS-FFPACK.
 
-A matrix that fits one panel, n, m <= PANEL, full or rank-only, takes one
-Gauss-Jordan sweep: each step clears its pivot columns above and below
-their pivots, and the whole matrix is reduced once at the end.  A step
-takes two pivots where the next 2 x 2 block is invertible mod p, inverted
-in closed form and cleared by one rank-2 update, so that two pivots cost
-about the numpy calls of one (block pivoting with delayed reduction, as in
-FFLAS-FFPACK), and one pivot otherwise.  A row meets each pivot once, so
-its entries stay below p + rank * p**2.
+A matrix of at most PANEL columns, of any height, full or rank-only, takes
+one Gauss-Jordan sweep: each step clears its pivot columns above and below
+their pivots, and the form is reduced once, by the caller that reads it.
+A step takes two pivots where the next 2 x 2 block is invertible mod p,
+inverted in closed form and cleared by one rank-2 update, so that two
+pivots cost about the numpy calls of one (block pivoting with delayed
+reduction, as in FFLAS-FFPACK), and one pivot otherwise.  A row meets each
+pivot once, so its entries stay below p + rank * p**2.
 
-A taller or wider matrix takes the blocked, right-looking downward sweep
-over 128-column panels with first-nonzero pivoting.  A panel that finds
-pivots brings every column to its right up to date at once, one
-PANEL-wide block at a time, by _update: the block's pivot rows are solved
-by W, the inverse of the panel's triangular factor, and the rows below
-them take one product with the panel's multipliers.  A rank-only run that
-reaches rank = rows skips that update and stops, since no column can pivot
-any more.  A full run ends with _back_eliminate, which clears above the
-pivots.
-
-Inside a panel the pivots are found by recursive halving (recursive LU, as
-in Toledo 1997 and the PLUQ of FFLAS-FFPACK): factor the left half, bring
-the right half up to date by the same _update step as a finished panel,
-then factor the right half.  Leaves of 16 columns, and blocks with at most
-PANEL rows left below the current pivot, run the column loop.  Each pivot
-adds less than p**2 to an entry before the entry is next reduced, so the
-(rank + panel) * p**2 bound holds.  The column loop reads the residue
-below the current pivot row: when it is nonzero, the row is its own
-first-nonzero pivot; only a zero residue costs a search and a row swap.
-The pivot row is normalized and the rows below it updated in place.
+A wider matrix is swept one 128-column panel at a time (block elimination
+with delayed reduction, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+The panel's active rows, reduced, take the same Gauss-Jordan sweep, which
+finds the panel's k pivots and the rows they come from; those rows move up
+to the first active rows.  With B the k x k block of the pivot rows at the
+pivot columns, inverted by one sweep of [B | id], the pivot rows' right
+part Y becomes Z = B^-1 Y, and the rows below take one product of their
+entries at the pivot columns with Z.  A full run writes the panel's
+reduced rows R in place and clears the rows above by one product against
+[R | Z]; a rank-only run stops once the rank reaches the row count, before
+that panel's inverse.  Each product takes less than k * p**2 from an entry
+of reduced factors, and an entry is reduced whenever it is read as a
+factor, so every entry stays below p + rank * p**2.
 
 `_stack_ranks` is the rank-only sweep over a stack of same-shape matrices
-that exactalg.ranks_at fills.  Small matrices spend most of a blocked run
+that exactalg.ranks_at fills.  Small matrices spend most of a single run
 in numpy's per-call overhead, so the stack is swept with every matrix at
 once.  While every matrix pivots on its first active row, as a generic
 stack does, the sweep takes BLOCK columns at a time and factors only the
 block's square head, by a fraction-free Gauss-Jordan sweep with one
 common scale per matrix, so that one inversion of the scales per block
 gives the inverse of the head's pivot block.  The rows below then take
-the Schur complement in one batched product: block elimination with
-delayed reduction, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008).  At the first column where some matrix's first active entry
-is 0 mod p, the head stops, the pivots found so far take their product,
-and from there the sweep goes column by column: one broadcast rank-1
-update per column over the rows still active, each matrix with its own
+the Schur complement in one batched product, as in the panels above.
+At the first column where some matrix's first active entry is 0 mod p,
+the head stops, the pivots found so far take their product, and from
+there the sweep goes column by column: one broadcast rank-1 update per
+column over the rows still active, each matrix with its own
 first-nonzero pivot row.  A block's scales, and a column's pivots, are
 inverted together by Montgomery's batch inversion (Math. Comp. 48, 1987),
 one pow for the stack.  As in the core, an entry is reduced only when it
@@ -58,7 +50,7 @@ a product; each pivot subtracts less than p**2 from it, so it stays below
 
 Blocks and products are reduced by _reduce, x - floor(x / p) * p in four
 numpy passes, exact while |x| + p < 2**53; the single columns and rows of
-the column loops by %.
+the sweeps by %.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ from __future__ import annotations
 import numpy as np
 
 PANEL = 128
-LEAF = 16
 # columns of the head the stacked rank sweep factors at once while no
 # matrix swaps
 BLOCK = 8
@@ -122,162 +113,12 @@ def _inverses(v, p):
     return np.array(out, dtype=np.float64)
 
 
-def _tri_inverse(low, invs, p):
-    """Inverse mod p of the k x k lower-triangular factor whose diagonal
-    inverses are `invs` and whose strictly lower part is that of `low`.
-
-    Doubles the inverted diagonal blocks level by level,
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [C^-1 (-B) A^-1, C^-1]], with every
-    block pair of one level in one batched product."""
-    k = len(invs)
-    size = 1 << (k - 1).bit_length()
-    N = np.zeros((size, size))
-    N[:k, :k] = np.tril(p - low, -1)
-    W = np.eye(size)
-    W[np.arange(k), np.arange(k)] = invs
-    s = 1
-    while s < size:
-        nb = size // (2 * s)
-        d = np.arange(nb)
-        Nb = N.reshape(nb, 2 * s, nb, 2 * s)
-        Wb = W.reshape(nb, 2 * s, nb, 2 * s)
-        X = _reduce(Wb[d, s:, d, s:] @ Nb[d, s:, d, :s], p)
-        Wb[d, s:, d, :s] = _reduce(X @ Wb[d, :s, d, :s], p)
-        s *= 2
-    return W[:k, :k]
-
-
-def _update(C, L, cur, top, W, p):
-    """Bring the column block C (a view into the matrix) up to date with the
-    pivots of rows cur:top, whose triangular factor has the inverse W.
-
-    The pivot rows become W @ X, normalized and fully reduced; the rows
-    below them take one product with those pivots' multipliers in L."""
-    X = C[cur:top]
-    X[:] = _reduce(W @ _reduce(X, p), p)
-    C[top:] -= L[top:, cur:top] @ X
-
-
-def _factor(F, L, cur, c0, c1, p, invs, pivots):
-    """Find the pivots of columns c0:c1 of F from row `cur` down, with the
-    rows and columns of the block up to date on entry; return the new row
-    count `cur`.
-
-    While more than PANEL rows remain below `cur`, the block is halved: the
-    left half is factored, the right half is brought up to date by _update
-    with the left half's pivots, and then factored in turn.  Leaves of at
-    most LEAF columns, and every block with at most PANEL rows left, run the
-    column loop: first-nonzero pivot, rank-1 update of the block; a leaf
-    whose block below `cur` is exactly zero has no pivot and nothing to
-    clear, so it returns at once.  The pivot is row `cur` whenever the
-    residue of its entry is nonzero; only otherwise is the column searched
-    and the first row with a nonzero residue swapped up to `cur`.
-    """
-    n = F.shape[0]
-    if c1 - c0 > LEAF and n - cur > PANEL:
-        mid = c0 + (c1 - c0) // 2
-        k0 = len(invs)
-        top = _factor(F, L, cur, c0, mid, p, invs, pivots)
-        if top > cur:
-            _update(F[:, mid:c1], L, cur, top,
-                    _tri_inverse(L[cur:top, cur:top], invs[k0:], p), p)
-        return _factor(F, L, top, mid, c1, p, invs, pivots)
-    if not F[cur:, c0:c1].any():
-        return cur
-    for lc in range(c0, c1):
-        if cur == n:
-            break
-        colv = F[cur:, lc] % p
-        # read as a residue: an unreduced entry can be a nonzero multiple
-        # of p, which is no pivot
-        if not colv[0]:
-            nz = np.nonzero(colv)[0]
-            if nz.size == 0:
-                F[cur:, lc] = 0.0
-                continue
-            r = int(nz[0])
-            # entries left of lc are zero in both rows, and so are the
-            # multipliers from pivot cur on; only this panel's multipliers,
-            # from its first pivot row cur - len(invs) on, are read again
-            F[[cur, cur + r], lc:] = F[[cur + r, cur], lc:]
-            k0 = cur - len(invs)
-            L[[cur, cur + r], k0:cur] = L[[cur + r, cur], k0:cur]
-            colv[[0, r]] = colv[[r, 0]]
-        inv = float(pow(int(colv[0]), -1, p))
-        # normalize the pivot row across the block, in place; columns to
-        # its right get the normalization through W
-        row = F[cur, lc:c1]
-        row %= p
-        row *= inv
-        row %= p
-        L[cur + 1:, cur] = colv[1:]
-        F[cur + 1:, lc + 1:c1] -= colv[1:, None] * row[1:]
-        F[cur + 1:, lc] = 0.0
-        invs.append(inv)
-        pivots.append(lc)
-        cur += 1
-    return cur
-
-
-def _forward(F, p, full):
-    """Downward sweep on float64 matrix F (entries reduced on entry).
-
-    Returns (rank, pivots).  Each panel is factored by _factor and, if it
-    found pivots, updates every column to its right before the next panel
-    starts; a rank-only run that has reached the row count skips that
-    update and stops.  With `full`, leaves F in echelon form with
-    normalized, fully reduced pivot rows and exact zeros below them;
-    otherwise F is left unspecified.
-    """
-    n, m = F.shape
-    # L[r, t]: multiplier of row r for the t-th pivot (r > t); row swaps move
-    # it along with the row, so a panel's update reads each row's own
-    # multipliers
-    L = np.zeros((n, min(n, m)))
-    cur = 0
-    pivots = []
-    for c0 in range(0, m, PANEL):
-        if cur == n:
-            break
-        c1 = min(c0 + PANEL, m)
-        cur0 = cur
-        invs = []
-        cur = _factor(F, L, cur, c0, c1, p, invs, pivots)
-        # a rank-only run that reached the row count reads no column again
-        if cur > cur0 and c1 < m and (cur < n or full):
-            W = _tri_inverse(L[cur0:cur, cur0:cur], invs, p)
-            for b in range(c1, m, PANEL):
-                _update(F[:, b:b + PANEL], L, cur0, cur, W, p)
-    return cur, pivots
-
-
-def _back_eliminate(F, p, rank, pivots):
-    """Clear the entries above every pivot, panel by panel from the right.
-
-    Rows are fully reduced on entry, so one matrix product per panel keeps
-    every intermediate value below (PANEL + 1) * p**2."""
-    j1 = rank
-    while j1 > 0:
-        j0 = max(0, j1 - PANEL)
-        cstart = pivots[j0]
-        # panel rows against each other, bottom-up; rows below i are already
-        # clean, so a single combination per row suffices
-        for i in range(j1 - 2, j0 - 1, -1):
-            coef = F[i, pivots[i + 1:j1]]
-            if coef.any():
-                row = F[i, cstart:]
-                row -= coef @ F[i + 1:j1, cstart:]
-                row %= p
-        if j0 > 0:
-            A = F[:j0, pivots[j0:j1]]
-            F[:j0, cstart:] = _reduce(F[:j0, cstart:] - A @ F[j0:j1, cstart:],
-                                      p)
-        j1 = j0
-
-
 def _gauss_jordan(F, p):
-    """Reduced row echelon form of F in place, in one column sweep; returns
-    (rank, pivots).  rref runs it on every matrix with n, m <= PANEL.
+    """Reduced row echelon form of the float64 residues F, in one column
+    sweep; returns (rank, pivots, order, R) and only reads F.  Row i of R
+    descends from row order[i] of F, which a swap moved there, so the rank
+    rows order[:rank] span the rows of F; R is not yet reduced mod p, and
+    the caller that reads it reduces it.
 
     The sweep runs on G = F^T, so that a column of F and the target of an
     update are contiguous.  A step at row cur and column lc reads the
@@ -291,11 +132,12 @@ def _gauss_jordan(F, p):
     reduced, and the column is cleared in one rank-1 update.  The reduced
     form is unique, so it does not depend on which steps take two pivots.
     A row meets each pivot once, and a block step adds less than 2 * p**2
-    for its two, so entries stay below p + rank * p**2 until the one
-    reduction at the end; a cleared column holds multiples of p until
-    then, and so does every entry left of a row's next pivot."""
+    for its two, so entries of R stay below p + rank * p**2; a cleared
+    column holds multiples of p, and so does every entry left of a row's
+    next pivot and every row below the rank."""
     n, m = F.shape
-    G = np.ascontiguousarray(F.T)
+    G = F.T.copy()
+    order = np.arange(n)
     cur = 0
     lc = 0
     pivots = []
@@ -326,6 +168,7 @@ def _gauss_jordan(F, p):
                 continue
             r = cur + int(nz[0])
             G[lc:, [cur, r]] = G[lc:, [r, cur]]
+            order[[cur, r]] = order[[r, cur]]
             colv[[cur, r]] = colv[[r, cur]]
         row = G[lc:, cur]
         row %= p
@@ -336,8 +179,59 @@ def _gauss_jordan(F, p):
         pivots.append(lc)
         cur += 1
         lc += 1
-    F[:] = _reduce(G.T, p)
-    return cur, pivots
+    return cur, pivots, order, G.T
+
+
+def _sweep_panels(F, p, full):
+    """Sweep the float64 residues F one PANEL-column panel at a time;
+    returns (rank, pivots).  With `full`, the first rank rows of F are left
+    holding the reduced row echelon form, not yet reduced mod p; otherwise
+    F is left unspecified.
+
+    Rows from cur down are active.  A panel whose active rows are 0 mod p
+    is skipped; otherwise their residues P take one Gauss-Jordan sweep,
+    which finds k pivots and the rows S of P they come from.  The rows that
+    moved are copied into place across the columns right of the panel, S
+    first.  There, with B the k x k block of P on S at the pivot columns,
+    the pivot rows Y become Z = B^-1 Y, reduced, and every row below
+    subtracts its residues at the pivot columns times Z: its panel part is
+    that combination of the pivot rows, so it reaches 0.  A full run then
+    writes the pivot rows' reduced panel part R, clears their entries left
+    of the panel, and clears the pivot columns in the rows above by one
+    product against [R | Z]."""
+    n, m = F.shape
+    cur = 0
+    pivots = []
+    for c0 in range(0, m, PANEL):
+        c1 = min(c0 + PANEL, m)
+        P = _reduce(F[cur:, c0:c1], p)
+        if not P.any():
+            continue
+        k, piv, order, R = _gauss_jordan(P, p)
+        pivots += [c0 + j for j in piv]
+        top = cur + k
+        # a rank-only run that reached the row count reads no column again
+        if top == n and not full:
+            break
+        moved = np.flatnonzero(order != np.arange(len(order)))
+        F[cur + moved, c1:] = F[cur + order[moved], c1:]
+        if c1 < m:
+            # the panel's residues at its pivot columns, rows in R's order
+            C = P[:, piv][order]
+            B = np.hstack([C[:k], np.eye(k)])
+            inv = _reduce(_gauss_jordan(B, p)[3][:, k:], p)
+            Z = F[cur:top, c1:]
+            Z[:] = _reduce(inv @ _reduce(Z, p), p)
+            F[top:, c1:] -= C[k:] @ Z
+        if full:
+            F[cur:top, :c0] = 0.0
+            F[cur:top, c0:c1] = _reduce(R[:k], p)
+            A = _reduce(F[:cur, c0:c1][:, piv], p)
+            F[:cur, c0:] -= A @ F[cur:top, c0:]
+        cur = top
+        if cur == n:
+            break
+    return len(pivots), pivots
 
 
 def rref(a, p, full=True):
@@ -345,9 +239,8 @@ def rref(a, p, full=True):
 
     With `full`, `a` is overwritten in place by its reduced row echelon
     form.  Without it only (rank, pivots) is computed and `a` is only read.
-    A matrix that fits one panel takes one Gauss-Jordan sweep either way;
-    a larger one takes the blocked downward sweep, and the upward one when
-    `full`."""
+    A matrix of at most PANEL columns takes one Gauss-Jordan sweep either
+    way, and a wider one one sweep per panel."""
     n, m = a.shape
     if n == 0 or m == 0:
         return 0, []
@@ -355,14 +248,13 @@ def rref(a, p, full=True):
     # no reduced int64 copy next to it
     F = np.empty((n, m))
     np.remainder(a, p, out=F, casting="unsafe")
-    if n <= PANEL and m <= PANEL:
-        rank, pivots = _gauss_jordan(F, p)
+    if m <= PANEL:
+        rank, pivots, _, F = _gauss_jordan(F, p)
     else:
-        rank, pivots = _forward(F, p, full)
-        if full and rank > 1:
-            _back_eliminate(F, p, rank, np.asarray(pivots, dtype=np.intp))
+        rank, pivots = _sweep_panels(F, p, full)
     if full:
-        a[:, :] = F
+        a[:rank] = _reduce(F[:rank], p)
+        a[rank:] = 0
     return rank, pivots
 
 

@@ -1,22 +1,17 @@
 """The F_p elimination core behind every rank, reduced form and kernel.
 
-`_core` is the numpy elimination in _gfcore_py.  A matrix that fits one
-128-column panel, full or rank-only, takes one Gauss-Jordan sweep.  A
-larger one takes a right-looking sweep over 128-column panels, each of
-which brings every column to its right up to date by matrix products once
-it has found its pivots; a rank-only elimination stops as soon as the rank
-reaches the row count.  Inside a panel with more than PANEL rows left below
-the pivot, the columns are halved recursively down to 16-column leaves,
-each half's update taking the same step as a panel's; smaller blocks run
-the per-column loop.  Batching an update changes when it is applied, not
-its size: each pivot adds less than p**2 to an entry before the entry is
-next reduced, so sums stay below (rank + PANEL) * p**2 as in a
-column-at-a-time sweep.  Its contract: rref(a, p, True) reduces an int64
-C-contiguous array in place to its reduced row echelon form and returns
-(rank, pivot columns), with first-nonzero pivoting so the reduced form is
-canonical; rref(a, p, False) returns the same (rank, pivot columns) and
-only reads `a`, so `rank` hands it the caller's array when that is already
-int64.  Every elimination of a single matrix goes through the attribute
+`_core` is the numpy elimination in _gfcore_py.  A matrix of at most 128
+columns, full or rank-only, takes one Gauss-Jordan sweep.  A wider one
+takes the same sweep one 128-column panel at a time, and the rows below
+and above each panel's pivots take one matrix product each; a rank-only
+elimination stops as soon as the rank reaches the row count.  Each pivot
+adds less than p**2 to an entry before the entry is next reduced, so sums
+stay below (rank + PANEL) * p**2 as in a column-at-a-time sweep.  Its
+contract: rref(a, p, True) reduces an int64 C-contiguous array in place to
+its reduced row echelon form and returns (rank, pivot columns), with
+first-nonzero pivoting so the reduced form is canonical; rref(a, p, False)
+returns the same (rank, pivot columns) and only reads `a`, so `rank` hands
+it the caller's array when that is already int64.  Every elimination of a single matrix goes through the attribute
 call `_core.rref(...)`, so a profiler can wrap that one attribute.  The one
 other entry into the core is the rank-only sweep over a stack of same-shape
 matrices, `_core._stack_ranks`, on the float64 values that

@@ -4,9 +4,9 @@ Matrices are numpy int64 arrays, rows × cols, row-major.  `rank`, `rref`,
 `kernel_basis`, `split`, `cokernel_dim` and `matmul_mod` take any int64
 entries (on a shape within the core's capacity guard), reduce them mod p and
 return residues in [0, p).  Every rank, kernel and cokernel in the package
-reduces to the routines here.  A single matrix goes to the blocked
-elimination core in backend.  A matrix of linear forms on P^3 is a
-(4, r, c) array whose entry [k] is the coefficient of x_(k+1);
+reduces to the routines here.  A single matrix goes to the elimination
+core in backend.  A matrix of linear forms on P^3 is a (4, r, c) array
+whose entry [k] is the coefficient of x_(k+1);
 `evaluate_linear` reads it at points, and `ranks_at` ranks its values at
 many points, a chunk at a time: one float64 product of the chunk's points
 by the forms fills the work stack of the core's rank-only sweep over

@@ -1,7 +1,7 @@
 """The elimination core against independent oracles.
 
 Canonical reduced echelon forms feed serialization and reproducible reports,
-so the blocked float64 core must reproduce, bit for bit, what a textbook
+so the float64 core must reproduce, bit for bit, what a textbook
 Gauss-Jordan elimination in exact integer arithmetic gives, and agree with
 sympy's rref over GF(p) wherever sympy is fast enough to run.
 """
@@ -86,8 +86,9 @@ def test_core_matches_oracle_panel_boundaries(rng):
     # needs seconds per matrix at these sizes, so only the int64 oracle runs).
     # Every shape here is rank-deficient, so the sweep visits every panel;
     # (150, 500) does so across four panels, each updating all on its right.
-    # In (140, 300) and (300, 300) the rows left below the pivot fall to 128
-    # inside a panel, so its blocks stop halving there
+    # (129, 127) and (260, 130) take one sweep of the whole matrix, tall;
+    # in (140, 300) the second panel has 12 active rows, and in (300, 300)
+    # the third has 44 for its 44 columns
     for n, m in [(129, 127), (127, 129), (130, 260), (260, 130), (256, 256),
                  (150, 500), (140, 300), (300, 300)]:
         M = rng.integers(0, P, size=(n, m)).astype(np.int64)
@@ -101,9 +102,9 @@ def test_core_matches_oracle_panel_boundaries(rng):
 
 @pytest.mark.parametrize("n, m", [(100, 400), (130, 520)])
 def test_core_matches_oracle_full_row_rank_wide(rng, n, m):
-    # the rank reaches the row count before the last panel: the rank-only
-    # run stops there, and the full run still carries that panel's update
-    # to every column on its right before the upward sweep
+    # the rank reaches the row count in the first panel: the rank-only run
+    # stops there, and the full run still solves the pivot rows' part on
+    # the panel's right by the inverse of their pivot block
     M = rng.integers(0, P, size=(n, m)).astype(np.int64)
     R0, rank0, piv0 = oracle_rref(M, P)
     assert rank0 == n and piv0[-1] < m - 128
@@ -117,10 +118,9 @@ def test_core_matches_oracle_late_row_swaps(rng):
     # cols[i] >= 256, a column every pivot row leaves zero; so once the
     # updates of panels 0 and 1 have reduced it, it is that unit vector, and
     # the columns are in decreasing order, so panel 2 finds each pivot by a
-    # row swap.  The rank reaches 30 there, and the full run still carries
-    # panel 2's update to the trailing columns.  It guards the row swaps of
-    # a late panel and that panel's update; the swapped rows' multipliers
-    # for panels 0 and 1 are never read again, so a swap leaves them.
+    # row swap.  The rank reaches 30 there, and the full run still solves
+    # the trailing columns of panel 2's pivot rows.  It guards the rows a
+    # late panel moves and that panel's update of the rows above it.
     n, m = 30, 400
     M = np.zeros((n, m), dtype=np.int64)
     M[:10, 10:] = rng.random((10, m - 10)) < 0.1
@@ -159,17 +159,17 @@ def test_core_matches_oracle_small_prime(rng):
     _check_against(M, 5, R0, piv0)
 
 
-# Panels of a matrix with more than PANEL = 128 rows left below the current
-# pivot are factored by recursive halving down to 16-column leaves, the
-# right half brought up to date by products with the left half's pivots;
-# blocks with at most 128 rows left run the column loop.  The tests below
-# put the awkward columns on the seams of the halving.
+# A matrix wider than PANEL = 128 columns is swept one panel at a time: the
+# panel's active rows take one Gauss-Jordan sweep, and the rows below and
+# above take one product each.  The tests below put zero, dependent and
+# pivot-free columns inside panels and on the seam between two panels, on
+# tall matrices whose rows below stay active in every panel.
 
 
 def test_core_matches_oracle_leaf_and_half_seams(rng):
-    # zero and dependent columns on both sides of the leaf seam at 16 and
-    # of the half seam at 64 of the first two panels, with 300 rows so that
-    # every one of them lies in a halved block
+    # zero and dependent columns at 15-17 and 63-65 of the first two
+    # panels, which their sweeps pass over, with 300 rows so that rows stay
+    # below the pivots of both panels and take both products
     n, m = 300, 400
     M = rng.integers(0, P, size=(n, m)).astype(np.int64)
     for base in (0, 128):
@@ -189,8 +189,8 @@ def test_core_matches_oracle_leaf_and_half_seams(rng):
 def test_core_matches_oracle_half_without_pivot(rng, half):
     # one half of the first panel yields no pivot: zero columns on the left,
     # combinations of the left half's columns on the right; or a zero column
-    # block across the seam of the first two panels, whose leaves the sweep
-    # finds exactly zero below the pivot and skips
+    # block across the seam of the first two panels, so that each of them
+    # ends, or starts, with columns the sweep finds exactly zero
     n, m = 300, 320
     M = rng.integers(0, P, size=(n, m)).astype(np.int64)
     cols = {"left": range(0, 64), "right": range(64, 128),
@@ -205,6 +205,8 @@ def test_core_matches_oracle_half_without_pivot(rng, half):
 
 
 def test_core_matches_oracle_small_prime_halved(rng):
+    # at p = 5 a panel's sweep meets many singular 2 x 2 blocks and row
+    # swaps, and the pivot block of each panel is inverted at p = 5 too
     M = rng.integers(0, 5, size=(256, 300)).astype(np.int64)
     R0, rank0, piv0 = oracle_rref(M, 5)
     _check_against(M, 5, R0, piv0)
@@ -231,10 +233,10 @@ def test_core_matches_oracle_near_capacity_prime(rng, kind):
     _check_against(M, p, R0, piv0)
 
 
-# rref runs one Gauss-Jordan sweep when the matrix fits one panel, n, m <=
-# PANEL = 128, whether full or rank-only, and the blocked downward sweep,
-# plus the upward one when full, otherwise; the tests below straddle that
-# choice.  _check_against runs the rank-only run first, then the full one.
+# rref runs one Gauss-Jordan sweep of the whole matrix when it has at most
+# PANEL = 128 columns, whether full or rank-only, and one sweep per panel
+# otherwise; the tests below straddle that choice.  _check_against runs the
+# rank-only run first, then the full one.
 
 
 def _sweeps(monkeypatch):
@@ -246,6 +248,26 @@ def _sweeps(monkeypatch):
         return gj(F, p)
 
     monkeypatch.setattr(_gfcore_py, "_gauss_jordan", spy)
+    return shapes
+
+
+def _sweeps_of(n, m, pivots, full):
+    """The shapes rref sweeps on an n x m matrix with these pivot columns:
+    the whole matrix when m <= 128.  Otherwise each panel whose active rows
+    hold a pivot, its n - r0 active rows below the r0 pivots of the panels
+    before it; then, while columns remain on its right, the [B | id] of its
+    k pivots, k x 2k, unless a rank-only run has reached the row count."""
+    if m <= 128:
+        return [(n, m)]
+    shapes = []
+    for c0 in range(0, m, 128):
+        c1 = min(c0 + 128, m)
+        r0, r1 = (sum(c < e for c in pivots) for e in (c0, c1))
+        if r1 == r0:
+            continue
+        shapes.append((n - r0, c1 - c0))
+        if c1 < m and (full or r1 < n):
+            shapes.append((r1 - r0, 2 * (r1 - r0)))
     return shapes
 
 
@@ -273,15 +295,17 @@ def test_core_matches_oracle_at_the_gauss_jordan_seam(rng, monkeypatch, p):
             R0, rank0, piv0 = oracle_rref(A, p)
             swept.clear()
             _check_against(A, p, R0, piv0)
-            # both runs take the Gauss-Jordan sweep, or neither does
-            assert swept == ([(n, m)] * 2 if max(n, m) <= 128 else [])
+            # at most 128 columns take one sweep of the whole matrix, more
+            # take one sweep per panel
+            assert swept == (_sweeps_of(n, m, piv0, False)
+                             + _sweeps_of(n, m, piv0, True))
 
 
 @pytest.mark.parametrize("kind", ["all_top", "near_top"])
 def test_gauss_jordan_near_capacity_prime(rng, monkeypatch, kind):
-    # entries p - 1, as in the blocked test above, on the largest shape the
-    # Gauss-Jordan sweep takes: the rows above each pivot now accumulate up
-    # to rank * p**2 before the one final reduction
+    # entries p - 1, as in the panel test above, on the largest square the
+    # Gauss-Jordan sweep takes whole: the rows above each pivot accumulate
+    # up to rank * p**2 before the one final reduction
     swept = _sweeps(monkeypatch)
     p, n = 1048573, 128
     if kind == "all_top":
@@ -386,25 +410,97 @@ def test_gauss_jordan_takes_two_pivots_a_step(rng, monkeypatch):
 
 def test_shape_alone_picks_the_path(rng, monkeypatch):
     # full or rank-only, of full rank, deficient or zero, a matrix with
-    # n, m <= PANEL never enters the blocked sweep, and one with n or m
-    # past PANEL always does
-    entered = []
-    forward = _gfcore_py._forward
-
-    def spy(F, p, full):
-        entered.append((F.shape, full))
-        return forward(F, p, full)
-
-    monkeypatch.setattr(_gfcore_py, "_forward", spy)
+    # m <= PANEL columns, of any height, takes one sweep of the whole
+    # matrix, and a wider one one sweep per panel that holds a pivot, plus
+    # the inverse of that panel's pivot block
+    swept = _sweeps(monkeypatch)
     for n, m in [(1, 1), (1, 128), (128, 1), (3, 10), (60, 80), (80, 60),
-                 (127, 128), (128, 128), (128, 129), (129, 128)]:
+                 (127, 128), (128, 128), (129, 128), (300, 128), (128, 129),
+                 (1, 129), (300, 260)]:
         for M in (rng.integers(0, P, size=(n, m)), _deficient(rng, n, m, P),
                   np.zeros((n, m), dtype=np.int64)):
             R0, rank0, piv0 = oracle_rref(M, P)
-            entered.clear()
+            swept.clear()
             _check_against(M, P, R0, piv0)
-            blocked = [((n, m), False), ((n, m), True)]
-            assert entered == ([] if max(n, m) <= 128 else blocked)
+            assert swept == (_sweeps_of(n, m, piv0, False)
+                             + _sweeps_of(n, m, piv0, True))
+            if m <= 128:
+                assert swept == [(n, m)] * 2
+            else:
+                assert (n, m) not in swept
+
+
+def test_panel_sweep_inverts_each_pivot_block_once(rng, monkeypatch):
+    # a panel's pivot rows are solved on its right by the inverse of their
+    # k x k pivot block, from one sweep of [B | id]; a rank-only run that
+    # reaches the row count stops before that panel's inverse, and a panel
+    # with nothing on its right, or no pivot, needs none
+    gj, inverted = _gfcore_py._gauss_jordan, []
+
+    def spy(F, p):
+        k = F.shape[0]
+        if F.shape[1] == 2 * k and np.array_equal(F[:, k:], np.eye(k)):
+            inverted.append(k)
+        return gj(F, p)
+
+    monkeypatch.setattr(_gfcore_py, "_gauss_jordan", spy)
+
+    def low_rank(n, m, r):
+        return (rng.integers(0, P, size=(n, r))
+                @ rng.integers(0, P, size=(r, m))) % P
+
+    # full row rank 100 x 400: the first panel holds every pivot.  A
+    # 300 x 400 of rank 200 has its pivots in the first two panels, and the
+    # last two are zero below them.  The generic 300 x 400 reaches its row
+    # count in its third panel, with 16 columns on its right.  The
+    # 160 x 234 of full row rank, shaped like S_2 at (40, 119), leaves 32
+    # rows below its first panel, and its second panel is its last
+    for M, rank_only, full in [
+            (rng.integers(0, P, size=(100, 400)), [], [100]),
+            (low_rank(300, 400, 200), [128, 72], [128, 72]),
+            (rng.integers(0, P, size=(300, 400)), [128, 128], [128, 128, 44]),
+            (rng.integers(0, P, size=(160, 234)), [128], [128])]:
+        R0, rank0, piv0 = oracle_rref(M, P)
+        for want, run in [(rank_only, False), (full, True)]:
+            inverted.clear()
+            A, r, piv = _core(M, P, run)
+            assert (r, piv) == (rank0, piv0)
+            assert np.array_equal(A, R0 if run else M)
+            assert inverted == want
+
+
+@pytest.mark.parametrize("p", [5, 7, P, 1048573])
+def test_core_matches_oracle_pivots_far_below_the_panel_top(rng, monkeypatch,
+                                                             p):
+    # Rows 0-199 are zero in the first panel, so its pivots come from rows
+    # 200-299, and rows 0-149 are zero in the second, so its pivots come
+    # from rows 150-199 of the 200 left below the first panel's.  Each
+    # panel moves its pivot rows up across every column on its right; the
+    # third panel's pivots come from the 150 rows left, and 22 rows stay
+    # below its pivots for the last, 16 columns wide
+    gj, found = _gfcore_py._gauss_jordan, []
+
+    def spy(F, p):
+        out = gj(F, p)
+        found.append((F.shape, out[0], out[2][:out[0]]))
+        return out
+
+    monkeypatch.setattr(_gfcore_py, "_gauss_jordan", spy)
+    n, m = 300, 400
+    M = rng.integers(0, p, size=(n, m)) + p * rng.integers(-2, 3, size=(n, m))
+    M[:200, :128] = 0
+    M[:150, 128:256] = 0
+    R0, rank0, piv0 = oracle_rref(M, p)
+    found.clear()
+    _check_against(M, p, R0, piv0)
+    panels = [f for f in found if f[0][1] <= 128][:2]
+    assert panels[0][0] == (300, 128) and min(panels[0][2]) >= 200
+    assert panels[1][0][1] == 128
+    # its active rows are 0-199 of M, in the order the first panel left them
+    k0 = panels[0][1]
+    assert panels[1][0][0] == n - k0 and panels[1][1] >= 1
+    if p > 7:
+        assert (k0, panels[1][1], rank0) == (100, 50, 294)
 
 
 @pytest.mark.parametrize("p", [5, 7, P, 1048573])
@@ -480,7 +576,8 @@ def test_row_order_changes_no_output(rng, p):
     # steiner may lay out S_d in a row order whose pivots are met in place,
     # and G_d in the order of its pair equations; each matrix and its row
     # permutations must match the oracle of the original.  The 180 x 200
-    # S_d shape halves its panels
+    # S_d shape spans two panels, and a permutation changes which rows each
+    # panel's sweep moves up
     cases = []
     for a, d, w in [(3, 3, 4), (4, 6, 3), (30, 4, 40)]:
         S, rows = _sd_like(rng, a, d, w, p)
