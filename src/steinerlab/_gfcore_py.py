@@ -31,21 +31,20 @@ factor, so every entry stays below p + rank * p**2.
 `_stack_ranks` is the rank-only sweep over a stack of same-shape matrices
 that exactalg.ranks_at fills.  Small matrices spend most of a single run
 in numpy's per-call overhead, so the stack is swept with every matrix at
-once.  While every matrix pivots on its first active row, as a generic
-stack does, the sweep takes BLOCK columns at a time and factors only the
-block's square head, by a fraction-free Gauss-Jordan sweep with one
-common scale per matrix, so that one inversion of the scales per block
-gives the inverse of the head's pivot block.  The rows below then take
-the Schur complement in one batched product, as in the panels above.
-At the first column where some matrix's first active entry is 0 mod p,
-the head stops, the pivots found so far take their product, and from
-there the sweep goes column by column: one broadcast rank-1 update per
-column over the rows still active, each matrix with its own
-first-nonzero pivot row.  A block's scales, and a column's pivots, are
-inverted together by Montgomery's batch inversion (Math. Comp. 48, 1987),
-one pow for the stack.  As in the core, an entry is reduced only when it
-is read, as part of a head, a pivot column or pivot row, or as a factor of
-a product; each pivot subtracts less than p**2 from it, so it stays below
+once, BLOCK columns at a time.  A block factors only its square head, by
+a fraction-free Gauss-Jordan sweep with one common scale per matrix, so
+that one inversion of the scales, by Montgomery's batch inversion (Math.
+Comp. 48, 1987), one pow for the stack, gives the inverse of the head's
+pivot block.  The rows below then take the Schur complement in one
+batched product, as in the panels above.  The head stops at the first
+column where some matrix's first active entry is 0 mod p, after the
+pivots found so far take their product.  There a matrix with a nonzero
+entry below swaps that row up, and the next block starts at the column;
+a matrix with none has no pivot there and leaves the stack, its block
+right of the column ranked by _sweep_panels unless it is 0 mod p.  As in
+the core, an entry is reduced only when it is read, as part of a head, a
+stopped column or a leaving block, or as a factor of a product; each
+pivot subtracts less than p**2 from it, so it stays below
 4 * p**2 + min(n, m) * p**2 and the same _check_capacity bound covers it.
 
 Blocks and products are reduced by _reduce, x - floor(x / p) * p in four
@@ -58,8 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 PANEL = 128
-# columns of the head the stacked rank sweep factors at once while no
-# matrix swaps
+# columns of the head the stacked rank sweep factors at once
 BLOCK = 8
 
 # float64 holds every integer below 2**53 exactly
@@ -263,17 +261,16 @@ def _stack_ranks(F, p):
     as a list of T ints.  Its entries are integers of absolute value below
     4 * p**2; F is overwritten.
 
-    Matrix t keeps its pivot count in cur[t], its pivot rows above cur[t]
-    and its active rows from cur[t] down.  While every matrix pivots on its
-    first active row, all have cur[t] = j at column j, and the sweep runs
-    in blocks of K = BLOCK columns.  The block's head A = F[j:j+K, j:j+K],
-    reduced, goes into H = [A | id] with the scale S = 1.  Step k reads
+    At column j every matrix in the stack has its j pivot rows above row
+    j and its active rows from j down, and the sweep runs in blocks of
+    K = BLOCK columns.  The block's head A = F[j:j+K, j:j+K], reduced,
+    goes into H = [A | id] with the scale S = 1.  Step k reads
     pi = H[k, k] and stops at the first k where some matrix has pi = 0;
     otherwise every row i != k of H becomes pi H[i] - H[i, k] H[k], row k
     becomes S H[k], and S becomes S pi.  So H is E [A | id] for some E
     whose rows below k are those of elimination without swaps, times the
-    nonzero pi so far, and pi = 0 exactly where the per-column step would
-    meet a first active entry 0.  After k steps the first k columns of H
+    nonzero pi so far, and pi = 0 exactly where that elimination meets a
+    first active entry 0.  After k steps the first k columns of H
     are S id, and E's first k rows combine only A's first k rows, so
     H[:k, K:K+k] is S times the inverse of A_k, the head's leading k x k
     block, and one batch inversion of S gives A_k^-1.  A step writes only
@@ -282,25 +279,26 @@ def _stack_ranks(F, p):
     row k and 0 elsewhere.  The rows below the pivots take the Schur
     complement, F[j+k:, j+k:] -= F[j+k:, j:j+k] (A_k^-1 F[j:j+k, j+k:]),
     both factors reduced, which subtracts less than k p**2 from an entry.
-    Where the head stopped, the per-column step runs from column j + k to
-    the end.
 
-    The per-column step: `lo` is the smallest cur, and the rows above it are
-    finished in every matrix.  Every matrix takes the first nonzero active
-    entry of the column as its pivot, swaps it up to cur[t], and subtracts
-    multiples of its normalized pivot row from the active rows below it.  A
-    step adds at most one pivot, so at column j every
-    cur[t] <= j <= m - 1 < n: row cur[t] is active in every matrix, and its
-    entry in column j is 0 where matrix t has no pivot."""
+    Where the head stopped, at column j, a matrix whose entry at (j, j)
+    is 0 mod p swaps its first active row that is not 0 there with row j,
+    across columns j onward, and stays.  A matrix with no such row has no
+    pivot in column j and leaves the stack, with rank j plus that of its
+    rows from j down right of the column: 0 for a block that is 0 mod p,
+    otherwise by _sweep_panels.  Every matrix left has a nonzero entry at
+    (j, j), so the next block takes a pivot, and the loop ends; a matrix
+    that pivots at every column has rank m."""
     T, n, m = F.shape
     if T == 0 or m == 0:
         return [0] * T
+    ranks = np.full(T, m)
+    live = np.arange(T)
     j = 0
-    while j < m:
+    while j < m and live.size:
         K = min(BLOCK, m - j)
-        H = np.zeros((T, K, 2 * K))
+        H = np.zeros((len(live), K, 2 * K))
         H[:, :, :K] = _reduce(F[:, j:j + K, j:j + K], p)
-        S = np.ones(T)
+        S = np.ones(len(live))
         k = 0
         while k < K:
             piv = H[:, k, k]
@@ -325,34 +323,24 @@ def _stack_ranks(F, p):
             U = _reduce(inv @ _reduce(F[:, j:j + k, j + k:], p), p)
             F[:, j + k:, j + k:] -= _reduce(F[:, j + k:, j:j + k], p) @ U
         j += k
-        if k < K:
-            break
-    cur = np.full(T, j)
-    t = np.arange(T)
-    rows = np.arange(n)
-    for j in range(j, m):
-        lo = int(cur.min())
-        off = cur - lo
-        col = _reduce(F[:, lo:, j], p)
-        # a finished row of matrix t is never a pivot or updated again
-        col[rows[:n - lo] < off[:, None]] = 0.0
-        nz = col != 0
-        r = nz.argmax(1)
-        has = nz[t, r]
-        sw = np.flatnonzero(has & (r != off))
-        if sw.size:
-            i, k = off[sw], r[sw]
-            F[sw, lo + i, j + 1:], F[sw, lo + k, j + 1:] = (
-                F[sw, lo + k, j + 1:], F[sw, lo + i, j + 1:])
-            col[sw, i], col[sw, k] = col[sw, k], col[sw, i]
-        # a column where no member pivots has nothing to clear
-        if j + 1 < m and has.any():
-            # the pivot entry is 0 exactly where there is none, and so is
-            # its inverse
-            inv = _inverses(col[t, off], p)
-            prow = _reduce(_reduce(F[t, lo + off, j + 1:], p) * inv[:, None],
-                           p)
-            col[t, off] = 0.0
-            F[:, lo:, j + 1:] -= col[:, :, None] * prow[:, None, :]
-        cur += has
-    return cur.tolist()
+        if k == K:
+            continue
+        # the head stopped at column j: a member whose entry there is 0
+        # swaps up its first row with a nonzero one, and a member with none
+        # leaves
+        nz = _reduce(F[:, j:, j], p) != 0
+        has = nz.any(1)
+        t = np.flatnonzero(has & ~nz[:, 0])
+        if t.size:
+            r = j + nz[t].argmax(1)
+            F[t, j, j:], F[t, r, j:] = F[t, r, j:], F[t, j, j:]
+        if not has.all():
+            # its rank is j plus that of its rows from j down, right of the
+            # column; a block that is 0 mod p adds nothing
+            R = _reduce(F[~has, j:, j + 1:], p)
+            gone = live[~has]
+            ranks[gone] = j
+            for i in np.flatnonzero(R.any((1, 2))):
+                ranks[gone[i]] += _sweep_panels(R[i], p, False)[0]
+            F, live = F[has], live[has]
+    return ranks.tolist()

@@ -457,21 +457,61 @@ def test_ranks_square_tall_and_wide(rng, p, n, m):
 # takes BLOCK columns at a time: it factors only the block's K x K head,
 # inverts the head once, and brings the rows below up to date by one Schur
 # product.  At the first column where some member's first active entry is
-# 0 mod p the head stops, the pivots found so far take their product, and
-# the per-column step runs to the end.  The stacks below are 40 x 25 after
-# transposition, several blocks wide, with that stop placed on purpose.
+# 0 mod p the head stops and the pivots found so far take their product.
+# There a member with a nonzero entry below swaps that row up and stays,
+# a member with none leaves with its rank, and the next block starts at
+# that column.  The stacks below are 40 x 25 after transposition, several
+# blocks wide, with those stops placed on purpose.
+
+
+def _stalls(M, p):
+    """The columns at which the stacked sweep stops for M (n >= m) alone,
+    as (swaps, leave): elimination pivots on the first active row with an
+    entry nonzero mod p, `swaps` lists the columns where that is not the
+    first active row, and `leave` is the first column with no pivot, or m
+    if there is none."""
+    A = np.mod(M, p)
+    swaps = []
+    for j in range(A.shape[1]):
+        nz = np.flatnonzero(A[j:, j])
+        if not nz.size:
+            return swaps, j
+        if nz[0]:
+            swaps.append(j)
+            A[[j, j + nz[0]]] = A[[j + nz[0], j]]
+        f = A[j + 1:, j] * pow(int(A[j, j]), -1, p) % p
+        A[j + 1:] = (A[j + 1:] - np.outer(f, A[j])) % p
+    return swaps, A.shape[1]
 
 
 def _uniform_stop(M, p):
     """The first column at which elimination of M (n >= m) without row
-    swaps meets a zero pivot mod p, or m if it meets none."""
-    A = np.mod(M, p)
-    for j in range(A.shape[1]):
-        if not A[j, j]:
-            return j
-        f = A[j + 1:, j] * pow(int(A[j, j]), -1, p) % p
-        A[j + 1:] = (A[j + 1:] - np.outer(f, A[j])) % p
-    return A.shape[1]
+    swaps meets a zero pivot mod p, or m if it meets none: the first stop
+    of _stalls, since the two eliminations agree up to it."""
+    swaps, leave = _stalls(M, p)
+    return min(swaps[:1] + [leave])
+
+
+def _block_inversions(S, p):
+    """The batch inversions of the stacked sweep over S, each as the number
+    of members it inverts for, read off each member's own stops: a block
+    runs from column j to the next stop of a member still in the stack, at
+    most BLOCK columns, and inverts once if it takes a pivot and has a
+    column right of it; at a stop, the members whose leave it is go."""
+    K, m = _gfcore_py.BLOCK, S.shape[2]
+    stalls = [_stalls(M, p) for M in S]
+    live, out, j, lo = list(range(len(S))), [], 0, 0
+    while j < m and live:
+        stop = min(c for t in live for c in stalls[t][0] + [stalls[t][1]]
+                   if c >= lo)
+        k = min(stop - j, K)
+        if k and j + k < m:
+            out.append(len(live))
+        j += k
+        if j == stop < m:
+            live = [t for t in live if stalls[t][1] != j]
+            lo = j + 1
+    return out
 
 
 def _lu_member(rng, n, m, p, diag):
@@ -561,11 +601,11 @@ def test_ranks_invert_once_per_block(rng, monkeypatch):
     # generic stacks of the mh survey's shapes, 50 members each.  At
     # (20, 60, 1) they are 60 x 41 of rank 40: the blocks at columns 0, 8,
     # .., 32 each invert their head once; the block at column 40 meets no
-    # pivot, and the last column has no column right of it, so 5 batch
+    # pivot, so every member leaves there with rank 40, and 5 batch
     # inversions in all, where one per pivot column would make 40.  At
     # (12, 36, 2) they are 36 x 26 of rank 24: the blocks at 0, 8 and 16
-    # invert once each, and neither tail column, where no member pivots,
-    # inverts at all
+    # invert once each, and at column 24, where no member pivots, every
+    # member leaves without another inversion
     T = 50
     calls = _counting_inverses(monkeypatch)
     for n, m, r, blocks in [(60, 41, 40, 5), (36, 26, 24, 3)]:
@@ -582,7 +622,10 @@ def test_ranks_head_stops_mid_block_in_one_member(rng, monkeypatch, p):
     # every column but one member at column K + 3, inside the second block's
     # head, where its first active entry is 0 and a row below has a
     # nonzero entry.  The first block inverts once, the second once for its
-    # 3 pivots, and then each tail column but the last once: 2 + 13
+    # 3 pivots; that member swaps the row up and stays, so the block from
+    # column K + 3 inverts once for its 8 pivots, and the last 6 columns
+    # have none right of them: [9, 9, 9].  At a small prime that member's
+    # own later stops can add blocks, so the pin is read off its stops
     K = _gfcore_py.BLOCK
     n, m, stop = 40, 25, K + 3
     members = [_lu_member(rng, n, m, p, rng.integers(1, p, size=m))
@@ -593,11 +636,104 @@ def test_ranks_head_stops_mid_block_in_one_member(rng, monkeypatch, p):
     M[stop] = (rng.integers(0, p, size=stop) @ M[:stop] + v) % p
     S = np.stack(members)
     assert [_uniform_stop(M, p) for M in S] == [m] * 4 + [stop] + [m] * 4
+    assert _stalls(M, p)[0][0] == stop
     calls = _counting_inverses(monkeypatch)
     want = [oracle_rank(M, p) for M in S]
     assert _ranks(S, p) == want
-    assert calls == [9] * (2 + m - 1 - stop)
+    assert calls == _block_inversions(S, p)
+    if p == 1048573:
+        assert calls == [9] * 3
     assert want == [exactalg.rank(M, p) for M in S]
+
+
+def _row_j_alone(rng, n, m, p, j, c):
+    """An n x m member (n >= m) with no pivot in column j, after pivots in
+    columns 0 .. j - 1.  Once they are eliminated its active rows are a
+    block N, 0 in column j, in which row j alone is nonzero in column c:
+    so its rank is j + rank N, and rank N is one more than that of N
+    without row j."""
+    M = _lu_member(rng, n, m, p, rng.integers(1, p, size=j))
+    N = np.zeros((n - j, m), dtype=np.int64)
+    N[1:, j + 1:] = (rng.integers(0, p, size=(n - j - 1, 2)) @
+                     rng.integers(0, p, size=(2, m - j - 1)))
+    N[0, j + 1:] = rng.integers(0, p, size=m - j - 1)
+    N[:, c] = 0
+    N[0, c] = rng.integers(1, p)
+    M[j:] += N
+    return M % p
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
+def test_ranks_leaving_member_keeps_row_j(rng, p):
+    # a member with no pivot at column j leaves with rank j plus that of
+    # its active rows right of the column, from row j down: here row j
+    # holds the only nonzero entry of column c, so a sweep that lost it
+    # would be one short.  The stop falls inside a block and at its seam
+    K = _gfcore_py.BLOCK
+    n, m = 40, 25
+    for j in (K + 3, 2 * K):
+        members = [_lu_member(rng, n, m, p, rng.integers(1, p, size=m))
+                   for _ in range(4)]
+        members.insert(2, _row_j_alone(rng, n, m, p, j, m - 2))
+        S = np.stack(members)
+        assert _stalls(S[2], p) == ([], j)
+        want = [oracle_rank(M, p) for M in S]
+        assert want == [exactalg.rank(M, p) for M in S]
+        assert _ranks(S, p) == want
+
+
+def _counting_sweeps(monkeypatch):
+    """Patch the core's single-matrix sweep to record the shape of each
+    block it is called on."""
+    calls, sweep = [], _gfcore_py._sweep_panels
+
+    def count(F, p, full):
+        calls.append(F.shape)
+        return sweep(F, p, full)
+
+    monkeypatch.setattr(_gfcore_py, "_sweep_panels", count)
+    return calls
+
+
+def test_ranks_sweep_only_a_nonzero_leaving_block(rng, monkeypatch):
+    # a member leaves the stack at a column where it has no pivot, and
+    # only a block right of that column that is nonzero mod p is swept,
+    # once, by the single-matrix sweep.  A generic stack never leaves;
+    # the survey shapes (60 x 41 of rank 40, 36 x 26 of rank 24) leave at
+    # column 40 and 24 with nothing left to rank
+    T = 50
+    calls = _counting_sweeps(monkeypatch)
+    for n, m, r in [(40, 25, 25), (60, 41, 40), (36, 26, 24)]:
+        S = np.stack([_lu_member(rng, n, m, P, rng.integers(1, P, size=r))
+                      for _ in range(T)])
+        assert _ranks(S, P) == [r] * T
+        assert calls == []
+    # one generic member of 40 x 25 traded for one with no pivot at
+    # column 11, of rank 24, and a nonzero block right of that column
+    S = np.stack([_lu_member(rng, 40, 25, P, rng.integers(1, P, size=25))
+                  for _ in range(T)])
+    diag = rng.integers(1, P, size=25)
+    diag[11] = 0
+    S[1] = _lu_member(rng, 40, 25, P, diag)
+    assert _ranks(S, P) == [25, 24] + [25] * (T - 2)
+    assert calls == [(40 - 11, 25 - 12)]
+
+
+def test_ranks_leaving_block_wider_than_a_panel(rng, monkeypatch):
+    # two 300 x 260 members that leave at columns 3 and 5, each with a
+    # block of more than PANEL columns right of its stop: one of rank 259,
+    # one with row 5 alone nonzero in a column of the block's second panel
+    p, n, m = 7, 300, 260
+    diag = rng.integers(1, p, size=m)
+    diag[3] = 0
+    S = np.stack([_lu_member(rng, n, m, p, diag),
+                  _row_j_alone(rng, n, m, p, 5, 200)])
+    calls = _counting_sweeps(monkeypatch)
+    got = _ranks(S, p)
+    assert calls == [(n - 3, m - 4), (n - 5, m - 6)]
+    assert min(w for _, w in calls) > _gfcore_py.PANEL
+    assert got == [259, oracle_rank(S[1], p)]
+    assert got == [exactalg.rank(M, p) for M in S]
 
 
 def test_ranks_over_several_sweeps(rng):
