@@ -336,11 +336,12 @@ def _stack_ranks(F, p):
             F[t, j, j:], F[t, r, j:] = F[t, r, j:], F[t, j, j:]
         if not has.all():
             # its rank is j plus that of its rows from j down, right of the
-            # column; a block that is 0 mod p adds nothing
-            R = _reduce(F[~has, j:, j + 1:], p)
+            # column; a block that is 0 mod p, or has no column, adds nothing
             gone = live[~has]
             ranks[gone] = j
-            for i in np.flatnonzero(R.any((1, 2))):
-                ranks[gone[i]] += _sweep_panels(R[i], p, False)[0]
+            if j + 1 < m:
+                R = _reduce(F[~has, j:, j + 1:], p)
+                for i in np.flatnonzero(R.any((1, 2))):
+                    ranks[gone[i]] += _sweep_panels(R[i], p, False)[0]
             F, live = F[has], live[has]
     return ranks.tolist()

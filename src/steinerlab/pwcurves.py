@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg, steiner
-from .multilin import random_covector
-from .seeding import derive_rng
+from .seeding import derive_rng, random_covectors
 from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
 from .subspace import FFormQuotient, SamplingFailed, zstar_basis
 
@@ -171,11 +170,13 @@ def mh_rank_survey(sample, trials, seed):
 
         rank m_H(1) = 3b - dim K + rank N(h),
 
-    exactly, at every prime and for every presentation.  Trial t draws its
-    covector h from derive_rng(seed, 5, t), as random_frame would, and the
-    N(h) of all trials are ranked by exactalg.ranks_at, a chunk at a time,
-    so memory does not grow with `trials`.  Raises KernelDimMismatch when
-    dim K is not 4b - rank m(1), the rank the sample's certificate read.
+    exactly, at every prime and for every presentation.  Trial t still takes
+    its covector h from derive_rng(seed, 5, t)'s stream, as random_frame
+    would, now drawn in one pass per chunk of exactalg.STACK trials by
+    seeding.random_covectors, and the N(h) of each chunk are ranked by
+    exactalg.ranks_at, so memory does not grow with `trials`.  Raises
+    KernelDimMismatch when dim K is not 4b - rank m(1), the rank the
+    sample's certificate read.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -185,7 +186,8 @@ def mh_rank_survey(sample, trials, seed):
     if dim_k != want:
         raise KernelDimMismatch(
             f"dim ker m(1) = {dim_k}, expected 4b - rank m(1) = {want}")
-    hs = (random_covector(derive_rng(seed, 5, t), p) for t in range(trials))
+    hs = (h for t in range(0, trials, exactalg.STACK) for h in random_covectors(
+        seed, 5, range(t, min(t + exactalg.STACK, trials)), p))
     return Counter(3 * b - dim_k + r for r in exactalg.ranks_at(Ns, hs, p))
 
 

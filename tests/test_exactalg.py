@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from steinerlab import _gfcore_py, exactalg
+from steinerlab import _gfcore_py, exactalg, seeding
+from steinerlab.multilin import random_covector
 from steinerlab.seeding import derive_rng
 
 P = exactalg.DEFAULT_PRIME
@@ -251,6 +252,75 @@ def test_bounded_draws_are_pinned(seed, key, p, draws):
         f"numpy {np.__version__} draws other bounded integers from "
         f"derive_rng({seed}, *{key}) at p = {p}: a change in "
         f"Generator.integers moves every sampled value and report digest")
+
+
+def _assert_covectors_match(seed, ts, p):
+    """seeding.random_covectors(seed, 5, ts, p) row by row against
+    random_covector(derive_rng(seed, 5, t), p)."""
+    got = seeding.random_covectors(seed, 5, ts, p)
+    want = np.array([random_covector(derive_rng(seed, 5, t), p) for t in ts])
+    bad = [t for t, g, w in zip(ts, got, want) if not np.array_equal(g, w)]
+    assert got.shape == want.shape and not bad, (
+        f"numpy {np.__version__}: random_covectors({seed}, 5, ts, {p}) is "
+        f"not random_covector(derive_rng({seed}, 5, t), {p}) at t in "
+        f"{bad[:5]}: the batch no longer follows SeedSequence, PCG64 or "
+        f"Generator.integers")
+
+
+def _spy_redraws(monkeypatch):
+    """The keys of the rows random_covectors takes from derive_rng."""
+    keys = []
+
+    def spy(seed, *key):
+        keys.append(key)
+        return derive_rng(seed, *key)
+
+    monkeypatch.setattr(seeding, "derive_rng", spy)
+    return keys
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 1048573])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 3], ids=["0", "3", "2^40+3"])
+def test_random_covectors_match_derive_rng(seed, p):
+    # trial ranges that end on either side of the survey's chunks of STACK,
+    # and one that starts inside them; 2**40 + 3 is a two-word seed
+    for ts in (range(1), range(63), range(64), range(65), range(130),
+               range(63, 130)):
+        _assert_covectors_match(seed, ts, p)
+
+
+def test_random_covectors_redraw_an_all_zero_row(monkeypatch):
+    # at p = 5 the first four draws of derive_rng(0, 5, 79) are all 0, so
+    # random_covector draws again, and the batch takes that row from it
+    first = derive_rng(0, 5, 79).integers(0, 5, size=4, dtype=np.int64)
+    assert not first.any(), f"numpy {np.__version__} draws {first}"
+    keys = _spy_redraws(monkeypatch)
+    _assert_covectors_match(0, range(130), 5)
+    assert keys == [(5, 79)], (
+        f"numpy {np.__version__}: rows {keys} redrawn, expected t = 79")
+
+
+def test_random_covectors_redraw_a_lemire_rejection(monkeypatch):
+    # at p = 1048573 a 32-bit draw u is rejected when (u * p) mod 2**32 is
+    # below (2**32 - p) % p = 12288; one of the four draws of
+    # derive_rng(961, 5, 31) is, so Generator.integers draws again
+    p = 1048573
+    raw = derive_rng(961, 5, 31).bit_generator.random_raw(2).tolist()
+    halves = [x >> s & 0xFFFFFFFF for x in raw for s in (0, 32)]
+    assert any(u * p % 2**32 < (2**32 - p) % p for u in halves), (
+        f"numpy {np.__version__}: no rejected draw in {halves}")
+    keys = _spy_redraws(monkeypatch)
+    _assert_covectors_match(961, range(31, 33), p)
+    assert keys == [(5, 31)], (
+        f"numpy {np.__version__}: rows {keys} redrawn, expected t = 31")
+
+
+def test_random_covectors_redraw_a_two_word_trial(monkeypatch):
+    # a t of 2**32 or more enters SeedSequence as two words
+    keys = _spy_redraws(monkeypatch)
+    _assert_covectors_match(0, [2**32 + 1, 7], 7)
+    assert keys == [(5, 2**32 + 1)], (
+        f"numpy {np.__version__}: rows {keys} redrawn, expected 2**32 + 1")
 
 
 @pytest.mark.parametrize("p", [5, P])

@@ -28,7 +28,7 @@ from steinerlab.pwcurves import (
     verify_thm42,
     write_linforms,
 )
-from steinerlab.multilin import random_frame
+from steinerlab.multilin import random_covector, random_frame
 from steinerlab.seeding import derive_rng
 from steinerlab.steiner import (
     SteinerPresentation,
@@ -255,6 +255,30 @@ def test_mh_rank_survey_past_one_sweep():
     hist = mh_rank_survey(s, 130, seed=2)
     assert hist == _dense_survey(s, 130, seed=2)
     assert sum(hist.values()) == 130
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_mh_rank_survey_ranks_each_trials_derive_rng_covector(
+        monkeypatch, trials):
+    # trial t is ranked at random_covector(derive_rng(seed, 5, t), p), in
+    # trial order, and the covectors are drawn at most STACK at a time
+    s = sample_pw(3, 8, 1, seed=0, p=P)
+    chunks, points = [], []
+    draw, ranks_at = pwcurves.random_covectors, exactalg.ranks_at
+
+    def spy_draw(seed, key, ts, p):
+        chunks.append(len(ts))
+        return draw(seed, key, ts, p)
+
+    def spy_ranks_at(forms, hs, p):
+        return ranks_at(forms, (points.append(h) or h for h in hs), p)
+
+    monkeypatch.setattr(pwcurves, "random_covectors", spy_draw)
+    monkeypatch.setattr(exactalg, "ranks_at", spy_ranks_at)
+    assert sum(mh_rank_survey(s, trials, seed=2).values()) == trials
+    want = [random_covector(derive_rng(2, 5, t), P) for t in range(trials)]
+    assert np.array_equal(points, want), f"numpy {np.__version__}"
+    assert sum(chunks) == trials and max(chunks) <= exactalg.STACK
 
 
 def test_mh_rank_survey_rejects_forged_rank():
