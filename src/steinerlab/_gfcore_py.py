@@ -289,8 +289,6 @@ def _stack_ranks(F, p):
     (j, j), so the next block takes a pivot, and the loop ends; a matrix
     that pivots at every column has rank m."""
     T, n, m = F.shape
-    if T == 0 or m == 0:
-        return [0] * T
     ranks = np.full(T, m)
     live = np.arange(T)
     j = 0

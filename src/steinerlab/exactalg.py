@@ -1,7 +1,7 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays, rows × cols, row-major.  `rank`, `rref`,
-`kernel_basis`, `split`, `cokernel_dim` and `matmul_mod` take any int64
+`kernel_basis`, `split`, `evaluate_linear` and `matmul_mod` take any int64
 entries (on a shape within the core's capacity guard), reduce them mod p and
 return residues in [0, p).  Every rank, kernel and cokernel in the package
 reduces to the routines here.  A single matrix goes to the elimination
@@ -69,8 +69,10 @@ def evaluate_linear(forms, x, p):
     """Evaluate a (4, r, c) array of linear forms at a point x of F_p^4:
     sum_k x_k forms[k] mod p.  A (T, 4) array of points gives the (T, r, c)
     stack of the values at each; with the rows of a change of coordinates Q
-    as the points, it gives the forms in the new coordinates."""
-    return np.mod(np.einsum("...k,kij->...ij", x, forms), p)
+    as the points, it gives the forms in the new coordinates.  One exact
+    product of the points by the flattened forms."""
+    out = matmul_mod(x, np.reshape(forms, (4, -1)), p)
+    return out.reshape(np.shape(x)[:-1] + np.shape(forms)[1:])
 
 
 def ranks_at(forms, points, p):
@@ -129,10 +131,6 @@ def split(M, p):
     QG[piv, :a] = R[:, n:]
     QG[:, a:] = backend._kernel_of_rref(R[:, :n], a, piv, p).T
     return QG
-
-
-def cokernel_dim(M, p):
-    return len(M) - backend.rank(M, p)
 
 
 def matmul_mod(A, B, p):

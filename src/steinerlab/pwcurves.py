@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exactalg, steiner
 from .seeding import derive_rng, random_covectors
 from .steiner import SteinerPresentation, assemble_md, chi3, cohomology_table
@@ -248,19 +246,21 @@ def h1_ic_vanishing(sample):
     m(s-3) is checked itself, by a route that shares nothing with the
     inverse-system ladder of the sample's certificate: the x1-split of
     steiner.horace_surjective, else, where it returns None (a split fails
-    or no Schur complement S_e with e <= s-3 has full row rank), the rank
-    of the dense m(s-3).  At (a, b) = (10, 30) the split's x3 step decides
-    the 90 x 360 S_d of its 450 x 720 plane map, against 1650 x 3600 for
-    m(7), by ranking a 10 x 20 system; at (20, 59) it ranks S_e at
-    ascending e, skipping those taller than wide, and S_2 (80 x 114) is
-    the first of full row rank.
+    or no Schur complement S_e with e <= s-3 has full row rank), whether
+    the dense m(s-3) has full row rank, the only route left there.  At
+    (a, b) = (10, 30) the split's x3 step decides the 90 x 360 S_d of its
+    450 x 720 plane map, against 1650 x 3600 for m(7), by ranking a
+    10 x 20 system; at (20, 59) it ranks S_e at ascending e, skipping those
+    taller than wide, and S_2 (80 x 114) is the first of full row rank.
     """
     m, s = sample.m, sample.b - 2 * sample.a
     if s < 3:
         return True
     d = s - 3
-    return bool(steiner.horace_surjective(m, d)) or (
-        exactalg.cokernel_dim(assemble_md(m, d), m.prime) == 0)
+    if steiner.horace_surjective(m, d):
+        return True
+    M = assemble_md(m, d)
+    return exactalg.rank(M, m.prime) == len(M)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class NotLocallyFree(ValueError):
     """No surjectivity certificate within the degree cap; the cokernel sheaf
     may have positive-dimensional support and the table would be meaningless.
 
-    Carries the list of (degree, cokernel_dim) pairs actually checked.
+    Carries the list of (degree, cokernel dimension) pairs actually checked.
     """
 
     def __init__(self, checked):
@@ -115,12 +115,6 @@ class SteinerPresentation:
         return SteinerPresentation(
             exactalg.evaluate_linear(self.Ms, frame.Pinv, frame.prime),
             self.prime)
-
-    def transpose(self):
-        """The presentation with matrices M_k^T and the roles of A, B
-        swapped (used for the Serre-dual route)."""
-        return SteinerPresentation(
-            np.ascontiguousarray(self.Ms.transpose(0, 2, 1)), self.prime)
 
     @functools.cached_property
     def splits(self):
@@ -374,7 +368,7 @@ def m1_kernel(m):
 
 @dataclass(frozen=True)
 class SurjectivityCertificate:
-    checked: tuple  # (d, cokernel_dim) pairs, d = 1, 2, ..., never empty
+    checked: tuple  # (d, dim coker m(d)) pairs, d = 1, 2, ..., never empty
     coker0: int  # dim coker m(0) = h1(E_m), rung 0 of the ladder
 
     @property
@@ -514,24 +508,6 @@ def cohomology_table(m, k_min, k_max, cert):
         assert h3 >= 0
         rows.append((k, h0, h1, h2, h3, chi))
     return CohomologyTable(tuple(rows))
-
-
-def dual_h0(m, j):
-    """h0 of the Serre-dual bundle twisted by j, via the transposed
-    presentation t with matrices M_k^T:
-
-        b*C(j+3,3) - a*C(j+2,3) + dim ker t(j-1).
-    """
-    if j < 0:
-        raise ValueError(f"twist must be nonnegative, got {j}")
-    a, b, p = m.a, m.b, m.prime
-    base = b * dim_sym(j) - a * dim_sym(j - 1)
-    if j == 0:
-        return base
-    t = m.transpose()
-    td = assemble_md(t, j - 1)
-    kdim = td.shape[1] - exactalg.rank(td, p)
-    return base + kdim
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from steinerlab.steiner import (
     assemble_md,
     chi3,
     cohomology_table,
-    dual_h0,
     euler_char,
     horace_surjective,
     read_presentation,
@@ -26,6 +25,11 @@ from steinerlab.steiner import (
 )
 
 P = exactalg.DEFAULT_PRIME
+
+
+def _coker(M, p):
+    """dim coker M, from the dense rank (a test oracle)."""
+    return len(M) - exactalg.rank(M, p)
 
 
 def test_chi3():
@@ -85,12 +89,12 @@ def test_generic_1_4(rng):
     assert cert.found and cert.d0 == 1
     # once surjective, stays surjective
     for d in (1, 2, 3):
-        assert exactalg.cokernel_dim(assemble_md(m, d), P) == 0
+        assert _coker(assemble_md(m, d), P) == 0
 
 
 def test_zero_presentation():
     m = SteinerPresentation(np.zeros((4, 2, 5), dtype=np.int64), P)
-    assert exactalg.cokernel_dim(assemble_md(m, 0), P) == 2 * dim_sym(1)
+    assert _coker(assemble_md(m, 0), P) == 2 * dim_sym(1)
     cert = surjectivity_certificate(m, 3)
     assert not cert.found
     assert list(cert.checked) == [(1, 2 * dim_sym(2)), (2, 2 * dim_sym(3)),
@@ -108,14 +112,6 @@ def test_columns_round_trip(rng):
         assert np.array_equal(cols[k::4, :], m.Ms[k])
 
 
-def test_transpose(rng):
-    m = SteinerPresentation.random(rng, 2, 6, P)
-    mt = m.transpose()
-    assert (mt.a, mt.b) == (6, 2)
-    for M, Mt in zip(m.Ms, mt.Ms):
-        assert np.array_equal(M.T, Mt)
-
-
 def test_cohomology_table_1_4(rng):
     m = SteinerPresentation.random(rng, 1, 4, P)
     tab = cohomology_table(m, -6, 4, surjectivity_certificate(m))
@@ -131,17 +127,31 @@ def test_cohomology_table_1_4(rng):
         assert min(h0k, h1k, h2k, h3k) >= 0
 
 
+def _dual_h0(m, j):
+    """h0 of the Serre-dual bundle twisted by j, j >= 0, via the transposed
+    presentation t with matrices M_k^T (a test oracle):
+
+        b*C(j+3,3) - a*C(j+2,3) + dim ker t(j-1).
+    """
+    a, b, p = m.a, m.b, m.prime
+    base = b * dim_sym(j) - a * dim_sym(j - 1)
+    if j == 0:
+        return base
+    td = assemble_md(SteinerPresentation(m.Ms.transpose(0, 2, 1), p), j - 1)
+    return base + td.shape[1] - exactalg.rank(td, p)
+
+
 def test_dual_h0_example(rng):
     m = SteinerPresentation.random(rng, 1, 4, P)
-    assert dual_h0(m, 1) == 15
-    assert dual_h0(m, 0) == 4
+    assert _dual_h0(m, 1) == 15
+    assert _dual_h0(m, 0) == 4
 
 
 def test_serre_duality_cross_check(rng):
     m = SteinerPresentation.random(rng, 2, 6, P)
     tab = cohomology_table(m, -6, -4, surjectivity_certificate(m))
     for k in range(-6, -3):
-        assert tab.row(k)[4] == dual_h0(m, -k - 4)
+        assert tab.row(k)[4] == _dual_h0(m, -k - 4)
 
 
 def test_cohomology_rows_well_formed(rng):
@@ -192,7 +202,7 @@ def test_horace_certificates_have_full_dense_rank():
         certified = [d for d in range(A - 2) if horace_surjective(m, d)]
         assert A - 3 in certified
         for d in certified:
-            assert exactalg.cokernel_dim(assemble_md(m, d), P) == 0
+            assert _coker(assemble_md(m, d), P) == 0
 
 
 def _deficient(rng, a, b, p):
@@ -228,7 +238,7 @@ def test_horace_never_certifies_a_cokernel(p):
                     np.concatenate([[_deficient(rng, a, b, p)], m.Ms[1:]]),
                     p)
         cert = horace_surjective(m, d)
-        coker = exactalg.cokernel_dim(assemble_md(m, d), p)
+        coker = _coker(assemble_md(m, d), p)
         assert cert in (True, None)
         if cert:
             assert coker == 0, (trial, a, m.b, d)
@@ -301,7 +311,7 @@ def test_kernel_form_matches_the_stack(p):
         stack_short += not full
         early_none += kind == "M2 deficient on ker M1"
         if cert:
-            assert exactalg.cokernel_dim(assemble_md(m, d), p) == 0
+            assert _coker(assemble_md(m, d), p) == 0
             # and the ladder finds m(d), or a degree below it, onto
             ladder = surjectivity_certificate(m, max(d, 1))
             assert 0 in [ladder.coker0, *dict(ladder.checked).values()][:d + 1]
@@ -698,10 +708,10 @@ def _dense_ladder(m, d_max):
     first surjective m(d), each from the dense m(d)."""
     rungs = []
     for d in range(1, d_max + 1):
-        rungs.append((d, exactalg.cokernel_dim(assemble_md(m, d), m.prime)))
+        rungs.append((d, _coker(assemble_md(m, d), m.prime)))
         if not rungs[-1][1]:
             break
-    return exactalg.cokernel_dim(assemble_md(m, 0), m.prime), tuple(rungs)
+    return _coker(assemble_md(m, 0), m.prime), tuple(rungs)
 
 
 @pytest.mark.parametrize("p", [5, 7, P, 1048573])
@@ -764,7 +774,7 @@ def test_ladder_certifies_where_the_split_cannot():
     assert horace_surjective(m, 3) is True
     cert = surjectivity_certificate(m, 5)
     assert cert.checked == ((1, 1), (2, 0)) and cert.coker0 == 6
-    assert exactalg.cokernel_dim(assemble_md(m, 2), P) == 0
+    assert _coker(assemble_md(m, 2), P) == 0
 
 
 def test_loaded_presentation_without_x4_is_not_locally_free():
