@@ -240,8 +240,6 @@ def rref(a, p, full=True):
     A matrix of at most PANEL columns takes one Gauss-Jordan sweep either
     way, and a wider one one sweep per panel."""
     n, m = a.shape
-    if n == 0 or m == 0:
-        return 0, []
     # the residues go straight into the float64 work array: one pass, and
     # no reduced int64 copy next to it
     F = np.empty((n, m))

@@ -120,11 +120,11 @@ def kernel_basis(M, p):
 def split(M, p):
     """For an a x n matrix M of rank a, the invertible n x n QG = [Q | G]
     with M Q = id and G the columns of kernel_basis(M), from one
-    elimination of [M | id]; None when n < a or rank M < a.  A square M
-    gives Q = M^-1 and an empty G."""
+    elimination of [M | id]; None when rank M < a, n < a included.  A
+    square M gives Q = M^-1 and an empty G."""
     a, n = M.shape
     R, _, piv = rref(np.hstack([M, np.eye(a, dtype=np.int64)]), p)
-    if n < a or piv[-1] >= n:  # or a pivot in the id block: rank M < a
+    if piv[-1] >= n:  # [M | id] has rank a: rank M < a leaves a pivot in id
         return None
     # every pivot lies left of the id block, so R[:, :n] is M's rref
     QG = np.zeros((n, n), dtype=np.int64)

@@ -45,7 +45,6 @@ def mono_basis(d):
         for e2 in range(d - e1, -1, -1):
             for e3 in range(d - e1 - e2, -1, -1):
                 out.append((e1, e2, e3, d - e1 - e2 - e3))
-    assert len(out) == dim_sym(d)
     return tuple(out)
 
 

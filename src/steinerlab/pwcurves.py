@@ -213,7 +213,7 @@ def curve_params(a, b):
     c = b-a+1 determines the Hilbert polynomial
     P(t) = chi3(t) - c chi3(t-s) + b chi3(t-s-1) - a chi3(t-s-2),
     a cubic in t whose cubic and quadratic coefficients vanish identically,
-    so P(t) = degree * t + 1 - genus; it is evaluated exactly at t = 0..3.
+    so P(t) = degree * t + 1 - genus; it is evaluated exactly at t = 0 and 1.
     """
     if b < 2 * a:
         raise InadmissibleParams(f"need b >= 2a, got a={a}, b={b}")
@@ -221,13 +221,10 @@ def curve_params(a, b):
     c = b - a + 1
     f = 9 * a - 3 * b + 1
     delta = 3 * b - 9 * a + f
-    P = [chi3(t) - c * chi3(t - s) + b * chi3(t - s - 1) - a * chi3(t - s - 2)
-         for t in range(4)]
-    # a cubic is linear exactly when its second and third differences vanish
-    d2, d3 = P[2] - 2 * P[1] + P[0], P[3] - 3 * P[2] + 3 * P[1] - P[0]
-    assert d2 == 0 and d3 == 0, "resolution bookkeeping is off"
-    degree = P[1] - P[0]
-    genus = 1 - P[0]
+    P0, P1 = (chi3(t) - c * chi3(t - s) + b * chi3(t - s - 1)
+              - a * chi3(t - s - 2) for t in (0, 1))
+    degree = P1 - P0
+    genus = 1 - P0
     flags = (
         ("admissible", 11 * b > 32 * a + 9 and a >= 7),
         ("regime", "b<=3a" if b <= 3 * a else "b>3a"),
@@ -241,7 +238,7 @@ def curve_params(a, b):
 
 def h1_ic_vanishing(sample):
     """Vanishing of h1 of the curve's ideal sheaf in the critical degree:
-    true iff m(s-3) is surjective (vacuous when s < 3).
+    true iff m(s-3) is surjective; needs s >= 3.
 
     m(s-3) is checked itself, by a route that shares nothing with the
     inverse-system ladder of the sample's certificate: the x1-split of
@@ -253,10 +250,7 @@ def h1_ic_vanishing(sample):
     10 x 20 system; at (20, 59) it ranks S_e at ascending e, skipping those
     taller than wide, and S_2 (80 x 114) is the first of full row rank.
     """
-    m, s = sample.m, sample.b - 2 * sample.a
-    if s < 3:
-        return True
-    d = s - 3
+    m, d = sample.m, sample.b - 2 * sample.a - 3
     if steiner.horace_surjective(m, d):
         return True
     M = assemble_md(m, d)

@@ -444,9 +444,7 @@ def surjectivity_certificate(m, d_max=D_MAX):
 
 def chi3(t):
     """chi of O_{P^3}(t): (t+1)(t+2)(t+3)/6, exact for any integer t."""
-    num = (t + 1) * (t + 2) * (t + 3)
-    assert num % 6 == 0
-    return num // 6
+    return (t + 1) * (t + 2) * (t + 3) // 6
 
 
 def euler_char(a, b, k):

@@ -85,13 +85,11 @@ def enumerate_jordan4():
     """The 14 Jordan types of a 4x4 matrix, in the reference row order:
     ascending centralizer dimension, then descending eigenvalue count, then
     partition order."""
-    types = sorted(
+    return sorted(
         {JordanType(c) for sizes in _partitions_of(4)
          for c in itertools.product(*map(_partitions_of, sizes))},
         key=lambda t: (centralizer_dim(t), -t.num_eigenvalues, t.partitions),
     )
-    assert len(types) == 14
-    return types
 
 
 def centralizer_dim(t):

@@ -613,6 +613,20 @@ def test_capacity_guard():
     _gfcore_py._check_capacity(4000, 4000, 32003)
 
 
+@pytest.mark.parametrize("n, m", [(0, 5), (5, 0), (0, 300), (300, 0)])
+def test_core_matches_oracle_on_empty_shapes(n, m):
+    # with no rows or no columns the Gauss-Jordan sweep takes no step and
+    # the panel sweep skips every panel, (0, 300) being wider than a panel
+    M = np.zeros((n, m), dtype=np.int64)
+    R0, rank0, piv0 = oracle_rref(M, P)
+    _check_against(M, P, R0, piv0)
+    R, r, piv = exactalg.rref(M, P)
+    assert np.array_equal(R, R0) and (r, piv) == (rank0, piv0)
+    assert exactalg.rank(M, P) == rank0 == 0
+    assert np.array_equal(exactalg.kernel_basis(M, P),
+                          _oracle_kernel(R0, piv0, P))
+
+
 def test_nullspace_canonical(rng):
     M = rng.integers(0, P, size=(6, 10)).astype(np.int64)
     M[5] = (M[0] + M[1]) % P
